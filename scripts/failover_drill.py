@@ -1,8 +1,8 @@
 """CI failover drill: SIGKILL the primary, promote a warm standby.
 
 The ``failover-drill`` CI job's entry point.  The parent process boots
-two real server processes — a primary shipping its WAL/edit-log stream
-semi-synchronously and a warm standby applying it — then:
+two real server processes — a primary shipping its checkpoint + WAL
+stream semi-synchronously and a warm standby applying it — then:
 
 1. drives a seeded TCP load against the primary, keeping a per-session
    ledger of every **acknowledged** edit, in order;
@@ -10,7 +10,8 @@ semi-synchronously and a warm standby applying it — then:
    real failure mode, not a polite shutdown);
 3. sends ``{"op": "promote"}`` to the standby and asserts the failover
    contract: the promotion report is clean, every acknowledged write is
-   present in the promoted edit logs (zero lost acked writes), promoted
+   present in the promoted ``log`` (the edit history recovered from the
+   replica's checkpoint and WAL, so zero lost acked writes), promoted
    grids equal a serial replay of those logs, and the invariant audit
    is sound for every session;
 4. redirects the load to the promoted server and keeps writing,
@@ -80,7 +81,6 @@ def serve_child(role: str, root: str, replicas: tuple) -> int:
         standby=(role == "standby"),
         replicas=replicas,
         wal_segment_records=8,
-        editlog_fsync_every_n=1,
         watchdog_max_steps=None,
         explain=False,
     )

@@ -1,15 +1,18 @@
 """Standby promotion: replay the tail, audit, open for writes.
 
 Promotion is deliberately boring.  The standby's replica root is, by
-construction, a valid serve-state directory — the same checkpoint /
-WAL / edit-log layout a crashed primary leaves behind — so promoting
-is just opening every session through the ordinary resurrection path
+construction, a valid serve-state directory — the same checkpoint and
+WAL a crashed primary leaves behind — so promoting is just opening
+every session through the ordinary resurrection path
 (:meth:`repro.serve.session.Session.open`), which replays the WAL tail
 via lazy-adoption recovery, then auditing the recovered graph with
 :func:`repro.core.integrity.audit` before declaring the session
-writable.  No bespoke promotion-time state machine exists to be subtly
-wrong; failover exercises exactly the crash-recovery path the chaos
-suite already hammers.
+writable.  The session's edit history is part of that state (the
+checkpoint carries it, WAL-tail edits extend it), so the promoted
+``log`` is recovered by the same replay as the promoted grid.  No
+bespoke promotion-time state machine exists to be subtly wrong;
+failover exercises exactly the crash-recovery path the chaos suite
+already hammers.
 
 :func:`promote_root` is the library entry point (the bench and drill
 use it directly on a bare directory); :meth:`repro.serve.server.Server
@@ -67,10 +70,7 @@ def session_ids(root: str) -> List[str]:
     out = []
     for entry in entries:
         base = os.path.join(root, entry, "sheet")
-        if any(
-            os.path.exists(base + suffix)
-            for suffix in ("", ".wal", ".editlog")
-        ):
+        if os.path.exists(base) or os.path.exists(base + ".wal"):
             out.append(entry)
     return out
 

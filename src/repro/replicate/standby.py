@@ -2,14 +2,16 @@
 
 A :class:`StandbyApplier` owns a serve-state root on the standby host
 and keeps it byte-equivalent to the primary's: every applied ``wal``
-record is appended to the replica's WAL, every ``edit`` record to the
-edit-log sidecar, and every ``ckpt`` record atomically replaces the
-checkpoint and truncates the replica WAL — exactly mirroring the
-checkpoint-anchored truncation the primary performed.  Because the
-replica is maintained as *files*, promotion needs no special machinery:
-:func:`repro.replicate.promote.promote_root` simply opens each session
-directory through the ordinary resurrection path, which replays the
-WAL tail via lazy-adoption recovery like any crash restart would.
+record is appended to the replica's WAL, and every ``ckpt`` record
+atomically replaces the checkpoint and truncates the replica WAL —
+exactly mirroring the checkpoint-anchored truncation the primary
+performed.  The session's edit history needs no stream of its own: the
+checkpoint carries it and the WAL's ``set_formula`` records extend it.
+Because the replica is maintained as *files*, promotion needs no
+special machinery: :func:`repro.replicate.promote.promote_root` simply
+opens each session directory through the ordinary resurrection path,
+which replays the WAL tail via lazy-adoption recovery like any crash
+restart would.
 
 Warmth is a separate, optional layer: every ``warm_every`` applied
 records the applier reloads the session through
@@ -60,7 +62,7 @@ class StandbyApplier:
         self.gaps = 0
         self.resyncs = 0
         self._positions: Dict[str, StreamPosition] = {}
-        self._handles: Dict[str, Dict[str, Any]] = {}
+        self._handles: Dict[str, Any] = {}
         self._since_warm: Dict[str, int] = {}
         self._warm: Dict[str, Dict[str, Any]] = {}
         # Per-sid work arrives on that sid's pinned worker; the lock
@@ -86,27 +88,25 @@ class StandbyApplier:
                 self._positions[sid] = pos
             return pos
 
-    def _handle(self, sid: str, kind: str):
-        """A cached append handle for the sid's WAL or edit log."""
+    def _wal_handle(self, sid: str):
+        """A cached append handle for the sid's replica WAL."""
         with self._lock:
-            handles = self._handles.setdefault(sid, {})
-            fh = handles.get(kind)
+            fh = self._handles.get(sid)
             if fh is None:
-                suffix = ".wal" if kind == "wal" else ".editlog"
-                fh = open(self._base(sid) + suffix, "a", encoding="utf-8")
-                handles[kind] = fh
+                fh = open(self._base(sid) + ".wal", "a", encoding="utf-8")
+                self._handles[sid] = fh
             return fh
 
-    def _flush_handles(self, sid: str) -> None:
+    def _flush_handle(self, sid: str) -> None:
         with self._lock:
-            handles = list(self._handles.get(sid, {}).values())
-        for fh in handles:
+            fh = self._handles.get(sid)
+        if fh is not None:
             fh.flush()
 
-    def _drop_handles(self, sid: str) -> None:
+    def _drop_handle(self, sid: str) -> None:
         with self._lock:
-            handles = self._handles.pop(sid, {})
-        for fh in handles.values():
+            fh = self._handles.pop(sid, None)
+        if fh is not None:
             try:
                 fh.close()
             except OSError:
@@ -158,7 +158,7 @@ class StandbyApplier:
                 break
             self._apply_one(sid, record)
             applied += 1
-        self._flush_handles(sid)
+        self._flush_handle(sid)
         if applied:
             pos.advance(pos.lsn + applied, applied=applied)
             self.applied_total += applied
@@ -185,20 +185,19 @@ class StandbyApplier:
                 os.fsync(fh.fileno())
             os.replace(tmp, base)
             # Mirror the primary's checkpoint-anchored WAL truncation.
-            self._drop_handles(sid)
+            self._drop_handle(sid)
             wal_path = base + ".wal"
             for segment in WriteAheadLog.segment_files(wal_path):
                 os.remove(segment)
             open(wal_path, "w").close()
             return
         # Buffered append; _apply_records flushes once per frame so a
-        # multi-record frame pays one write syscall per touched file.
-        fh = self._handle(sid, "wal" if kind == "wal" else "edit")
-        fh.write(payload + "\n")
+        # multi-record frame pays one write syscall.
+        self._wal_handle(sid).write(payload + "\n")
 
     def _apply_resync(self, sid: str, frame: Dict[str, Any]) -> Dict[str, Any]:
         base = self._base(sid)
-        self._drop_handles(sid)
+        self._drop_handle(sid)
         self._drop_warm(sid)
         lsn = frame.get("lsn")
         if not isinstance(lsn, int) or lsn < 0:
@@ -219,8 +218,6 @@ class StandbyApplier:
             os.remove(segment)
         with open(wal_path, "w", encoding="utf-8") as fh:
             fh.write(frame.get("wal") or "")
-        with open(base + ".editlog", "w", encoding="utf-8") as fh:
-            fh.write(frame.get("editlog") or "")
         pos = self._position(sid)
         pos.reset(lsn)
         self.resyncs += 1
@@ -312,6 +309,6 @@ class StandbyApplier:
         for pos in positions:
             pos.flush()
         for sid in list(self._handles):
-            self._drop_handles(sid)
+            self._drop_handle(sid)
         for sid in list(self._warm):
             self._drop_warm(sid)

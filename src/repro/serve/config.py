@@ -103,9 +103,6 @@ class ServeConfig:
     #: applied records (keeps it seconds-behind-warm and bounds the
     #: replay tail promotion pays); 0 defers all replay to promotion.
     standby_warm_every: int = 64
-    #: fsync the session edit-log sidecar every N appends (``None``
-    #: flushes to the OS only; the log is always fsynced on close).
-    editlog_fsync_every_n: Optional[int] = None
 
     # -- transport -----------------------------------------------------
     host: str = "127.0.0.1"

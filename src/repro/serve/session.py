@@ -7,7 +7,8 @@ nodes, blows deadlines, or livelocks damages nobody else.  Durability
 comes from :mod:`repro.persist`: the sheet is checkpointed at
 ``<root>/<sid>/sheet`` and every formula edit is WAL-logged, which is
 what makes eviction cheap (checkpoint + close, resurrect later) and
-crashes survivable.
+crashes survivable.  The session's edit history rides in the same two
+files (see :attr:`Session.edit_log`).
 
 All session methods run on the session's pinned worker thread (see
 :mod:`repro.serve.dispatch`); the internal lock is a belt-and-braces
@@ -16,7 +17,6 @@ guard for direct library use, not something the server path contends on.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -48,35 +48,19 @@ class Session:
         path: str,
         *,
         resurrected: bool,
-        fsync_every_n: Optional[int] = None,
     ) -> None:
         self.sid = sid
         self.sheet = sheet
         self.runtime = runtime
         self.path = path
         self.resurrected = resurrected
-        #: Edit-log durability policy: fsync after every N appends
-        #: (None = flush to the OS only); close() always fsyncs, so an
-        #: eviction or graceful shutdown never leaves buffered edits.
-        self.fsync_every_n = fsync_every_n
-        self._edits_since_sync = 0
         # Replication (attached by attach_replication when the server
-        # has replicas configured): committed WAL lines, edit-log
-        # appends, and checkpoints buffer here and are flushed to the
-        # shipper at the end of each request, before the response.
+        # has replicas configured): committed WAL lines and checkpoints
+        # buffer here and are flushed to the shipper at the end of each
+        # request, before the response.
         self._shipper: Any = None
         self._ship_lsn = 0
         self._ship_pending: List[Any] = []
-        #: Applied formula edits in execution order — ``(row, col,
-        #: source)`` triples.  This is the serializable history a
-        #: convergence check replays; batch edits are appended only
-        #: after the whole batch committed.  Mirrored to an append-only
-        #: sidecar (``<path>.editlog``) so the history survives
-        #: eviction and resurrection along with the sheet itself.
-        self.edit_log: List[List[Any]] = []
-        self._log_path = path + ".editlog"
-        self._load_edit_log()
-        self._log_fh = open(self._log_path, "a", encoding="utf-8")
         self.requests = 0
         self.opened_at = time.monotonic()
         self._lock = threading.Lock()
@@ -96,45 +80,17 @@ class Session:
         for kind in self._incident_kinds:
             runtime.events.subscribe(kind, self._on_incident)
 
-    def _load_edit_log(self) -> None:
-        if not os.path.exists(self._log_path):
-            return
-        with open(self._log_path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                self.edit_log.append(json.loads(line))
-            except ValueError:
-                if index == len(lines) - 1:
-                    # Torn final append (crash mid-write): drop it, like
-                    # the WAL's torn-tail tolerance.  The edit is absent
-                    # from the WAL-recovered sheet too, so history and
-                    # state agree.
-                    break
-                raise
+    @property
+    def edit_log(self) -> List[List[Any]]:
+        """Applied formula edits in commit order, as ``[row, col,
+        source]`` triples: the history a convergence check replays.
 
-    def _log_edit(self, row: int, col: int, formula: Any) -> None:
-        entry = [row, col, formula]
-        self.edit_log.append(entry)
-        line = json.dumps(entry, default=str)
-        self._log_fh.write(line + "\n")
-        self._edits_since_sync += 1
-        if self._shipper is not None:
-            self._ship_pending.append(("edit", line))
-
-    def _flush_editlog(self) -> None:
-        """Flush the edit-log sidecar, fsyncing per the configured
-        policy (every N appends; always on close)."""
-        self._log_fh.flush()
-        if (
-            self.fsync_every_n is not None
-            and self._edits_since_sync >= self.fsync_every_n
-        ):
-            os.fsync(self._log_fh.fileno())
-            self._edits_since_sync = 0
+        This is the sheet's own ``edits`` list, checkpointed and
+        WAL-logged with the state it describes, so it survives
+        eviction, resurrection, crashes and promotion exactly as the
+        sheet does.
+        """
+        return self.sheet.edits
 
     # -- lifecycle -----------------------------------------------------
 
@@ -199,14 +155,7 @@ class Session:
             sheet.save(path)
         if config.wal_segment_records is not None and rt._persist is not None:
             rt._persist.wal.segment_records = config.wal_segment_records
-        session = cls(
-            sid,
-            sheet,
-            rt,
-            path,
-            resurrected=resurrected,
-            fsync_every_n=config.editlog_fsync_every_n,
-        )
+        session = cls(sid, sheet, rt, path, resurrected=resurrected)
         if shipper is not None:
             session.attach_replication(shipper)
         return session
@@ -243,9 +192,6 @@ class Session:
             # reach the standbys before the hooks detach.
             self._flush_ship()
             self._detach_replication()
-            self._log_fh.flush()
-            os.fsync(self._log_fh.fileno())
-            self._log_fh.close()
             for kind in self._incident_kinds:
                 self.runtime.events.unsubscribe(kind, self._on_incident)
             self.runtime.obs.disable()
@@ -285,11 +231,10 @@ class Session:
     def attach_replication(self, shipper: Any) -> None:
         """Start streaming this session's durable state to ``shipper``.
 
-        Hooks the WAL's append tap, edit-log appends, and CHECKPOINT
-        events; everything buffers in request order and is flushed at
-        the end of each :meth:`apply` — before the client response, so
-        in semi-sync mode an acknowledged write is on every live
-        standby.  Attaching always opens with a full resync frame: the
+        Hooks the WAL's append tap and CHECKPOINT events; everything
+        buffers in request order and is flushed at the end of each
+        :meth:`apply` — before the client response, so in semi-sync mode
+        an acknowledged write is on every live standby.  Attaching always opens with a full resync frame: the
         stream LSN restarts at 0 per session generation, and the resync
         is what makes eviction/resurrection cycles self-correcting.
         """
@@ -389,14 +334,11 @@ class Session:
         try:
             for row, col, formula in cells:
                 self.sheet.set_formula(row, col, formula)
-                self._log_edit(row, col, formula)
                 applied += 1
         except (AlphonseError, ValueError, IndexError, TypeError) as exc:
-            self._flush_editlog()
             raise SessionOpError(
                 f"write failed after {applied} cells: {exc}"
             ) from exc
-        self._flush_editlog()
         return {"applied": applied}
 
     def _op_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -404,11 +346,8 @@ class Session:
         try:
             self.sheet.bulk_update(cells, rollback_on_error=True)
         except (AlphonseError, ValueError, IndexError, TypeError) as exc:
-            # rollback_on_error restored every cell: nothing to log.
+            # rollback_on_error restored every cell and its history.
             raise SessionOpError(f"batch rolled back: {exc}") from exc
-        for row, col, formula in cells:
-            self._log_edit(row, col, formula)
-        self._flush_editlog()
         return {"applied": len(cells)}
 
     def _op_read(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -147,6 +147,13 @@ class Spreadsheet:
         #: re-set formula never claims the ids of the tree it replaced
         #: (adoption must not conflate tree generations).
         self._next_gen: Dict[Tuple[int, int], int] = {}
+        #: Every durable formula edit in commit order, as ``[row, col,
+        #: source]`` — the history a convergence check replays on a
+        #: fresh runtime.  Appended only while a persistence manager is
+        #: attached, in the same step that WAL-logs the edit, so it is
+        #: exactly as durable as the sheet: :meth:`save` checkpoints it
+        #: and :meth:`load` extends it with the replayed WAL tail.
+        self.edits: List[List[Any]] = []
         #: The runtime this sheet was recovered under (set by load()).
         self.runtime: Optional[Any] = None
         # Durable identities (repro.persist.ids): grid coordinates name
@@ -182,7 +189,8 @@ class Spreadsheet:
         replayable source is remembered for :meth:`save` and, when the
         runtime has a persistence manager attached, appended to the WAL
         as an application record so :meth:`load` can replay formula
-        edits made after the last checkpoint.  A prebuilt Exp using
+        edits made after the last checkpoint — and to :attr:`edits`,
+        the sheet's edit history.  A prebuilt Exp using
         productions outside the formula grammar has no textual source
         and is skipped by that redo machinery (a reload rebuilds the
         cell empty); everything :mod:`repro.spreadsheet.formula` can
@@ -243,6 +251,7 @@ class Spreadsheet:
                         "gen": gen,
                     }
                 )
+                self.edits.append([row, col, source])
         else:
             self._sources.pop(key, None)
 
@@ -266,10 +275,24 @@ class Spreadsheet:
         With ``rollback_on_error=True``, a failure partway through the
         burst (an unparsable formula, out-of-range coordinates) restores
         every cell already pasted — the sheet never keeps half a paste.
+        When this call opened the outermost batch, the redo state rolls
+        back with the cells: the formula sources :meth:`save`
+        checkpoints and :attr:`edits`.  Generations stay minted, because
+        the rolled-back trees may already have claimed their stable ids.
         """
-        with get_runtime().batch(rollback_on_error=rollback_on_error):
-            for row, col, formula in updates:
-                self.set_formula(row, col, formula)
+        rt = get_runtime()
+        rewind = rollback_on_error and not rt.in_batch
+        if rewind:
+            sources, edit_count = dict(self._sources), len(self.edits)
+        try:
+            with rt.batch(rollback_on_error=rollback_on_error):
+                for row, col, formula in updates:
+                    self.set_formula(row, col, formula)
+        except BaseException:
+            if rewind:
+                self._sources = sources
+                del self.edits[edit_count:]
+            raise
 
     # -- queries ---------------------------------------------------------
 
@@ -365,7 +388,8 @@ class Spreadsheet:
     # -- durability (repro.persist; docs/persistence.md) ---------------
 
     def _app_state(self) -> Dict[str, Any]:
-        """The sheet's replayable redo state for a checkpoint."""
+        """The sheet's replayable redo state and edit history for a
+        checkpoint."""
         return {
             "rows": self.rows,
             "cols": self.cols,
@@ -375,10 +399,12 @@ class Spreadsheet:
                     self._sources.items(), key=lambda item: item[0]
                 )
             ],
+            "edits": self.edits,
         }
 
     def save(self, path: str) -> str:
-        """Checkpoint the sheet — dependency graph plus formula sources.
+        """Checkpoint the sheet — dependency graph, formula sources and
+        edit history.
 
         Attaches a persistence manager (JSON codec — checkpoints stay
         inspectable text) when the runtime has none, so every later
@@ -406,6 +432,8 @@ class Spreadsheet:
         before reading values): the grid is rebuilt, checkpointed cell
         state is adopted in place, and formula sources — checkpointed
         ones first, then WAL-tail edits in commit order — are replayed.
+        :attr:`edits` is the checkpointed history extended by those
+        same WAL-tail edits, so it always describes the recovered sheet.
         Corrupt state degrades to an exhaustive rebuild of the same
         formulas; only a checkpoint too damaged to surface the sheet's
         dimensions raises :class:`SpreadsheetLoadError`.
@@ -438,17 +466,16 @@ class Spreadsheet:
             # pre-replay empty grid at commit and invalidate everything).
             for row, col, source, gen in state.get("formulas", ()):
                 sheet.set_formula(row, col, source, _gen=gen)
+            sheet.edits = list(state.get("edits", ()))
             for record in report.app_records:
                 if (
                     isinstance(record, dict)
                     and record.get("op") == "set_formula"
                 ):
-                    sheet.set_formula(
-                        record["row"],
-                        record["col"],
-                        record["source"],
-                        _gen=record.get("gen"),
-                    )
+                    row, col = record["row"], record["col"]
+                    source = record["source"]
+                    sheet.set_formula(row, col, source, _gen=record.get("gen"))
+                    sheet.edits.append([row, col, source])
         sheet.runtime = rt
         return sheet, report
 

@@ -137,10 +137,10 @@ class TestPartitionManager:
         assert mgr.mark(a) is True
         assert mgr.has_pending()
         assert mgr.mark(a) is False  # already pending
-        sets = mgr.pending_sets()
-        assert len(sets) == 1
-        assert sets[0].pop() is a
-        mgr.note_drained(sets[0])
+        parts = mgr.pending_parts()
+        assert len(parts) == 1
+        assert parts[0].incset.pop() is a
+        mgr.note_drained(parts[0])
         assert not mgr.has_pending()
 
     def test_disabled_manager_uses_single_global_set(self):
@@ -180,5 +180,5 @@ class TestPartitionManager:
         mgr.mark(b)
         mgr.union(a, b)  # b's payload absorbed somewhere
         assert mgr.has_pending()
-        pending = mgr.pending_sets()
-        assert sum(len(s) for s in pending) == 1
+        pending = mgr.pending_parts()
+        assert sum(len(p.incset) for p in pending) == 1

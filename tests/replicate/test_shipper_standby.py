@@ -19,18 +19,16 @@ def _wal_line(n):
         wal = WriteAheadLog(path)
         wal.append({"t": "a", "d": {"n": n}})
         wal.close()
-        return open(path, encoding="utf-8").read().rstrip("\n")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().rstrip("\n")
 
 
 def _records(*lsns):
-    return [make_record(lsn, "edit", f'[0, {lsn}, "{lsn}"]') for lsn in lsns]
+    return [make_record(lsn, "wal", _wal_line(lsn)) for lsn in lsns]
 
 
 def _resync(lsn=0):
-    return {
-        "kind": "resync", "sid": "s", "lsn": lsn,
-        "ckpt": None, "wal": "", "editlog": "",
-    }
+    return {"kind": "resync", "sid": "s", "lsn": lsn, "ckpt": None, "wal": ""}
 
 
 class TestStandbyApplier:
@@ -61,9 +59,9 @@ class TestStandbyApplier:
         assert result["applied"] is False
         assert result["expect"] == 2
         assert applier.gaps == 1
-        # The good prefix landed in the edit log.
-        editlog = (tmp_path / "s" / "sheet.editlog").read_text()
-        assert editlog.count("\n") == 1
+        # The good prefix landed in the WAL.
+        wal_text = (tmp_path / "s" / "sheet.wal").read_text()
+        assert wal_text.count("\n") == 1
         applier.close()
 
     def test_crc_tamper_is_refused(self, tmp_path):
@@ -108,13 +106,12 @@ class TestStandbyApplier:
         applier.apply({"kind": "records", "sid": "s", "records": _records(1)})
         frame = {
             "kind": "resync", "sid": "s", "lsn": 9,
-            "ckpt": "NEW", "wal": "walline\n", "editlog": "editline\n",
+            "ckpt": "NEW", "wal": "walline\n",
         }
         result = applier.apply(frame)
         assert result["applied"] is True and result["lsn"] == 9
         assert (tmp_path / "s" / "sheet").read_text() == "NEW"
         assert (tmp_path / "s" / "sheet.wal").read_text() == "walline\n"
-        assert (tmp_path / "s" / "sheet.editlog").read_text() == "editline\n"
         # Next record must continue from the resync position.
         ok = applier.apply(
             {"kind": "records", "sid": "s", "records": _records(10)}
@@ -209,7 +206,6 @@ class TestShipper:
         primary.mkdir(parents=True)
         (primary / "sheet").write_text("CKPT")
         (primary / "sheet.wal").write_text("")
-        (primary / "sheet.editlog").write_text('[0, 0, "1"]\n')
         applier, _link, shipper = self._pair(
             tmp_path, root=str(tmp_path / "primary")
         )

@@ -1,7 +1,5 @@
 """Stream records, CRCs, and persisted positions (repro.replicate.stream)."""
 
-import json
-
 from repro.replicate.stream import (
     StreamPosition,
     ack,
@@ -13,10 +11,12 @@ from repro.replicate.stream import (
     verify_record,
 )
 
+from .test_shipper_standby import _wal_line
+
 
 class TestRecords:
     def test_roundtrip_verifies(self):
-        record = make_record(1, "edit", '[0, 0, "5"]')
+        record = make_record(1, "wal", _wal_line(1))
         assert verify_record(record) is None
 
     def test_payload_tamper_fails_crc(self):
@@ -72,19 +72,16 @@ class TestResyncFrame:
         (base / "sheet.wal").write_text("active\n")
         (base / "sheet.wal.seg000001").write_text("sealed1\n")
         (base / "sheet.wal.seg000002").write_text("sealed2\n")
-        (base / "sheet.editlog").write_text('[0, 0, "5"]\n')
         frame = session_resync_frame(str(tmp_path), "sid1", 7)
         assert frame["kind"] == "resync" and frame["lsn"] == 7
         assert frame["ckpt"] == "CKPT"
         # Sealed segments oldest-first, then the active file.
         assert frame["wal"] == "sealed1\nsealed2\nactive\n"
-        assert json.loads(frame["editlog"].strip()) == [0, 0, "5"]
 
     def test_missing_files_become_null_and_empty(self, tmp_path):
         frame = session_resync_frame(str(tmp_path), "ghost", 0)
         assert frame["ckpt"] is None
         assert frame["wal"] == ""
-        assert frame["editlog"] == ""
 
     def test_concat_wal_of_absent_log_is_empty(self, tmp_path):
         assert concat_wal(str(tmp_path / "none.wal")) == ""

@@ -13,6 +13,8 @@ from repro.replicate.stream import make_record
 from repro.serve import ServeConfig, Server
 from repro.serve.loadgen import _replay_serially
 
+from ..replicate.test_shipper_standby import _wal_line
+
 
 def make_config(tmp_path, name, **kw):
     kw.setdefault("root", str(tmp_path / name))
@@ -57,14 +59,14 @@ class TestStandbyRole:
             frame = {
                 "kind": "records",
                 "sid": "a",
-                "records": [make_record(1, "edit", '[0, 0, "5"]')],
+                "records": [make_record(1, "wal", _wal_line(1))],
             }
             applied = await server.handle({"op": "ship", "frame": frame})
             assert applied["result"] == {"sid": "a", "applied": True, "lsn": 1}
             gap = {
                 "kind": "records",
                 "sid": "a",
-                "records": [make_record(9, "edit", '[0, 1, "6"]')],
+                "records": [make_record(9, "wal", _wal_line(9))],
             }
             refused = await server.handle({"op": "ship", "frame": gap})
             assert refused["result"]["applied"] is False

@@ -5,6 +5,7 @@ import pytest
 from repro.ag.expr import Exp
 from repro.core import maintained
 from repro.serve import ServeConfig, Session, SessionOpError
+from repro.serve.loadgen import _replay_serially
 from repro.serve.protocol import ProtocolError
 
 
@@ -193,6 +194,30 @@ class TestCloseAndResurrect:
             assert read["value"] == 12
             log = revived.apply({"op": "log", "session": "t1"})
             assert log["edits"] == [[0, 0, 6], [2, 2, "R0C0 + R0C0"]]
+        finally:
+            revived.close()
+
+    def test_refused_batch_stays_refused_after_eviction(self, tmp_path):
+        config = make_config(tmp_path)
+        session = Session.open("t1", config)
+        session.apply({"op": "write", "session": "t1", "cells": [[0, 0, "5"]]})
+        with pytest.raises(SessionOpError, match="rolled back"):
+            session.apply(
+                {"op": "batch", "session": "t1",
+                 "cells": [[0, 0, "99"], [0, 1, "R0C0 +"]]}
+            )
+        session.close(reason="eviction")
+
+        revived = Session.open("t1", config)
+        try:
+            read = revived.apply(
+                {"op": "read", "session": "t1", "row": 0, "col": 0}
+            )
+            assert read["value"] == 5
+            log = revived.apply({"op": "log", "session": "t1"})["edits"]
+            assert log == [[0, 0, "5"]]
+            dump = revived.apply({"op": "dump", "session": "t1"})
+            assert _replay_serially(log, 4, 4) == dump["values"]
         finally:
             revived.close()
 

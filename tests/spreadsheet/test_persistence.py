@@ -6,6 +6,7 @@ import pytest
 from repro import Runtime
 from repro.persist.ids import fresh_id_space
 from repro.spreadsheet import Spreadsheet, SpreadsheetLoadError
+from repro.spreadsheet.formula import FormulaError
 
 
 def _build_sheet():
@@ -150,6 +151,55 @@ class TestSaveLoad:
         loaded, _report = Spreadsheet.load(path)
         with loaded.runtime.active():
             assert loaded.values() == _fresh_values()
+
+
+class TestRedoState:
+    def test_edit_history_rides_the_checkpoint_and_the_wal_tail(self, tmp_path):
+        path = str(tmp_path / "sheet.ckpt")
+        fresh_id_space()
+        rt = Runtime(keep_registry=True)
+        with rt.active():
+            sheet = Spreadsheet(2, 2)
+            sheet.set_formula(1, 1, "3")  # no persistence yet: not history
+            sheet.save(path)
+            sheet.set_formula(0, 0, 5)
+            sheet.bulk_update([(0, 1, "R0C0 + 1"), (0, 0, "6")])
+            sheet.save(path)
+            sheet.set_formula(1, 0, "R0C1 + R1C1")  # WAL tail only
+        rt._discarded = True
+
+        fresh_id_space()
+        loaded, _report = Spreadsheet.load(path)
+        assert loaded.edits == [
+            [0, 0, 5], [0, 1, "R0C0 + 1"], [0, 0, "6"], [1, 0, "R0C1 + R1C1"]
+        ]
+        with loaded.runtime.active():
+            assert loaded.value(1, 0) == 10
+
+    def test_rolled_back_batch_stays_out_of_the_checkpoint(self, tmp_path):
+        path = str(tmp_path / "sheet.ckpt")
+        fresh_id_space()
+        rt = Runtime(keep_registry=True)
+        with rt.active():
+            sheet = Spreadsheet(2, 2)
+            sheet.save(path)
+            sheet.set_formula(0, 0, "5")
+            with pytest.raises(FormulaError):
+                sheet.bulk_update(
+                    [(0, 0, "99"), (0, 1, "R0C0 +")], rollback_on_error=True
+                )
+            assert sheet.value(0, 0) == 5
+            # The refused tree's generation stays spent: the next edit
+            # mints fresh stable ids instead of reusing its ones.
+            assert sheet._next_gen[(0, 0)] == 2
+            sheet.save(path)
+        rt._discarded = True
+
+        fresh_id_space()
+        loaded, _report = Spreadsheet.load(path)
+        with loaded.runtime.active():
+            assert loaded.value(0, 0) == 5
+        assert loaded.edits == [[0, 0, "5"]]
 
 
 class TestDegradedLoad:
