@@ -20,26 +20,26 @@ from .runtime import Runtime
 
 def dependencies_of(node: DepNode) -> List[DepNode]:
     """Direct dependencies (predecessors) of a procedure instance node."""
-    return list(node.pred.nodes())
+    return list(node.pred)
 
 
 def dependents_of(node: DepNode) -> List[DepNode]:
     """Direct dependents (successors) of a node."""
-    return list(node.succ.nodes())
+    return list(node.succ)
 
 
 def transitive_dependencies(node: DepNode) -> List[DepNode]:
     """Everything ``node``'s cached value was computed from, DFS order."""
     out: List[DepNode] = []
     seen: Set[int] = {id(node)}
-    stack = list(node.pred.nodes())
+    stack = list(node.pred)
     while stack:
         current = stack.pop()
         if id(current) in seen:
             continue
         seen.add(id(current))
         out.append(current)
-        stack.extend(current.pred.nodes())
+        stack.extend(current.pred)
     return out
 
 
@@ -47,14 +47,14 @@ def affected_by(node: DepNode) -> List[DepNode]:
     """Every procedure instance a change to ``node`` could invalidate."""
     out: List[DepNode] = []
     seen: Set[int] = {id(node)}
-    stack = list(node.succ.nodes())
+    stack = list(node.succ)
     while stack:
         current = stack.pop()
         if id(current) in seen:
             continue
         seen.add(id(current))
         out.append(current)
-        stack.extend(current.succ.nodes())
+        stack.extend(current.succ)
     return out
 
 
@@ -62,7 +62,7 @@ def format_graph(runtime: Runtime, max_nodes: int = 200) -> str:
     """A human-readable dump of the live dependency graph."""
     lines: List[str] = []
     for node in runtime.graph.nodes[:max_nodes]:
-        succs = ", ".join(s.label for s in node.succ.nodes()) or "-"
+        succs = ", ".join(s.label for s in node.succ) or "-"
         state = "ok" if node.consistent else "DIRTY"
         lines.append(f"[{node.order:>4}] {node.label} ({state}) -> {succs}")
     remaining = len(runtime.graph.nodes) - max_nodes
@@ -84,7 +84,7 @@ def to_dot(runtime: Runtime, max_nodes: int = 500) -> str:
             f"color={color}];"
         )
     for node in nodes:
-        for succ in node.succ.nodes():
+        for succ in node.succ:
             if id(succ) in ids:
                 lines.append(f"  {ids[id(node)]} -> {ids[id(succ)]};")
     lines.append("}")
@@ -193,7 +193,7 @@ def parallel_schedule(runtime: Runtime) -> List[List[DepNode]]:
     indegree: dict = {}
     for node in nodes:
         indegree[id(node)] = sum(
-            1 for p in node.pred.nodes() if p.is_procedure
+            1 for p in node.pred if p.is_procedure
         )
     levels: List[List[DepNode]] = []
     ready = [n for n in nodes if indegree[id(n)] == 0]
@@ -203,7 +203,7 @@ def parallel_schedule(runtime: Runtime) -> List[List[DepNode]]:
         placed += len(ready)
         next_ready: List[DepNode] = []
         for node in ready:
-            for succ in node.succ.nodes():
+            for succ in node.succ:
                 if not succ.is_procedure or id(succ) not in indegree:
                     continue
                 indegree[id(succ)] -= 1

@@ -169,6 +169,12 @@ class EventKind(enum.Enum):
     #: ``data`` a dict with ``label``, ``origin``, and ``age_seconds``.
     STALE_READ = "stale-read"
 
+    # ``EventBus.emit`` looks handlers up in a dict keyed by member, and
+    # ``Enum.__hash__`` is a Python-level function.  Members are
+    # singletons compared by identity (Enum defines no ``__eq__``), so
+    # the C identity hash agrees with equality and skips that call.
+    __hash__ = object.__hash__
+
 
 #: Subscriber signature: ``handler(kind, node, amount, data)``.
 Handler = Callable[[EventKind, Any, int, Any], None]

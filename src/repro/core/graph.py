@@ -1,18 +1,35 @@
 """The Alphonse dependency graph (paper Section 4.1, 4.3).
 
-Ties together nodes, O(1)-removal edges, the incremental topological
+Ties together nodes, their adjacency maps, the incremental topological
 order, and the union-find partitioning.  The runtime calls
 :meth:`DependencyGraph.create_edge` at every tracked read and incremental
 call (Algorithms 3 and 5) and :meth:`remove_pred_edges` before every
 re-execution (Algorithm 5's ``RemovePredEdges``), so these paths are kept
 small and allocation-light.
+
+Edge representation (§9.2).  The paper's O(T) bound for dependence
+analysis needs "the edge removal at procedure calls in Algorithm 5" to
+be "constant time per edge", which it gets from a doubly linked list of
+bidirectional edges.  Here an edge ``src -> dst`` is two entries of
+insertion-ordered dicts, ``src.succ[dst]`` and ``dst.pred[src]``, the
+representation miniAdapton uses.  Removing one is a hash deletion —
+O(1) expected — so ``RemovePredEdges`` stays linear in the edges
+removed, and an edge costs no object of its own.  Keying by neighbour
+also makes edges unique: a repeated read of one location within an
+execution finds ``src`` already in ``dst.pred`` and adds nothing.
+
+Threading: a dict raises if it is resized while being iterated.  Under
+``Runtime(parallel_drains=N)`` every insertion and removal here runs
+under the partition manager's lock, and so does every walk that can
+race with them (successor marking, :meth:`PartitionManager.mark_successors`;
+the Pearce–Kelly search, which runs inside :meth:`create_edge`).  The
+serial path takes no lock and copies nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set
+from typing import Any, List, Optional
 
-from .edges import Edge
 from .events import EventBus, EventKind
 from .node import DepNode, NodeKind
 from .order import TopologicalOrder
@@ -73,20 +90,26 @@ class DependencyGraph:
 
     # -- edges -------------------------------------------------------------
 
-    def create_edge(
-        self, src: DepNode, dst: DepNode, dedupe: Optional[Set[int]] = None
-    ) -> bool:
+    def create_edge(self, src: DepNode, dst: DepNode) -> bool:
         """Record that ``dst``'s computation read ``src`` (CreateEdge).
 
-        ``dedupe`` is the per-execution set of source node ids already
-        edged into ``dst``; repeated reads of the same location within one
-        body add only one edge.  Returns True if an edge was added.
+        Returns True if an edge was added, False if ``dst`` already
+        depends on ``src``.
         """
-        if dedupe is not None:
-            if id(src) in dedupe:
-                return False
-            dedupe.add(id(src))
-        Edge(src, dst).attach()
+        if src in dst.pred:
+            return False
+        if self.partitions.locking:
+            with self.partitions.guard():
+                if src in dst.pred:  # another drain thread added it first
+                    return False
+                self._attach(src, dst)
+            return True
+        self._attach(src, dst)
+        return True
+
+    def _attach(self, src: DepNode, dst: DepNode) -> None:
+        dst.pred[src] = None
+        src.succ[dst] = None
         self.events.emit(EventKind.EDGE_ADDED, src, data=dst)
         before = self.order.shifts
         self.order.edge_added(src, dst)
@@ -94,7 +117,6 @@ class DependencyGraph:
         if shifted:
             self.events.emit(EventKind.ORDER_SHIFTED, dst, amount=shifted)
         self.partitions.union(src, dst)
-        return True
 
     def remove_pred_edges(self, node: DepNode) -> int:
         """Detach every in-edge of ``node`` (before re-execution).
@@ -104,20 +126,35 @@ class DependencyGraph:
         accessed during the previous execution.  These edges are removed
         before subsequent executions." (Section 4.3)
         """
-        removed = 0
-        for edge in node.pred:
-            edge.detach()
-            removed += 1
-        if removed:
-            self.events.emit(EventKind.EDGE_REMOVED, node, amount=removed)
-        return removed
+        if not node.pred:
+            return 0
+        if self.partitions.locking:
+            with self.partitions.guard():
+                return self._unlink(node, incoming=True)
+        return self._unlink(node, incoming=True)
 
     def remove_succ_edges(self, node: DepNode) -> int:
         """Detach every out-edge of ``node`` (used on cache eviction)."""
-        removed = 0
-        for edge in node.succ:
-            edge.detach()
-            removed += 1
+        if not node.succ:
+            return 0
+        if self.partitions.locking:
+            with self.partitions.guard():
+                return self._unlink(node, incoming=False)
+        return self._unlink(node, incoming=False)
+
+    def _unlink(self, node: DepNode, incoming: bool) -> int:
+        """Empty one side of ``node`` and delete the mirror entry at each
+        neighbour: one O(1) expected deletion per edge."""
+        if incoming:
+            side = node.pred
+            for src in side:
+                del src.succ[node]
+        else:
+            side = node.succ
+            for dst in side:
+                del dst.pred[node]
+        removed = len(side)
+        side.clear()
         if removed:
             self.events.emit(EventKind.EDGE_REMOVED, node, amount=removed)
         return removed

@@ -7,10 +7,10 @@ the promise's enforcement arm: :func:`audit` (surfaced as
 ``Runtime.check_invariants()``) sweeps the runtime and reports any
 violation of the invariants the rest of the engine assumes:
 
-* **Edge symmetry** — every edge in a node's successor list is attached
-  and appears in its destination's predecessor list, and vice versa
-  (the intrusive doubly-linked representation of §9.2 makes asymmetry
-  possible only through corruption).
+* **Edge symmetry** — every entry of a node's successor map has its
+  mirror in the destination's predecessor map, and vice versa (the
+  graph always writes both sides of an edge together, so asymmetry
+  means corruption).
 * **Inconsistent-set/flag agreement** — a node's
   ``in_inconsistent_set`` flag is True iff its partition's set counts it
   as a member; the dirty-set registry covers every non-empty set.
@@ -92,40 +92,18 @@ def _audit_execution_state(rt: "Runtime", report) -> None:
 
 def _audit_edges(nodes, report) -> None:
     for node in nodes:
-        for edge in node.succ:
-            if not edge.attached:
+        for dst in node.succ:
+            if node not in dst.pred:
                 if not report(
-                    f"detached edge lingering in succ list of {node.label!r}"
+                    f"edge {node.label!r} -> {dst.label!r} missing from "
+                    f"the destination's pred map"
                 ):
                     return
-            if edge.src is not node:
+        for src in node.pred:
+            if node not in src.succ:
                 if not report(
-                    f"succ list of {node.label!r} holds edge sourced at "
-                    f"{edge.src.label!r}"
-                ):
-                    return
-            if not any(e is edge for e in edge.dst.pred):
-                if not report(
-                    f"edge {node.label!r} -> {edge.dst.label!r} missing "
-                    f"from destination's pred list"
-                ):
-                    return
-        for edge in node.pred:
-            if not edge.attached:
-                if not report(
-                    f"detached edge lingering in pred list of {node.label!r}"
-                ):
-                    return
-            if edge.dst is not node:
-                if not report(
-                    f"pred list of {node.label!r} holds edge destined for "
-                    f"{edge.dst.label!r}"
-                ):
-                    return
-            if not any(e is edge for e in edge.src.succ):
-                if not report(
-                    f"edge {edge.src.label!r} -> {node.label!r} missing "
-                    f"from source's succ list"
+                    f"edge {src.label!r} -> {node.label!r} missing from "
+                    f"the source's succ map"
                 ):
                     return
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable, Optional, Tuple
-
-from .edges import EdgeList
+from typing import Any, Callable, Dict, Optional, Tuple
 
 _node_ids = itertools.count()
 
@@ -108,9 +106,15 @@ class DepNode:
     """One vertex of the Alphonse dependency graph.
 
     Attributes mirror the paper's fields: ``value`` is ``value(u)``,
-    ``consistent`` is ``consistent(u)``, ``succ``/``pred`` are the edge
-    lists, and ``ref`` is ``ref(n)`` — a pointer back to the storage
-    location or procedure instance the node represents.
+    ``consistent`` is ``consistent(u)``, ``succ``/``pred`` are
+    ``succ(u)``/``pred(u)``, and ``ref`` is ``ref(n)`` — a pointer back
+    to the storage location or procedure instance the node represents.
+
+    An edge ``u -> v`` is two map entries, ``u.succ[v]`` and
+    ``v.pred[u]`` (values are None; the dicts are insertion-ordered
+    sets keyed by the neighbour).  Only
+    :class:`~repro.core.graph.DependencyGraph` mutates them, always both
+    sides at once; everything else only reads them.
     """
 
     __slots__ = (
@@ -149,8 +153,8 @@ class DepNode:
         #: so their first call executes the body (Algorithm 5's TableAdd
         #: path sets consistent(n) := FALSE).
         self.consistent: bool = kind is NodeKind.STORAGE
-        self.succ = EdgeList("succ")
-        self.pred = EdgeList("pred")
+        self.succ: Dict[DepNode, None] = {}
+        self.pred: Dict[DepNode, None] = {}
         self.ref = ref
         self.label = label or f"{kind.value}#{self.node_id}"
         #: Topological order key maintained by repro.core.order.

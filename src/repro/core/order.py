@@ -81,7 +81,7 @@ class TopologicalOrder:
         while stack:
             node = stack.pop()
             out.append(node)
-            for succ in node.succ.nodes():
+            for succ in node.succ:
                 if succ is edge_src:
                     return False
                 if succ.order <= upper and id(succ) not in seen:
@@ -97,7 +97,7 @@ class TopologicalOrder:
         while stack:
             node = stack.pop()
             out.append(node)
-            for pred in node.pred.nodes():
+            for pred in node.pred:
                 if pred.order >= lower and id(pred) not in seen:
                     seen.add(id(pred))
                     stack.append(pred)
@@ -123,7 +123,7 @@ def verify_order(nodes: List[DepNode]) -> bool:
     Used by tests and the debug module; O(V + E).
     """
     for node in nodes:
-        for succ in node.succ.nodes():
+        for succ in node.succ:
             if not node.order < succ.order:
                 return False
     return True

@@ -20,7 +20,8 @@ Concurrency model: the manager is lock-free in the (default) serial
 configuration.  ``Runtime(parallel_drains=N)`` calls
 :meth:`PartitionManager.enable_locking`, after which every mutating
 operation takes the manager's re-entrant lock; drain loops additionally
-serialize their pops through :meth:`guard`.  Ownership rule: at most one
+serialize their pops through :meth:`guard`, and the dependency graph
+inserts and removes edges under it too.  Ownership rule: at most one
 thread drains a given partition at a time (:meth:`begin_drain` /
 :meth:`end_drain`), and a union that absorbs a partition *another*
 thread is draining marks the absorbed scheduler ``superseded`` so its
@@ -358,6 +359,22 @@ class PartitionManager:
             self._events.emit(EventKind.INCONSISTENT_MARKED, node)
             return True
         return False
+
+    def mark_successors(self, node: DepNode) -> None:
+        """Mark every successor of ``node`` (the paper's "all elements
+        of succ(u) are added to the inconsistent set").
+
+        In parallel mode the walk holds the manager lock, under which
+        every edge insertion and removal also runs, so a drain of
+        another partition cannot resize ``node.succ`` mid-iteration.
+        """
+        if self.locking:
+            with self._lock:
+                for succ in node.succ:
+                    self._mark(succ)
+        else:
+            for succ in node.succ:
+                self._mark(succ)
 
     def discard(self, node: DepNode) -> None:
         """Drop ``node`` from its partition's worklist (disposal path)."""

@@ -24,9 +24,9 @@ decorators in :mod:`repro.core.decorators`.  The Alphonse-L interpreter
 
 The Runtime is the thin waist of a layered engine:
 
-* **storage/graph kernel** — :mod:`cells`, :mod:`node`, :mod:`edges`,
-  :mod:`graph`, :mod:`order`, :mod:`partition`: data structures with no
-  knowledge of scheduling or instrumentation;
+* **storage/graph kernel** — :mod:`cells`, :mod:`node`, :mod:`graph`,
+  :mod:`order`, :mod:`partition`: data structures with no knowledge of
+  scheduling or instrumentation;
 * **scheduler** — :mod:`scheduler`: pluggable propagation policy
   (``Runtime(scheduler="topological" | "height" | <class>)``);
 * **transaction** — :mod:`transaction`: ``with rt.batch():`` coalesces
@@ -43,7 +43,7 @@ import contextlib
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .cache import ArgumentTable, CachePolicy, Unbounded
 from .errors import CycleError, NodeExecutionError, RuntimeStateError
@@ -86,7 +86,7 @@ def _retain_stale(poison: Poisoned, prior: Any) -> None:
 
 
 class _Frame:
-    """One call-stack entry: the executing node plus its edge-dedupe set.
+    """One call-stack entry: the executing node.
 
     ``freeze_edges`` implements §6.2 static graph construction: when the
     node's dependency subgraph is declared static and was already built
@@ -94,11 +94,10 @@ class _Frame:
     entirely.
     """
 
-    __slots__ = ("node", "deps_seen", "freeze_edges")
+    __slots__ = ("node", "freeze_edges")
 
     def __init__(self, node: DepNode) -> None:
         self.node = node
-        self.deps_seen: Set[int] = set()
         self.freeze_edges = node.static_edges and node.edges_frozen
 
 
@@ -319,9 +318,7 @@ class Runtime:
                 node = self._storage_node(location)
                 node.value = location._value
                 if not frame.freeze_edges:
-                    self.graph.create_edge(
-                        node, frame.node, dedupe=frame.deps_seen
-                    )
+                    self.graph.create_edge(node, frame.node)
         return location._value
 
     def on_modify(self, location: "Location", value: Any) -> None:
@@ -444,9 +441,7 @@ class Runtime:
         if ctx.stack and not ctx.unchecked:
             frame = ctx.stack[-1]
             if not frame.freeze_edges:
-                self.graph.create_edge(
-                    node, frame.node, dedupe=frame.deps_seen
-                )
+                self.graph.create_edge(node, frame.node)
 
         if node.consistent:
             value = node.value
@@ -460,7 +455,7 @@ class Runtime:
                     # breaker is due a half-open probe: fall through to
                     # execution so the probe happens on this demand.
                     node.consistent = False
-                elif not len(node.pred):
+                elif not node.pred:
                     # The body raised before performing a single tracked
                     # read, so no write can ever re-mark this node — a
                     # cached poison here would be permanent.  Such
@@ -547,12 +542,6 @@ class Runtime:
                 raise CycleError(
                     f"{node.label} re-entered {node.executing} times"
                 )
-            # The outer activation's in-edges are about to be removed;
-            # clear its dedupe sets so reads after the inner activation
-            # returns re-create their edges.
-            for outer in ctx.stack:
-                if outer.node is node:
-                    outer.deps_seen.clear()
         assert node.thunk is not None, "procedure node lost its thunk"
         if not (node.static_edges and node.edges_frozen):
             self.graph.remove_pred_edges(node)
@@ -606,8 +595,7 @@ class Runtime:
             # flag already False and marks nobody (the deadline-interrupt
             # unwind is the live case: nested nodes tear down this path
             # while only the frame owner is poisoned).
-            for succ in node.succ.nodes():
-                self.partitions.mark(succ)
+            self.partitions.mark_successors(node)
             raise
         finally:
             ctx.unchecked = saved_unchecked

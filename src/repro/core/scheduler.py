@@ -299,11 +299,11 @@ class Scheduler:
         if node.kind is NodeKind.STORAGE:
             # The storage's node.value was already refreshed by modify();
             # just wake the dependents.
-            self._mark_successors(node)
+            rt.partitions.mark_successors(node)
         elif node.kind is NodeKind.DEMAND:
             if node.consistent:
                 node.consistent = False
-                self._mark_successors(node)
+                rt.partitions.mark_successors(node)
         else:  # EAGER: re-execute now, propagate only on value change
             if node.thunk is None:
                 # A checkpoint-restored eager node whose procedure has
@@ -313,7 +313,7 @@ class Scheduler:
                 # re-execute it.
                 if node.consistent:
                     node.consistent = False
-                    self._mark_successors(node)
+                    rt.partitions.mark_successors(node)
                 return
             if rt._poison_live and rt.containment:
                 # Error containment: an eager node whose input is
@@ -324,7 +324,7 @@ class Scheduler:
                 source = self._poisoned_input(node)
                 if source is not None:
                     rt._poison_from_input(node, source)
-                    self._mark_successors(node)
+                    rt.partitions.mark_successors(node)
                     return
             resil = rt._resilience
             if resil is not None and rt.containment:
@@ -335,7 +335,7 @@ class Scheduler:
                 source = resil.quarantine_poison(node)
                 if source is not None:
                     rt._poison_from_input(node, source)
-                    self._mark_successors(node)
+                    rt.partitions.mark_successors(node)
                     return
             old = node.value
             had_value = node.has_value()
@@ -350,20 +350,15 @@ class Scheduler:
             if had_value and values_equal(old, node.value):
                 rt.events.emit(EventKind.QUIESCENCE_CUT, node)
             else:
-                self._mark_successors(node)
+                rt.partitions.mark_successors(node)
 
     @staticmethod
     def _poisoned_input(node: DepNode) -> Optional[Poisoned]:
-        for pred in node.pred.nodes():
+        for pred in node.pred:
             value = pred.value
             if type(value) is Poisoned:
                 return value
         return None
-
-    def _mark_successors(self, node: DepNode) -> None:
-        partitions = self.runtime.partitions
-        for succ in node.succ.nodes():
-            partitions.mark(succ)
 
 
 class TopologicalScheduler(Scheduler):
@@ -449,7 +444,7 @@ class HeightOrderedScheduler(Scheduler):
                     memo[key] = 0
                     continue
                 on_stack[key] = None
-                pred_iter = iter(list(current.pred.nodes()))
+                pred_iter = iter(list(current.pred))
             advanced = False
             for pred in pred_iter:
                 pk = id(pred)
@@ -462,7 +457,7 @@ class HeightOrderedScheduler(Scheduler):
                 continue
             del on_stack[key]
             best = 0
-            for pred in current.pred.nodes():
+            for pred in current.pred:
                 best = max(best, memo.get(id(pred), 0))
             memo[key] = best + 1
         return memo.get(id(node), 0)

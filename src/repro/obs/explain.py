@@ -211,7 +211,7 @@ def explain(
 def _explain_node(
     runtime: Any, node: DepNode, records: List[_Record]
 ) -> Explanation:
-    computed_from = sorted(p.label for p in node.pred.nodes())
+    computed_from = sorted(p.label for p in node.pred)
     mine = [r for r in records if r[2] is node]
 
     links: List[CausalLink] = []
@@ -371,7 +371,7 @@ def _explain_storage(
                     detail="the written value equalled the cached one",
                 )
             )
-    dependents = sorted(s.label for s in node.succ.nodes())
+    dependents = sorted(s.label for s in node.succ)
     return Explanation(node.label, verdict, links, dependents)
 
 
@@ -443,7 +443,7 @@ def _reaches(src: DepNode, dst: DepNode, limit: int = 100_000) -> bool:
     seen = {id(src)}
     stack = [src]
     while stack and len(seen) < limit:
-        for succ in stack.pop().succ.nodes():
+        for succ in stack.pop().succ:
             if succ is dst:
                 return True
             if id(succ) not in seen:
@@ -461,7 +461,7 @@ def _path_between(src: DepNode, dst: DepNode) -> List[DepNode]:
     queue: Deque[DepNode] = collections.deque([src])
     while queue:
         current = queue.popleft()
-        for succ in current.succ.nodes():
+        for succ in current.succ:
             if id(succ) in seen:
                 continue
             seen.add(id(succ))

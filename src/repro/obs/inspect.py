@@ -56,7 +56,7 @@ def _heights(nodes: List[DepNode]) -> Dict[int, int]:
                     memo[key] = 0
                     continue
                 on_stack[key] = None
-                pred_iter = iter(list(current.pred.nodes()))
+                pred_iter = iter(list(current.pred))
             advanced = False
             for pred in pred_iter:
                 pk = id(pred)
@@ -69,7 +69,7 @@ def _heights(nodes: List[DepNode]) -> Dict[int, int]:
                 continue
             del on_stack[key]
             best = 0
-            for pred in current.pred.nodes():
+            for pred in current.pred:
                 best = max(best, memo.get(id(pred), 0))
             memo[key] = best + 1
     return memo
@@ -132,7 +132,7 @@ class GraphSnapshot:
                     "disposed": node.disposed,
                 }
             )
-            for succ in node.succ.nodes():
+            for succ in node.succ:
                 edges.append((node.node_id, succ.node_id))
         edges.sort()
         return cls(nodes, edges)

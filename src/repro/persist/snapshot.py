@@ -128,7 +128,7 @@ def write_checkpoint(
     queue = list(unkeepable)
     while queue:
         node = queue.pop()
-        for succ in node.succ.nodes():
+        for succ in node.succ:
             if id(succ) not in dropped:
                 dropped.add(id(succ))
                 records.pop(id(succ), None)
@@ -139,7 +139,7 @@ def write_checkpoint(
     edges: List[Tuple[int, int]] = []
     for node in kept:
         src = index[id(node)]
-        for succ in node.succ.nodes():
+        for succ in node.succ:
             dst = index.get(id(succ))
             if dst is not None:
                 edges.append((src, dst))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.cache import FIFO, LRU, ArgumentTable, Unbounded
-from repro.core.edges import Edge
 from repro.core.errors import UnhashableArgumentsError
 from repro.core.node import DepNode, NodeKind
 
@@ -79,7 +78,8 @@ class TestFIFO:
         table = ArgumentTable("f", policy=FIFO(1), on_evict=evicted.append)
         pinned = _pnode("pinned")
         dependent = _pnode("dep")
-        Edge(pinned, dependent).attach()
+        pinned.succ[dependent] = None  # edge pinned -> dependent
+        dependent.pred[pinned] = None
         table.add((0,), pinned)
         table.add((1,), _pnode("p1"))
         table.add((2,), _pnode("p2"))

@@ -36,19 +36,26 @@ class TestDependencyGraph:
         graph, stats = _graph()
         a = graph.new_storage_node("a")
         b = graph.new_procedure_node(NodeKind.DEMAND, "b")
-        dedupe = set()
-        assert graph.create_edge(a, b, dedupe=dedupe) is True
-        assert graph.create_edge(a, b, dedupe=dedupe) is False
+        assert graph.create_edge(a, b) is True
+        assert graph.create_edge(a, b) is False
         assert stats.edges_created == 1
 
-    def test_create_edge_without_dedupe_duplicates(self):
+    def test_create_edge_never_duplicates(self):
+        # An edge is a map entry keyed by the neighbour, so no sequence
+        # of create_edge calls can hold one pair twice; after removal
+        # the pair can be edged again.
         graph, stats = _graph()
         a = graph.new_storage_node("a")
+        c = graph.new_storage_node("c")
         b = graph.new_procedure_node(NodeKind.DEMAND, "b")
-        graph.create_edge(a, b)
-        graph.create_edge(a, b)
+        for src in (a, c, a, c, a):
+            graph.create_edge(src, b)
+        assert list(b.pred) == [a, c]
+        assert list(a.succ) == [b] and list(c.succ) == [b]
         assert stats.edges_created == 2
-        assert len(b.pred) == 2
+        graph.remove_pred_edges(b)
+        assert graph.create_edge(a, b) is True
+        assert stats.live_edges == 1
 
     def test_remove_pred_edges_counts(self):
         graph, stats = _graph()
@@ -102,7 +109,7 @@ class TestEvictionTeardown:
             reader(2)  # evicts the (1,) instance
             assert rt.stats.cache_evictions == 1
             # the shared cell's successors only include the live entry
-            successors = list(cell._node.succ.nodes())
+            successors = list(cell._node.succ)
             assert len(successors) == 1
 
     def test_eviction_drops_pending_marks(self):

@@ -72,7 +72,7 @@ class TestParallelSchedule:
                 level_of[id(node)] = depth
         for level in schedule:
             for node in level:
-                for pred in node.pred.nodes():
+                for pred in node.pred:
                     if pred.is_procedure and id(pred) in level_of:
                         assert level_of[id(pred)] < level_of[id(node)]
 

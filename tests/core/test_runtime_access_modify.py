@@ -23,7 +23,7 @@ class TestAccess:
         assert rt.stats.storage_nodes_created == 1
         assert rt.stats.edges_created == 1
         # edge goes storage -> procedure
-        succs = list(cell._node.succ.nodes())
+        succs = list(cell._node.succ)
         assert len(succs) == 1
         assert "reader" in succs[0].label
 
@@ -109,7 +109,7 @@ class TestModify:
 
         writer()
         assert cell._node is not None
-        deps = list(cell._node.succ.nodes())
+        deps = list(cell._node.succ)
         assert any("writer" in n.label for n in deps)
 
     def test_change_then_read_propagates(self, rt):

@@ -1,11 +1,12 @@
 """Slot coverage of the hot per-node object population.
 
-A graph of N procedures carries O(N) DepNodes, edges, partition items,
-and cells; one stray ``__dict__`` per instance multiplies the engine's
-footprint.  These tests pin the invariant structurally — every class on
-the per-node hot path declares ``__slots__`` and its instances carry no
-``__dict__`` — so a future field added without a slot fails here
-instead of silently regressing memory.
+A graph of N procedures carries O(N) DepNodes, partition items, and
+cells (edges are dict entries on the nodes, not objects); one stray
+``__dict__`` per instance multiplies the engine's footprint.  These
+tests pin the invariant structurally — every class on the per-node hot
+path declares ``__slots__`` and its instances carry no ``__dict__`` —
+so a future field added without a slot fails here instead of silently
+regressing memory.
 """
 
 import pytest
@@ -17,7 +18,6 @@ from repro.core.cells import (
     TrackedList,
     TrackedObject,
 )
-from repro.core.edges import Edge, EdgeList, _Link
 from repro.core.node import DepNode, Poisoned
 from repro.core.partition import InconsistentSet, PartitionScheduler, _Item
 from repro.core.runtime import Location, _Ctx, _Frame
@@ -28,9 +28,6 @@ from repro.core.watchdog import DrainBudget, Watchdog
 HOT_CLASSES = [
     DepNode,
     Poisoned,
-    Edge,
-    EdgeList,
-    _Link,
     Cell,
     Location,
     TrackedObject,

@@ -21,7 +21,7 @@ class TestUncheckedCalls:
         assert cell._node is not None
         # ...but outer has no edge from inner (suppressed).
         inner_node = rt._tables[inner.proc_id].find(())
-        assert list(inner_node.succ.nodes()) == []
+        assert list(inner_node.succ) == []
 
     def test_outer_not_invalidated_through_unchecked_call(self, rt):
         cell = Cell(1, label="x")
@@ -75,4 +75,4 @@ class TestUncheckedCalls:
 
         assert outer() == 1
         node = rt._tables[reader.proc_id].find(())
-        assert {p.label for p in node.pred.nodes()} == {"x"}
+        assert {p.label for p in node.pred} == {"x"}

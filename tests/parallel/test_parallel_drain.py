@@ -202,3 +202,66 @@ class TestSerialEquivalence:
         serial = run(parallel=False)
         parallel = run(parallel=True)
         assert serial == parallel
+
+
+class TestEdgeMapRace:
+    """Adjacency maps are dicts, which raise when resized mid-iteration.
+
+    One partition drains a storage cell ``S`` with many eager readers,
+    walking ``S.succ`` to mark them, while the other workers drain 50
+    small partitions whose eager bodies start reading ``S`` in the same
+    flush, inserting into ``S.succ`` from other threads.  Edge edits
+    run under the partition lock and successor marking walks the map
+    under it too, so no round may fail."""
+
+    READERS = 300
+    LATE = 50
+    ROUNDS = 100
+
+    def _round(self):
+        runtime = Runtime(parallel_drains=4)
+        with runtime.active():
+            s = Cell(0, label="S")
+            triggers = [Cell(0, label=f"T{j}") for j in range(self.LATE)]
+
+            @cached(strategy=EAGER)
+            def reader(i):
+                return s.get() + i
+
+            @cached(strategy=EAGER)
+            def late(j):
+                x = triggers[j].get()
+                return x + (s.get() if x > 1 else 0) + j
+
+            for i in range(self.READERS):
+                reader(i)
+            for j in range(self.LATE):
+                late(j)
+
+            def write_all(value):
+                s.set(value)  # S's partition is handed to a worker first
+                for trigger in triggers:
+                    trigger.set(value)
+
+            # A first parallel flush starts the pool's threads; the
+            # partitions stay disjoint because late() ignores S so far.
+            write_all(1)
+            runtime.flush()
+            assert not runtime.partitions.same_partition(
+                s._node, triggers[0]._node
+            )
+            write_all(2)
+            runtime.flush()
+            assert [reader(i) for i in range(self.READERS)] == [
+                2 + i for i in range(self.READERS)
+            ]
+            assert [late(j) for j in range(self.LATE)] == [
+                4 + j for j in range(self.LATE)
+            ]
+            assert len(s._node.succ) == self.READERS + self.LATE
+            assert not runtime.pending_changes()
+        runtime.close()
+
+    def test_cross_partition_reads_during_a_drain(self):
+        for _ in range(self.ROUNDS):
+            self._round()
