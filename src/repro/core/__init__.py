@@ -11,7 +11,7 @@ A layered engine (see ``docs/architecture.md``):
   ``with rt.batch():``);
 * **events** — typed observability (:class:`EventBus`,
   :class:`EventKind`, :class:`TraceExporter`); counters
-  (:class:`RuntimeStats`) are a subscriber;
+  (:class:`RuntimeStats`) are incremented by the kernel itself;
 * **robustness** — fault containment (:class:`Poisoned`,
   :class:`NodeExecutionError`), transactional rollback
   (``rt.batch(rollback_on_error=True)``), drain budgets
@@ -69,7 +69,7 @@ from .scheduler import (
     TopologicalScheduler,
     make_scheduler,
 )
-from .stats import RuntimeStats, StatsCollector
+from .stats import RuntimeStats
 from .strategy import DEMAND, EAGER, parse_strategy
 from .transaction import Transaction
 from .watchdog import Watchdog
@@ -105,7 +105,6 @@ __all__ = [
     "RuntimeStats",
     "SCHEDULERS",
     "Scheduler",
-    "StatsCollector",
     "TopologicalScheduler",
     "TraceExporter",
     "TrackedArray",

@@ -149,8 +149,10 @@ _RECORDED_KINDS = {
 def record(runtime: Runtime) -> Iterator[ExecutionLog]:
     """Record runtime events for the duration of the block.
 
-    Subscribes to the runtime's event bus (any number of recorders, the
-    stats collector, and trace exporters coexist independently).
+    Subscribes to the runtime's event bus (any number of recorders and
+    trace exporters coexist independently).  Counters need no recorder:
+    the kernel increments ``rt.stats`` itself, exactly even under
+    ``parallel_drains``, and emits only the kinds someone observes.
 
     Example::
 

@@ -5,28 +5,33 @@ maintained by Alphonse programs enables a host of other benefits
 including eager evaluation, sophisticated debugging, and parallel
 execution".  This module is the channel those benefits flow through: the
 storage/graph kernel, the scheduler, and the transaction layer announce
-everything they do on an :class:`EventBus`, and every consumer —
-operation counters (:class:`~repro.core.stats.StatsCollector`), the
+what they do on an :class:`EventBus`, and every consumer — the
 execution recorder (:func:`repro.core.debug.record`), structured trace
-export (:class:`TraceExporter`) — is just a subscriber.  The engine
-itself never increments a counter directly.
+export (:class:`TraceExporter`), the :mod:`repro.obs` tools — is just a
+subscriber.  Operation counters are not: the kernel increments each
+:class:`~repro.core.stats.RuntimeStats` counter at the site that does
+the work, exactly even under ``parallel_drains``.
 
 Design constraints:
 
-* **Hot-path cheap.**  ``emit`` is called on every tracked read, so it
-  allocates nothing: events are dispatched as four positional arguments
-  ``(kind, node, amount, data)`` rather than event objects.
+* **Unobserved means free.**  :attr:`EventBus.observed` holds the kinds
+  that have a handler; per-operation sites skip ``emit`` for any other
+  kind, so a runtime nobody observes emits no per-operation event.
+* **Hot-path cheap.**  ``emit`` allocates nothing: events are
+  dispatched as four positional arguments ``(kind, node, amount,
+  data)`` rather than event objects.
 * **Typed.**  Event kinds are members of :class:`EventKind`; subscribers
   register per kind (or for all kinds) and are dispatched from a plain
-  dict, so an unobserved kind costs one dictionary lookup.
+  dict.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 __all__ = ["EventKind", "EventBus", "Handler", "TraceExporter"]
 
@@ -192,18 +197,21 @@ class EventBus:
     Threading: a bus is single-threaded by default (one ``is None``
     check on the hot path).  :meth:`use_lock` — called by
     ``Runtime(parallel_drains=N)`` — serializes whole emits under a
-    re-entrant lock so handlers with internal state (stats counters,
-    span tracers, the WAL) see events one at a time even when disjoint
+    re-entrant lock so handlers with internal state (span tracers,
+    metrics, the WAL) see events one at a time even when disjoint
     partitions drain concurrently.  The lock is re-entrant because
     handlers may themselves emit (the WAL announces its appends).
     """
 
-    __slots__ = ("_by_kind", "_all", "_lock")
+    __slots__ = ("_by_kind", "_all", "_lock", "observed")
 
     def __init__(self) -> None:
         self._by_kind: Dict[EventKind, List[Handler]] = {}
         self._all: List[Handler] = []
         self._lock: Optional[threading.RLock] = None
+        #: Kinds with at least one handler (every kind while a
+        #: subscribe-all handler is attached); updated in place.
+        self.observed: Set[EventKind] = set()
 
     def use_lock(self) -> None:
         """Serialize emits under an RLock (parallel-drain mode)."""
@@ -215,6 +223,7 @@ class EventBus:
     def subscribe(self, kind: EventKind, handler: Handler) -> Handler:
         """Invoke ``handler`` for every event of ``kind``; returns it."""
         self._by_kind.setdefault(kind, []).append(handler)
+        self.observed.add(kind)
         return handler
 
     def unsubscribe(self, kind: EventKind, handler: Handler) -> None:
@@ -227,17 +236,22 @@ class EventBus:
                 pass
             if not handlers:
                 del self._by_kind[kind]
+                if not self._all:
+                    self.observed.discard(kind)
 
     def subscribe_all(self, handler: Handler) -> Handler:
         """Invoke ``handler`` for every event of every kind."""
         self._all.append(handler)
+        self.observed.update(EventKind)
         return handler
 
     def unsubscribe_all(self, handler: Handler) -> None:
         try:
             self._all.remove(handler)
         except ValueError:
-            pass
+            return
+        if not self._all:
+            self.observed.intersection_update(self._by_kind)
 
     def subscriber_count(self, kind: Optional[EventKind] = None) -> int:
         """Number of handlers that would see an event of ``kind``
@@ -316,20 +330,14 @@ class TraceExporter:
             self._bus.unsubscribe_all(self._handle)
             self._bus = None
 
-    def capture(self, runtime_or_bus: Any):
+    @contextlib.contextmanager
+    def capture(self, runtime_or_bus: Any) -> Iterator["TraceExporter"]:
         """Context manager: attach for the duration of the block."""
-        bus = getattr(runtime_or_bus, "events", runtime_or_bus)
-        exporter = self
-
-        class _Capture:
-            def __enter__(self) -> "TraceExporter":
-                exporter.attach(bus)
-                return exporter
-
-            def __exit__(self, *exc_info: Any) -> None:
-                exporter.detach()
-
-        return _Capture()
+        self.attach(getattr(runtime_or_bus, "events", runtime_or_bus))
+        try:
+            yield self
+        finally:
+            self.detach()
 
     # -- recording -------------------------------------------------------
 

@@ -34,13 +34,21 @@ from .events import EventBus, EventKind
 from .node import DepNode, NodeKind
 from .order import TopologicalOrder
 from .partition import PartitionManager
+from .stats import RuntimeStats
+
+# Kinds as module globals: cheaper to look up than Enum attributes.
+_NODE_CREATED = EventKind.NODE_CREATED
+_EDGE_ADDED = EventKind.EDGE_ADDED
+_EDGE_REMOVED = EventKind.EDGE_REMOVED
+_ORDER_SHIFTED = EventKind.ORDER_SHIFTED
 
 
 class DependencyGraph:
     """Node factory plus edge bookkeeping for one runtime instance.
 
-    Part of the storage/graph kernel: it knows nothing about scheduling
-    or instrumentation — all bookkeeping is announced on the event bus.
+    Part of the storage/graph kernel: it knows nothing about scheduling.
+    It counts its work into ``stats`` (node creation into the caller's
+    thread's stats, when given) and announces it on the event bus.
     """
 
     def __init__(
@@ -49,39 +57,50 @@ class DependencyGraph:
         order: TopologicalOrder,
         partitions: PartitionManager,
         keep_registry: bool = True,
+        stats: Optional[RuntimeStats] = None,
     ) -> None:
         self.events = events
         self.order = order
         self.partitions = partitions
+        self.stats = stats if stats is not None else RuntimeStats()
         #: All nodes ever created, for diagnostics/debugging (the paper
         #: §9.1 space analysis counts these).  Disable for unbounded runs.
         self._registry: Optional[List[DepNode]] = [] if keep_registry else None
 
     # -- node creation ---------------------------------------------------
 
-    def new_storage_node(self, label: str, ref: Any = None) -> DepNode:
+    def new_storage_node(
+        self, label: str, ref: Any = None, stats: Optional[RuntimeStats] = None
+    ) -> DepNode:
         """Node for an abstract storage location (first tracked read)."""
-        node = DepNode(NodeKind.STORAGE, label=label, ref=ref)
-        self._register(node)
-        self.events.emit(EventKind.NODE_CREATED, node)
+        node = self._register(DepNode(NodeKind.STORAGE, label=label, ref=ref))
+        (stats or self.stats).storage_nodes_created += 1
+        if _NODE_CREATED in self.events.observed:
+            self.events.emit(_NODE_CREATED, node)
         return node
 
     def new_procedure_node(
-        self, kind: NodeKind, label: str, ref: Any = None
+        self,
+        kind: NodeKind,
+        label: str,
+        ref: Any = None,
+        stats: Optional[RuntimeStats] = None,
     ) -> DepNode:
         """Node for an incremental procedure instance (argument-table add)."""
         if kind is NodeKind.STORAGE:
             raise ValueError("procedure node kind must be DEMAND or EAGER")
-        node = DepNode(kind, label=label, ref=ref)
-        self._register(node)
-        self.events.emit(EventKind.NODE_CREATED, node)
+        node = self._register(DepNode(kind, label=label, ref=ref))
+        (stats or self.stats).procedure_nodes_created += 1
+        if _NODE_CREATED in self.events.observed:
+            self.events.emit(_NODE_CREATED, node)
         return node
 
-    def _register(self, node: DepNode) -> None:
+    def _register(self, node: DepNode) -> DepNode:
         self.order.register(node)
         self.partitions.register(node)
         if self._registry is not None:
             self._registry.append(node)
+        return node
 
     @property
     def nodes(self) -> List[DepNode]:
@@ -110,12 +129,16 @@ class DependencyGraph:
     def _attach(self, src: DepNode, dst: DepNode) -> None:
         dst.pred[src] = None
         src.succ[dst] = None
-        self.events.emit(EventKind.EDGE_ADDED, src, data=dst)
+        self.stats.edges_created += 1
+        if _EDGE_ADDED in self.events.observed:
+            self.events.emit(_EDGE_ADDED, src, data=dst)
         before = self.order.shifts
         self.order.edge_added(src, dst)
         shifted = self.order.shifts - before
         if shifted:
-            self.events.emit(EventKind.ORDER_SHIFTED, dst, amount=shifted)
+            self.stats.order_shifts += shifted
+            if _ORDER_SHIFTED in self.events.observed:
+                self.events.emit(_ORDER_SHIFTED, dst, amount=shifted)
         self.partitions.union(src, dst)
 
     def remove_pred_edges(self, node: DepNode) -> int:
@@ -156,5 +179,7 @@ class DependencyGraph:
         removed = len(side)
         side.clear()
         if removed:
-            self.events.emit(EventKind.EDGE_REMOVED, node, amount=removed)
+            self.stats.edges_removed += removed
+            if _EDGE_REMOVED in self.events.observed:
+                self.events.emit(_EDGE_REMOVED, node, amount=removed)
         return removed

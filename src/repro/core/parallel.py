@@ -19,6 +19,10 @@ the wave to finish, and repeats until quiescent (a drain can dirty
 fixpoint loop).  A single pending partition is drained inline — the
 serial fast path stays pool-free.
 
+Counts stay exact: a pool thread counts into its own execution
+context's stats, which :meth:`ParallelDrainExecutor._drain_wave` adds
+into ``rt.stats`` once every drain of the wave has returned or raised.
+
 Fault containment composes: a partition whose drain raises aborts
 alone (its in-flight node is re-marked by the drain's abort path); the
 other partitions of the wave complete normally, and the first error is
@@ -38,6 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, List, Optional
 
 from .partition import PartitionScheduler
+from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
@@ -133,6 +138,11 @@ class ParallelDrainExecutor:
                 steps += future.result()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors.append(exc)
+        # No drain of the wave is running: fold in the pool's counts.
+        stats = self.runtime.stats
+        for ctx in self.runtime._contexts:
+            if ctx.stats is not stats:
+                stats.absorb(ctx.stats)
         if errors:
             # The failing drain already re-marked its in-flight node
             # (abort safety), so its remaining work is still pending —
@@ -143,6 +153,10 @@ class ParallelDrainExecutor:
 
     def _drain_one(self, part: PartitionScheduler) -> int:
         rt = self.runtime
+        ctx = rt._context
+        if ctx.stats is rt.stats:
+            # Count privately: a shared `+=` could lose updates.
+            ctx.stats = RuntimeStats()
         # Worker threads need the runtime active so procedure bodies
         # resolving get_runtime() land on the right engine.
         with rt.active():

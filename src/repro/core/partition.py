@@ -21,11 +21,13 @@ configuration.  ``Runtime(parallel_drains=N)`` calls
 :meth:`PartitionManager.enable_locking`, after which every mutating
 operation takes the manager's re-entrant lock; drain loops additionally
 serialize their pops through :meth:`guard`, and the dependency graph
-inserts and removes edges under it too.  Ownership rule: at most one
-thread drains a given partition at a time (:meth:`begin_drain` /
-:meth:`end_drain`), and a union that absorbs a partition *another*
-thread is draining marks the absorbed scheduler ``superseded`` so its
-drain loop stops — the surviving scheduler inherits the remaining work.
+inserts and removes edges under it too, as does every union-find walk
+(so the find/union/mark counters need no lock of their own).  Ownership
+rule: at most one thread drains a given partition at a time
+(:meth:`begin_drain` / :meth:`end_drain`), and a union that absorbs a
+partition *another* thread is draining marks the absorbed scheduler
+``superseded`` so its drain loop stops — the surviving scheduler
+inherits the remaining work.
 
 The union-find uses path compression and union by rank, giving the
 paper's quoted O(T x G(M)) bound (G = inverse Ackermann, Section 9.2).
@@ -41,8 +43,14 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from .events import EventBus, EventKind
 from .node import DepNode
+from .stats import RuntimeStats
 
 __all__ = ["InconsistentSet", "PartitionManager", "PartitionScheduler"]
+
+# Kinds as module globals: cheaper to look up than Enum attributes.
+_PARTITION_FIND = EventKind.PARTITION_FIND
+_PARTITION_UNION = EventKind.PARTITION_UNION
+_INCONSISTENT_MARKED = EventKind.INCONSISTENT_MARKED
 
 #: Shared no-op guard for the serial path (entering it costs one
 #: attribute load and no allocation).
@@ -199,8 +207,14 @@ class PartitionManager:
     incremental call.
     """
 
-    def __init__(self, events: EventBus, enabled: bool = True) -> None:
+    def __init__(
+        self,
+        events: EventBus,
+        enabled: bool = True,
+        stats: Optional[RuntimeStats] = None,
+    ) -> None:
         self._events = events
+        self.stats = stats if stats is not None else RuntimeStats()
         self.enabled = enabled
         #: Per-manager sequences (never module-global: two Runtimes must
         #: not share mutable scheduling state).
@@ -270,7 +284,9 @@ class PartitionManager:
             node.partition_item = _Item(node, part)
 
     def _find(self, item: _Item) -> _Item:
-        self._events.emit(EventKind.PARTITION_FIND, item.node)
+        self.stats.partition_finds += 1
+        if _PARTITION_FIND in self._events.observed:
+            self._events.emit(_PARTITION_FIND, item.node)
         root = item
         while root.parent is not root:
             root = root.parent
@@ -316,7 +332,9 @@ class PartitionManager:
         rb = self._find(b.partition_item)
         if ra is rb:
             return
-        self._events.emit(EventKind.PARTITION_UNION, a, data=b)
+        self.stats.partition_unions += 1
+        if _PARTITION_UNION in self._events.observed:
+            self._events.emit(_PARTITION_UNION, a, data=b)
         if ra.rank < rb.rank:
             ra, rb = rb, ra
         rb.parent = ra
@@ -356,7 +374,9 @@ class PartitionManager:
         part = self._global if not self.enabled else self._sched(node)
         if part.incset.add(node):
             self.dirty[part.pid] = part
-            self._events.emit(EventKind.INCONSISTENT_MARKED, node)
+            self.stats.inconsistent_marks += 1
+            if _INCONSISTENT_MARKED in self._events.observed:
+                self._events.emit(_INCONSISTENT_MARKED, node)
             return True
         return False
 
@@ -378,10 +398,7 @@ class PartitionManager:
 
     def discard(self, node: DepNode) -> None:
         """Drop ``node`` from its partition's worklist (disposal path)."""
-        if self.locking:
-            with self._lock:
-                self.set_of(node).discard(node)
-        else:
+        with self.guard():
             self.set_of(node).discard(node)
 
     def note_drained(self, drained: PartitionScheduler) -> None:
@@ -400,7 +417,8 @@ class PartitionManager:
     def same_partition(self, a: DepNode, b: DepNode) -> bool:
         if not self.enabled:
             return True
-        return self._find(a.partition_item) is self._find(b.partition_item)
+        with self.guard():
+            return self._find(a.partition_item) is self._find(b.partition_item)
 
     def all_parts(
         self, nodes: Iterable[DepNode]
@@ -409,10 +427,11 @@ class PartitionManager:
         if not self.enabled:
             return [self._global]
         seen: Dict[int, PartitionScheduler] = {}
-        for node in nodes:
-            root = self._find(node.partition_item)
-            assert root.payload is not None
-            seen[id(root)] = root.payload
+        with self.guard():
+            for node in nodes:
+                root = self._find(node.partition_item)
+                assert root.payload is not None
+                seen[id(root)] = root.payload
         return list(seen.values())
 
     def all_sets(self, nodes: Iterable[DepNode]) -> List[InconsistentSet]:

@@ -32,9 +32,9 @@ The Runtime is the thin waist of a layered engine:
 * **transaction** — :mod:`transaction`: ``with rt.batch():`` coalesces
   writes and defers propagation to commit;
 * **events** — :mod:`events`: every layer announces its work on
-  ``rt.events``; counters (``rt.stats``), the debug recorder, and trace
-  exporters are subscribers.  The runtime itself never increments a
-  counter.
+  ``rt.events`` when some subscriber observes that kind.  Counters
+  (``rt.stats``) are incremented here in the kernel, exactly even under
+  ``parallel_drains`` (see :mod:`repro.core.stats`).
 """
 
 from __future__ import annotations
@@ -61,12 +61,22 @@ from .order import TopologicalOrder
 from ..persist.ids import next_location_sid
 from .partition import PartitionManager
 from .scheduler import Scheduler, make_scheduler
-from .stats import RuntimeStats, StatsCollector
+from .stats import RuntimeStats
 from .transaction import Transaction
 from .watchdog import Watchdog
 
 #: Sentinel distinguishing "no incoming write value" from writing None.
 _UNSET = object()
+
+# Per-operation kinds as module globals: an Enum class attribute costs
+# more to look up (~200 ns on CPython 3.11) than the set test it feeds.
+_ACCESS = EventKind.ACCESS
+_MODIFY = EventKind.MODIFY
+_CHANGE_DETECTED = EventKind.CHANGE_DETECTED
+_CACHE_HIT = EventKind.CACHE_HIT
+_CACHE_MISS = EventKind.CACHE_MISS
+_EXECUTION_STARTED = EventKind.EXECUTION_STARTED
+_EXECUTION = EventKind.EXECUTION
 
 
 def _retain_stale(poison: Poisoned, prior: Any) -> None:
@@ -103,7 +113,7 @@ class _Frame:
 
 class _Ctx:
     """Per-thread execution context: call stack, unchecked depth, drain
-    depth.
+    depth, and the counters this thread bumps.
 
     The runtime's mutable per-activation state must be thread-local so
     concurrent partition drains (``Runtime(parallel_drains=N)``) never
@@ -113,14 +123,17 @@ class _Ctx:
     integrity audit can check quiescence across every thread.
     """
 
-    __slots__ = ("stack", "unchecked", "drain_depth")
+    __slots__ = ("stack", "unchecked", "drain_depth", "stats")
 
-    def __init__(self) -> None:
+    def __init__(self, stats: RuntimeStats) -> None:
         self.stack: List[_Frame] = []
         self.unchecked = 0
         #: >0 while this thread is inside a scheduler drain; suppresses
         #: nested forced evaluation (Algorithm 5's re-entrancy guard).
         self.drain_depth = 0
+        #: Where this thread counts: ``rt.stats``, or a private copy on
+        #: a parallel-drain worker until its wave ends.
+        self.stats = stats
 
 
 class Runtime:
@@ -195,11 +208,12 @@ class Runtime:
         parallel_drains: Optional[int] = None,
     ) -> None:
         self.events = events if events is not None else EventBus()
-        self._collector = StatsCollector().attach(self.events)
+        #: Operation counters, incremented by the kernel as it works.
+        self.stats = RuntimeStats()
         self.order = TopologicalOrder()
-        self.partitions = PartitionManager(self.events, enabled=partitioning)
+        self.partitions = PartitionManager(self.events, partitioning, self.stats)
         self.graph = DependencyGraph(
-            self.events, self.order, self.partitions, keep_registry=keep_registry
+            self.events, self.order, self.partitions, keep_registry, self.stats
         )
         self.scheduler: Scheduler = make_scheduler(scheduler, self)
         #: Per-thread execution contexts (call stack, unchecked depth,
@@ -272,7 +286,7 @@ class Runtime:
         try:
             return self._local.ctx
         except AttributeError:
-            ctx = _Ctx()
+            ctx = _Ctx(self.stats)
             self._local.ctx = ctx
             self._contexts.append(ctx)
             return ctx
@@ -281,19 +295,6 @@ class Runtime:
     def call_stack(self) -> List[_Frame]:
         """This thread's frame stack (Algorithm 5's call stack)."""
         return self._context.stack
-
-    @property
-    def _unchecked_depth(self) -> int:
-        return self._context.unchecked
-
-    @_unchecked_depth.setter
-    def _unchecked_depth(self, value: int) -> None:
-        self._context.unchecked = value
-
-    @property
-    def stats(self) -> RuntimeStats:
-        """Operation counters, maintained by an event-bus subscriber."""
-        return self._collector.stats
 
     # ------------------------------------------------------------------
     # access / modify  (Algorithms 3 and 4)
@@ -306,16 +307,19 @@ class Runtime:
         storage node (``Runtime.recover`` with ``restore_values``) may
         push the checkpointed value into the location.
         """
-        self.events.emit(EventKind.ACCESS, location._node)
         ctx = self._context
+        ctx.stats.accesses += 1
+        events = self.events
+        if _ACCESS in events.observed:
+            events.emit(_ACCESS, location._node)
         if ctx.stack:
             if ctx.unchecked:
-                self.events.emit(
-                    EventKind.UNCHECKED_SUPPRESSION, location._node
-                )
+                ctx.stats.unchecked_suppressions += 1
+                if EventKind.UNCHECKED_SUPPRESSION in events.observed:
+                    events.emit(EventKind.UNCHECKED_SUPPRESSION, location._node)
             else:
                 frame = ctx.stack[-1]
-                node = self._storage_node(location)
+                node = self._storage_node(location, ctx.stats)
                 node.value = location._value
                 if not frame.freeze_edges:
                     self.graph.create_edge(node, frame.node)
@@ -339,7 +343,12 @@ class Runtime:
             # validation: a write that reconstructs the checkpointed
             # value adopts silently and keeps dependents warm.
             self._bind_restored_location(location, incoming=value)
-        self.events.emit(EventKind.MODIFY, location._node)
+        # on_read above created this thread's context.
+        stats = self._local.ctx.stats
+        stats.modifies += 1
+        events = self.events
+        if _MODIFY in events.observed:
+            events.emit(_MODIFY, location._node)
         transaction = self._transaction
         if transaction is not None:
             # Record first: the transaction captures the pre-write stored
@@ -352,19 +361,21 @@ class Runtime:
         if node is not None:
             if not values_equal(node.value, value):
                 node.value = value
-                self.events.emit(EventKind.CHANGE_DETECTED, node)
+                stats.changes_detected += 1
+                if _CHANGE_DETECTED in events.observed:
+                    events.emit(_CHANGE_DETECTED, node)
                 self.partitions.mark(node)
             else:
                 node.value = value
 
-    def _storage_node(self, location: "Location") -> DepNode:
+    def _storage_node(self, location: "Location", stats: RuntimeStats) -> DepNode:
         node = location._node
         if node is None:
             if self._restored is not None:
                 node = self._bind_restored_location(location)
                 if node is not None:
                     return node
-            node = self.graph.new_storage_node(location._label, ref=location)
+            node = self.graph.new_storage_node(location._label, location, stats)
             location._node = node
         return node
 
@@ -422,22 +433,25 @@ class Runtime:
 
     def call(self, proc: "IncrementalProcedure", args: Tuple[Any, ...]) -> Any:
         """Invoke incremental procedure ``proc`` with ``args``."""
+        ctx = self._context
+        stats = ctx.stats
         table = self._table_for(proc)
         node = table.find(args)
         if node is None and self._restored is not None:
             node = self._adopt_restored_instance(proc, args, table)
         if node is None:
             label = procedure_instance_label(proc.name, args)
-            node = self.graph.new_procedure_node(proc.strategy, label, ref=proc)
+            node = self.graph.new_procedure_node(
+                proc.strategy, label, ref=proc, stats=stats
+            )
             node.thunk = _make_thunk(proc, args, node)
             node.static_edges = proc.static_deps
             table.add(args, node)
             # consistent is already False for fresh procedure nodes.
-        else:
+        elif not ctx.drain_depth:  # else the outer drain continues
             # "ELSE IF SetSize(Inconsistent) > 0 THEN Evaluate(Inconsistent)"
-            self._force_evaluation_for(node)
+            self._force_evaluation_for(node, stats)
 
-        ctx = self._context
         if ctx.stack and not ctx.unchecked:
             frame = ctx.stack[-1]
             if not frame.freeze_edges:
@@ -467,7 +481,9 @@ class Runtime:
                     # through ordinary propagation.
                     node.consistent = False
                 else:
-                    self.events.emit(EventKind.CACHE_HIT, node)
+                    stats.cache_hits += 1
+                    if _CACHE_HIT in self.events.observed:
+                        self.events.emit(_CACHE_HIT, node)
                     raise NodeExecutionError(node.label, value)
             elif not node.has_value():
                 # Consistent-but-valueless is only possible mid-first-
@@ -475,9 +491,13 @@ class Runtime:
                 # calling itself with no intervening state change).
                 raise CycleError(node.label)
             else:
-                self.events.emit(EventKind.CACHE_HIT, node)
+                stats.cache_hits += 1
+                if _CACHE_HIT in self.events.observed:
+                    self.events.emit(_CACHE_HIT, node)
                 return node.value
-        self.events.emit(EventKind.CACHE_MISS, node)
+        stats.cache_misses += 1
+        if _CACHE_MISS in self.events.observed:
+            self.events.emit(_CACHE_MISS, node)
         return self.execute_node(node)
 
     def _adopt_restored_instance(
@@ -547,7 +567,9 @@ class Runtime:
             self.graph.remove_pred_edges(node)
         frame = _Frame(node)
         ctx.stack.append(frame)
-        self.events.emit(EventKind.EXECUTION_STARTED, node)
+        events = self.events
+        if _EXECUTION_STARTED in events.observed:
+            events.emit(_EXECUTION_STARTED, node)
         node.executing += 1
         node.activation_seq += 1
         my_activation = node.activation_seq
@@ -609,7 +631,9 @@ class Runtime:
             node.value = result
             if node.static_edges:
                 node.edges_frozen = True
-        self.events.emit(EventKind.EXECUTION, node, data=committed)
+        ctx.stats.executions += 1
+        if _EXECUTION in events.observed:
+            events.emit(_EXECUTION, node, data=committed)
         return result
 
     # ------------------------------------------------------------------
@@ -627,39 +651,27 @@ class Runtime:
             poison = Poisoned(exc.root, exc.origin)
         else:
             poison = Poisoned(exc, node.label)
-        if type(node.value) is not Poisoned:
-            self._poison_live += 1
-        _retain_stale(poison, node.value)
-        node.value = poison
-        self.events.emit(
-            EventKind.NODE_POISONED,
-            node,
-            data={
-                "error": type(poison.error).__name__,
-                "origin": poison.origin,
-            },
-        )
+        self._cache_poison(node, poison)
         return poison
 
     def _poison_from_input(self, node: DepNode, source: Poisoned) -> None:
         """Poison an eager ``node`` whose input holds ``source`` without
         re-running its body (the scheduler's containment shortcut)."""
+        node.consistent = True
+        self._cache_poison(node, Poisoned(source.error, source.origin))
+
+    def _cache_poison(self, node: DepNode, poison: Poisoned) -> None:
+        """Make ``poison`` the node's value, keeping its stale history."""
         if type(node.value) is not Poisoned:
             self._poison_live += 1
-        poison = Poisoned(source.error, source.origin)
         _retain_stale(poison, node.value)
         node.value = poison
-        node.consistent = True
-        self.events.emit(
-            EventKind.NODE_POISONED,
-            node,
-            data={
-                "error": type(source.error).__name__,
-                "origin": source.origin,
-            },
-        )
+        self._context.stats.nodes_poisoned += 1
+        if EventKind.NODE_POISONED in self.events.observed:
+            data = {"error": type(poison.error).__name__, "origin": poison.origin}
+            self.events.emit(EventKind.NODE_POISONED, node, data=data)
 
-    def _force_evaluation_for(self, node: DepNode) -> None:
+    def _force_evaluation_for(self, node: DepNode, stats: RuntimeStats) -> None:
         """Flush the inconsistent set governing ``node``'s partition.
 
         Partition-local by construction: only the worklist of ``node``'s
@@ -667,8 +679,6 @@ class Runtime:
         stay batched (§6.3).  The loop tolerates the partition growing
         mid-drain (re-execution creating unions).
         """
-        if self._context.drain_depth:
-            return  # nested call during propagation; outer drain continues
         forced = False
         while True:
             part = self.partitions.sched_of(node)
@@ -676,11 +686,14 @@ class Runtime:
                 break
             if not forced:
                 forced = True
-                self.events.emit(EventKind.FORCED_EVALUATION_STARTED, node)
+                if EventKind.FORCED_EVALUATION_STARTED in self.events.observed:
+                    self.events.emit(EventKind.FORCED_EVALUATION_STARTED, node)
             if not self.scheduler.drain(part):
                 break  # no progress possible here (owned elsewhere/stale)
         if forced:
-            self.events.emit(EventKind.FORCED_EVALUATION, node)
+            stats.forced_evaluations += 1
+            if EventKind.FORCED_EVALUATION in self.events.observed:
+                self.events.emit(EventKind.FORCED_EVALUATION, node)
 
     # ------------------------------------------------------------------
     # explicit control
@@ -1017,7 +1030,9 @@ class Runtime:
         node.disposed = True
         if type(node.value) is Poisoned:
             self._poison_live -= 1
-        self.events.emit(EventKind.CACHE_EVICTION, node)
+        self._context.stats.cache_evictions += 1
+        if EventKind.CACHE_EVICTION in self.events.observed:
+            self.events.emit(EventKind.CACHE_EVICTION, node)
 
     def table_size(self, proc: "IncrementalProcedure") -> int:
         """Number of live cache entries for ``proc`` in this runtime."""

@@ -39,20 +39,22 @@ refill buffer) is allocated per drain, never on the scheduler instance,
 so disjoint partitions can drain concurrently on a thread pool (see
 :mod:`repro.core.parallel`) through one shared Scheduler.
 
-Schedulers announce their work on the runtime's event bus
-(``PROPAGATION_STEP``, ``EAGER_REEXECUTION``, ``QUIESCENCE_CUT``,
-``DRAIN``) and never touch counters directly; drain boundary events
-carry their partition id in ``data``.
+Schedulers count their work into the draining thread's stats (so the
+counts stay exact under ``parallel_drains``) and announce it on the
+runtime's event bus (``PROPAGATION_STEP``, ``EAGER_REEXECUTION``,
+``QUIESCENCE_CUT``, ``DRAIN``) only for kinds some handler observes;
+drain boundary events carry their partition id in ``data``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Type, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Type, Union
 
 from .errors import EvaluationLimitError, NodeExecutionError
 from .events import EventKind
 from .node import DepNode, NodeKind, Poisoned, values_equal
 from .partition import PartitionScheduler
+from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
@@ -64,6 +66,12 @@ __all__ = [
     "SCHEDULERS",
     "make_scheduler",
 ]
+
+# Per-node kinds as module globals: cheaper to look up than Enum
+# attributes.
+_PROPAGATION_STEP = EventKind.PROPAGATION_STEP
+_EAGER_REEXECUTION = EventKind.EAGER_REEXECUTION
+_QUIESCENCE_CUT = EventKind.QUIESCENCE_CUT
 
 
 class Scheduler:
@@ -132,26 +140,24 @@ class Scheduler:
         partitions = rt.partitions
         if not partitions.begin_drain(part):
             return 0
-        emit = rt.events.emit
+        stats = ctx.stats
+        events = rt.events
+        observed = events.observed
         limit = rt.eval_limit
         watchdog = rt.watchdog
         budget = None
         if watchdog is not None and watchdog.enabled:
-            budget = watchdog.begin()
+            budget = watchdog.begin(stats)
         steps = 0
         current: Optional[DepNode] = None
         state = self._begin_drain()
         guard = partitions.guard()
         ctx.drain_depth += 1
-        if len(part.incset):
+        if len(part.incset) and EventKind.DRAIN_STARTED in observed:
             # A non-empty set always yields >= 1 step, so the paired
             # DRAIN / DRAIN_ABORTED end event is guaranteed to follow.
-            emit(
-                EventKind.DRAIN_STARTED,
-                None,
-                amount=len(part.incset),
-                data={"partition": part.pid},
-            )
+            size = len(part.incset)
+            events.emit(EventKind.DRAIN_STARTED, None, size, {"partition": part.pid})
         try:
             while not part.superseded:
                 with guard:
@@ -159,7 +165,9 @@ class Scheduler:
                 if current is None:
                     break
                 steps += 1
-                emit(EventKind.PROPAGATION_STEP, current)
+                stats.propagation_steps += 1
+                if _PROPAGATION_STEP in observed:
+                    events.emit(_PROPAGATION_STEP, current)
                 if limit is not None and steps > limit:
                     raise EvaluationLimitError(limit)
                 if budget is not None:
@@ -170,23 +178,13 @@ class Scheduler:
             if current is not None:
                 partitions.mark(current)
             self._abort_drain(part, state)
-            emit(
-                EventKind.DRAIN_ABORTED,
-                current,
-                amount=steps,
-                data=type(exc).__name__,
-            )
+            self._aborted(stats, current, steps, exc)
             raise
         finally:
             ctx.drain_depth -= 1
             partitions.end_drain(part)
             if steps:
-                emit(
-                    EventKind.DRAIN,
-                    None,
-                    amount=steps,
-                    data={"partition": part.pid},
-                )
+                self._drained(stats, steps, {"partition": part.pid})
         return steps
 
     def drain_budget(self, max_steps: int) -> int:
@@ -203,15 +201,17 @@ class Scheduler:
         if ctx.drain_depth or max_steps <= 0:
             return 0
         partitions = rt.partitions
-        emit = rt.events.emit
+        stats = ctx.stats
+        events = rt.events
+        observed = events.observed
         watchdog = rt.watchdog
         budget = None
         if watchdog is not None and watchdog.enabled:
-            budget = watchdog.begin()
+            budget = watchdog.begin(stats)
         done = 0
         pending_size = sum(len(p.incset) for p in partitions.pending_parts())
-        if pending_size:
-            emit(EventKind.DRAIN_STARTED, None, amount=pending_size)
+        if pending_size and EventKind.DRAIN_STARTED in observed:
+            events.emit(EventKind.DRAIN_STARTED, None, amount=pending_size)
         guard = partitions.guard()
         ctx.drain_depth += 1
         try:
@@ -231,7 +231,9 @@ class Scheduler:
                             if node is None:
                                 break
                             done += 1
-                            emit(EventKind.PROPAGATION_STEP, node)
+                            stats.propagation_steps += 1
+                            if _PROPAGATION_STEP in observed:
+                                events.emit(_PROPAGATION_STEP, node)
                             if budget is not None:
                                 budget.step(node)
                             self._process(node)
@@ -240,12 +242,7 @@ class Scheduler:
                         if node is not None:
                             partitions.mark(node)
                         self._abort_drain(part, state)
-                        emit(
-                            EventKind.DRAIN_ABORTED,
-                            node,
-                            amount=done,
-                            data=type(exc).__name__,
-                        )
+                        self._aborted(stats, node, done, exc)
                         raise
                     finally:
                         # Budget exhaustion must not orphan privately
@@ -258,8 +255,24 @@ class Scheduler:
         finally:
             ctx.drain_depth -= 1
             if done:
-                emit(EventKind.DRAIN, None, amount=done)
+                self._drained(stats, done, None)
         return done
+
+    def _drained(self, stats: RuntimeStats, steps: int, data: Any) -> None:
+        """Count and announce a drain pass of ``steps`` steps."""
+        stats.drains += 1
+        events = self.runtime.events
+        if EventKind.DRAIN in events.observed:
+            events.emit(EventKind.DRAIN, None, steps, data)
+
+    def _aborted(
+        self, stats: RuntimeStats, node: Any, steps: int, exc: BaseException
+    ) -> None:
+        """Count and announce a drain torn down by ``exc``."""
+        stats.drains_aborted += 1
+        events = self.runtime.events
+        if EventKind.DRAIN_ABORTED in events.observed:
+            events.emit(EventKind.DRAIN_ABORTED, node, steps, type(exc).__name__)
 
     def drain_all(self) -> int:
         """Flush every pending partition (a global "evaluate now").
@@ -346,9 +359,15 @@ class Scheduler:
                 # Poisoned value on the node; the drain continues and
                 # the poison propagates as an ordinary value change.
                 pass
-            rt.events.emit(EventKind.EAGER_REEXECUTION, node)
+            stats = rt._context.stats
+            observed = rt.events.observed
+            stats.eager_reexecutions += 1
+            if _EAGER_REEXECUTION in observed:
+                rt.events.emit(_EAGER_REEXECUTION, node)
             if had_value and values_equal(old, node.value):
-                rt.events.emit(EventKind.QUIESCENCE_CUT, node)
+                stats.quiescent_stops += 1
+                if _QUIESCENCE_CUT in observed:
+                    rt.events.emit(_QUIESCENCE_CUT, node)
             else:
                 rt.partitions.mark_successors(node)
 

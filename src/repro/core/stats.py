@@ -7,29 +7,28 @@ substrate the benchmark harness asserts complexity *shapes* on: counters
 are machine-independent, so "repeat queries are O(1)" or "a change costs
 O(height)" can be checked deterministically.
 
-Counters are maintained by :class:`StatsCollector`, an
-:class:`~repro.core.events.EventBus` subscriber — the engine itself
-never touches a counter.  ``Runtime.stats`` is the collector's
-:class:`RuntimeStats`, so the measurement API is unchanged from the
-pre-layered engine.
+Counters are incremented in the kernel, by the site that does the work,
+before it emits the matching event (if any handler observes that kind).
+They are exact under ``Runtime(parallel_drains=N)``: edge, order and
+union-find counters change only under the partition manager's lock, and
+a drain thread bumps every other counter in a private
+:class:`RuntimeStats` that the parallel executor adds into ``rt.stats``
+after the drain wave.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional
-
-from .events import EventBus, EventKind
-from .node import NodeKind
+from typing import Dict
 
 
-@dataclass
+@dataclass(slots=True)
 class RuntimeStats:
     """Counters incremented by the runtime as it works.
 
     All counters are cumulative since construction or the last
     :meth:`reset`.  :meth:`snapshot`/:meth:`delta` support measuring a
-    single operation's cost.
+    single operation's cost.  Slotted: a misspelled counter raises.
     """
 
     #: Dependency-graph nodes created, by cause.
@@ -122,6 +121,12 @@ class RuntimeStats:
         for f in fields(self):
             setattr(self, f.name, 0)
 
+    def absorb(self, other: "RuntimeStats") -> None:
+        """Add ``other``'s counts into these and zero ``other``."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        other.reset()
+
     def snapshot(self) -> Dict[str, int]:
         """Return a copy of all counters as a plain dict."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -144,126 +149,3 @@ class RuntimeStats:
         width = max(len(name) for name in snap)
         lines = [f"{name:<{width}}  {value}" for name, value in snap.items() if value]
         return "\n".join(lines) if lines else "(no operations recorded)"
-
-
-#: Event kinds that map one-to-one onto a counter; the handler adds the
-#: event's ``amount`` to the named field.
-_COUNTER_FOR = {
-    EventKind.EDGE_ADDED: "edges_created",
-    EventKind.EDGE_REMOVED: "edges_removed",
-    EventKind.ORDER_SHIFTED: "order_shifts",
-    EventKind.ACCESS: "accesses",
-    EventKind.MODIFY: "modifies",
-    EventKind.CHANGE_DETECTED: "changes_detected",
-    EventKind.INCONSISTENT_MARKED: "inconsistent_marks",
-    EventKind.EXECUTION: "executions",
-    EventKind.CACHE_HIT: "cache_hits",
-    EventKind.CACHE_MISS: "cache_misses",
-    EventKind.CACHE_EVICTION: "cache_evictions",
-    EventKind.PROPAGATION_STEP: "propagation_steps",
-    EventKind.EAGER_REEXECUTION: "eager_reexecutions",
-    EventKind.QUIESCENCE_CUT: "quiescent_stops",
-    EventKind.FORCED_EVALUATION: "forced_evaluations",
-    EventKind.UNCHECKED_SUPPRESSION: "unchecked_suppressions",
-    EventKind.PARTITION_UNION: "partition_unions",
-    EventKind.PARTITION_FIND: "partition_finds",
-    EventKind.NODE_POISONED: "nodes_poisoned",
-    EventKind.ROLLBACK: "rollbacks",
-    EventKind.WATCHDOG_TRIPPED: "watchdog_trips",
-    EventKind.RETRY: "retries",
-    EventKind.BREAKER_STATE: "breaker_transitions",
-    EventKind.DEADLINE_EXCEEDED: "deadlines_exceeded",
-    EventKind.STALE_READ: "stale_reads",
-}
-
-#: Span-boundary kinds whose occurrences are already counted by their
-#: paired end event; counting both would double-report the operation.
-SPAN_OPEN_KINDS = frozenset(
-    {
-        EventKind.EXECUTION_STARTED,  # counted by EXECUTION
-        EventKind.DRAIN_STARTED,  # counted by DRAIN / DRAIN_ABORTED
-        EventKind.BATCH_STARTED,  # counted by BATCH_COMMIT / ROLLBACK
-        EventKind.FORCED_EVALUATION_STARTED,  # counted by FORCED_EVALUATION
-    }
-)
-
-
-class StatsCollector:
-    """EventBus subscriber that maintains a :class:`RuntimeStats`.
-
-    The only component allowed to increment counters.  Handlers are
-    per-kind closures over the stats object (no per-event dict lookup),
-    keeping the tracked-read hot path cheap.
-    """
-
-    def __init__(self, stats: Optional[RuntimeStats] = None) -> None:
-        self.stats = stats if stats is not None else RuntimeStats()
-        self._bus: Optional[EventBus] = None
-        self._handlers: Dict[EventKind, Any] = {}
-
-    def attach(self, bus: EventBus) -> "StatsCollector":
-        """Subscribe every counter handler to ``bus``."""
-        if self._bus is not None:
-            raise RuntimeError("StatsCollector is already attached")
-        stats = self.stats
-        for kind, name in _COUNTER_FOR.items():
-            self._handlers[kind] = bus.subscribe(kind, _adder(stats, name))
-        self._handlers[EventKind.NODE_CREATED] = bus.subscribe(
-            EventKind.NODE_CREATED, self._on_node_created
-        )
-        self._handlers[EventKind.BATCH_COMMIT] = bus.subscribe(
-            EventKind.BATCH_COMMIT, self._on_batch_commit
-        )
-        self._handlers[EventKind.DRAIN] = bus.subscribe(
-            EventKind.DRAIN, self._on_drain
-        )
-        self._handlers[EventKind.DRAIN_ABORTED] = bus.subscribe(
-            EventKind.DRAIN_ABORTED, self._on_drain_aborted
-        )
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._handlers.items():
-            self._bus.unsubscribe(kind, handler)
-        self._handlers.clear()
-        self._bus = None
-
-    # -- structured handlers --------------------------------------------
-
-    def _on_node_created(
-        self, kind: EventKind, node: Any, amount: int, data: Any
-    ) -> None:
-        if node is not None and node.kind is NodeKind.STORAGE:
-            self.stats.storage_nodes_created += amount
-        else:
-            self.stats.procedure_nodes_created += amount
-
-    def _on_batch_commit(
-        self, kind: EventKind, node: Any, amount: int, data: Any
-    ) -> None:
-        self.stats.batch_commits += amount
-        if data:
-            self.stats.batch_writes += data.get("writes", 0)
-            self.stats.batch_writes_coalesced += data.get("coalesced", 0)
-
-    def _on_drain(
-        self, kind: EventKind, node: Any, amount: int, data: Any
-    ) -> None:
-        # DRAIN's ``amount`` is the step count; the counter tracks passes.
-        self.stats.drains += 1
-
-    def _on_drain_aborted(
-        self, kind: EventKind, node: Any, amount: int, data: Any
-    ) -> None:
-        # DRAIN_ABORTED's ``amount`` is the steps completed pre-abort.
-        self.stats.drains_aborted += 1
-
-
-def _adder(stats: RuntimeStats, name: str):
-    def handle(kind: EventKind, node: Any, amount: int, data: Any) -> None:
-        setattr(stats, name, getattr(stats, name) + amount)
-
-    return handle

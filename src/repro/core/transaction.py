@@ -188,6 +188,8 @@ class Transaction:
             return 0
         self._committed = True
         rt = self.runtime
+        stats = rt._context.stats
+        events = rt.events
         changed = 0
         touched: Dict[int, Any] = {}
         for location, baseline, _prior in self._writes.values():
@@ -198,11 +200,16 @@ class Transaction:
             node.value = final
             if baseline is _NO_NODE or not values_equal(baseline, final):
                 changed += 1
-                rt.events.emit(EventKind.CHANGE_DETECTED, node)
+                stats.changes_detected += 1
+                if EventKind.CHANGE_DETECTED in events.observed:
+                    events.emit(EventKind.CHANGE_DETECTED, node)
                 rt.partitions.mark(node)
                 part = rt.partitions.sched_of(node)
                 touched[part.pid] = part
-        rt.events.emit(
+        stats.batch_commits += 1
+        stats.batch_writes += len(self._writes)
+        stats.batch_writes_coalesced += self.coalesced
+        events.emit(
             EventKind.BATCH_COMMIT,
             None,
             data={
@@ -259,6 +266,7 @@ class Transaction:
                 rt.partitions.mark(node)
                 part = rt.partitions.sched_of(node)
                 touched[part.pid] = part
+        rt._context.stats.rollbacks += 1
         rt.events.emit(
             EventKind.ROLLBACK,
             None,

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PropagationBudgetError
 from .events import EventBus, EventKind
 from .node import DepNode
+from .stats import RuntimeStats
 
 __all__ = ["DrainBudget", "Watchdog"]
 
@@ -44,13 +45,15 @@ class DrainBudget:
 
     One instance exists per drain (created by :meth:`Watchdog.begin`),
     never shared between drains, so a drain is charged only for its own
-    partition's work even when several run concurrently.
+    partition's work even when several run concurrently.  A trip counts
+    into the draining thread's ``stats``.
     """
 
-    __slots__ = ("_dog", "_steps", "_deadline", "_counts", "_labels")
+    __slots__ = ("_dog", "_stats", "_steps", "_deadline", "_counts", "_labels")
 
-    def __init__(self, dog: "Watchdog") -> None:
+    def __init__(self, dog: "Watchdog", stats: Optional[RuntimeStats] = None) -> None:
         self._dog = dog
+        self._stats = stats
         self._steps = 0
         if dog.max_seconds is not None:
             self._deadline: Optional[float] = (
@@ -109,6 +112,8 @@ class DrainBudget:
             # A hot node that is also quarantined points at a failure
             # storm (breaker churn) rather than a DET bug.
             data["quarantined"] = quarantined
+        if self._stats is not None:
+            self._stats.watchdog_trips += 1
         events = self._dog.events
         if events is not None:
             events.emit(EventKind.WATCHDOG_TRIPPED, node, data=data)
@@ -182,6 +187,6 @@ class Watchdog:
 
     # -- scheduler interface --------------------------------------------
 
-    def begin(self) -> DrainBudget:
-        """Open a fresh per-drain budget (called at drain start)."""
-        return DrainBudget(self)
+    def begin(self, stats: Optional[RuntimeStats] = None) -> DrainBudget:
+        """Open a fresh per-drain budget; trips count into ``stats``."""
+        return DrainBudget(self, stats)

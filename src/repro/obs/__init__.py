@@ -1,8 +1,9 @@
 """Introspection suite for the Alphonse runtime.
 
-Everything here is an :class:`~repro.core.events.EventBus` consumer —
-the engine itself has no observability code beyond emitting its events,
-so an unobserved runtime pays only the bus's per-emit dict lookup.
+Everything here is an :class:`~repro.core.events.EventBus` consumer.
+The engine counts its own operations (``rt.stats``, incremented in the
+kernel and exact under ``parallel_drains``) and does not emit a kind no
+handler observes, so an unobserved runtime pays no emit at all.
 
 Four tools, one facade (``rt.obs``, built lazily on first access):
 

@@ -13,8 +13,8 @@ forever:
   completions, aborts, watchdog trips, poisonings, batch boundaries,
   resilience events, checkpoints — never to the per-read hot kinds
   (``ACCESS``, ``MODIFY``, ``PROPAGATION_STEP``, cache traffic), so the
-  engine's hot path pays nothing at all for it (the bus dispatches per
-  kind, and an unsubscribed kind costs one dict lookup);
+  engine's hot path pays nothing at all for it (the engine does not
+  emit a kind no handler observes);
 * each captured event is one tuple appended to a bounded
   ``collections.deque`` — no dict building, no rendering, no lock (the
   GIL makes deque appends atomic, and a bus in parallel-drain mode

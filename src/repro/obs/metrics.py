@@ -28,8 +28,9 @@ tick, which Prometheus-style monotonic scraping tolerates, but a read
 never tears.
 
 Zero-subscriber cost: nothing here touches the engine until
-:meth:`RuntimeMetrics.attach`; an unattached runtime pays only the
-event bus's per-emit dict lookup, same as before this module existed.
+:meth:`RuntimeMetrics.attach`.  The kernel counts its own operations
+(``rt.stats``, exact under ``parallel_drains``) and does not emit a
+kind no handler observes, so an unattached runtime pays nothing here.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ SIZE_BUCKETS: Tuple[float, ...] = (
 TIME_BUCKETS: Tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
 )
+
+# The hottest kinds as module globals: an Enum class attribute costs
+# more to look up than the comparison it feeds.
+_EXECUTION_STARTED = EventKind.EXECUTION_STARTED
+_EXECUTION = EventKind.EXECUTION
+_NODE_POISONED = EventKind.NODE_POISONED
 
 
 class Counter:
@@ -277,27 +284,28 @@ class RuntimeMetrics:
     timed via their ``NODE_POISONED`` containment event.
     """
 
+    #: The kinds that only bump one counter, and that counter's name.
+    _COUNTED = {
+        EventKind.CACHE_HIT: "cache_hits",
+        EventKind.CACHE_MISS: "cache_misses",
+        EventKind.CHECKPOINT: "checkpoints",
+        EventKind.WAL_APPEND: "wal_records",
+        EventKind.RECOVERY: "recoveries",
+        EventKind.RETRY: "retries",
+        EventKind.BREAKER_STATE: "breaker_transitions",
+        EventKind.DEADLINE_EXCEEDED: "deadlines_exceeded",
+        EventKind.STALE_READ: "stale_reads",
+    }
     #: Kinds this collector subscribes to (read by the coverage test).
-    KINDS = frozenset(
-        {
-            EventKind.DRAIN_STARTED,
-            EventKind.DRAIN,
-            EventKind.DRAIN_ABORTED,
-            EventKind.CHANGE_DETECTED,
-            EventKind.EXECUTION_STARTED,
-            EventKind.EXECUTION,
-            EventKind.NODE_POISONED,
-            EventKind.CACHE_HIT,
-            EventKind.CACHE_MISS,
-            EventKind.CHECKPOINT,
-            EventKind.WAL_APPEND,
-            EventKind.RECOVERY,
-            EventKind.RETRY,
-            EventKind.BREAKER_STATE,
-            EventKind.DEADLINE_EXCEEDED,
-            EventKind.STALE_READ,
-        }
-    )
+    KINDS = frozenset(_COUNTED) | {
+        EventKind.DRAIN_STARTED,
+        EventKind.DRAIN,
+        EventKind.DRAIN_ABORTED,
+        EventKind.CHANGE_DETECTED,
+        EventKind.EXECUTION_STARTED,
+        EventKind.EXECUTION,
+        EventKind.NODE_POISONED,
+    }
 
     def __init__(
         self,
@@ -360,6 +368,9 @@ class RuntimeMetrics:
             "alphonse_stale_reads_total",
             "degraded reads served from a last-known-good value",
         )
+        self._counters: Dict[EventKind, Counter] = {
+            kind: getattr(self, name) for kind, name in self._COUNTED.items()
+        }
         #: Changes detected since the last completed drain, the
         #: denominator of steps_per_change.
         self._changes_since_drain = 0
@@ -393,7 +404,6 @@ class RuntimeMetrics:
 
     # -- event handling --------------------------------------------------
 
-    @property
     def _exec_stack(self) -> List[Tuple[Any, float]]:
         """The calling thread's in-flight execution stack."""
         ident = threading.get_ident()
@@ -403,12 +413,14 @@ class RuntimeMetrics:
         return stack
 
     def _handle(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
-        if kind is EventKind.EXECUTION_STARTED:
-            self._exec_stack.append(
+        if kind is _EXECUTION_STARTED:
+            self._exec_stack().append(
                 (getattr(node, "node_id", None), self._clock())
             )
-        elif kind is EventKind.EXECUTION or kind is EventKind.NODE_POISONED:
+        elif kind is _EXECUTION or kind is _NODE_POISONED:
             self._finish_execution(node)
+        elif kind in self._counters:
+            self._counters[kind].inc(amount)
         elif kind is EventKind.DRAIN_STARTED:
             self.drain_set_size.observe(amount)
         elif kind is EventKind.DRAIN or kind is EventKind.DRAIN_ABORTED:
@@ -423,35 +435,20 @@ class RuntimeMetrics:
         elif kind is EventKind.CHANGE_DETECTED:
             self.changes.inc(amount)
             self._changes_since_drain += amount
-        elif kind is EventKind.CACHE_HIT:
-            self.cache_hits.inc(amount)
-        elif kind is EventKind.CACHE_MISS:
-            self.cache_misses.inc(amount)
-        elif kind is EventKind.CHECKPOINT:
-            self.checkpoints.inc(amount)
-        elif kind is EventKind.WAL_APPEND:
-            self.wal_records.inc(amount)
-        elif kind is EventKind.RECOVERY:
-            self.recoveries.inc(amount)
-        elif kind is EventKind.RETRY:
-            self.retries.inc(amount)
-        elif kind is EventKind.BREAKER_STATE:
-            self.breaker_transitions.inc(amount)
-        elif kind is EventKind.DEADLINE_EXCEEDED:
-            self.deadlines_exceeded.inc(amount)
-        elif kind is EventKind.STALE_READ:
-            self.stale_reads.inc(amount)
 
     def _finish_execution(self, node: Any) -> None:
+        stack = self._exec_stack()
         node_id = getattr(node, "node_id", None)
-        if not any(entry[0] == node_id for entry in self._exec_stack):
+        # Ours is normally the top entry.  Entries above it belong to
+        # activations an exception unwound without their end events.
+        depth = len(stack) - 1
+        while depth >= 0 and stack[depth][0] != node_id:
+            depth -= 1
+        if depth < 0:
             return  # attached mid-execution, or poison copied from an
             # input with no body of this node in flight
-        # An exception may have unwound through intermediate activations
-        # without their end events; drop the stale entries above ours.
-        while self._exec_stack[-1][0] != node_id:
-            self._exec_stack.pop()
-        _, start = self._exec_stack.pop()
+        start = stack[depth][1]
+        del stack[depth:]
         elapsed = self._clock() - start
         self.executions.inc()
         label = getattr(node, "label", "") or ""

@@ -211,7 +211,7 @@ class ResiliencePolicy:
             allowed, transition = breaker.allow(
                 demand=demand, now=self._clock())
             if transition is not None:
-                self._emit_transition(runtime.events, node, name, transition)
+                self._emit_transition(runtime, node, name, transition)
             if not allowed:
                 raise CircuitOpenError(name, breaker.failures)
 
@@ -241,6 +241,7 @@ class ResiliencePolicy:
                         and not isinstance(exc, NodeExecutionError)
                         and retry.matches(exc)):
                     delay = retry.delay_for(attempt)
+                    runtime._context.stats.retries += 1
                     runtime.events.emit(
                         EventKind.RETRY,
                         node,
@@ -262,7 +263,7 @@ class ResiliencePolicy:
                     # procedure's fault.
                     transition = breaker.record_failure(self._clock())
                     if transition is not None:
-                        self._emit_transition(runtime.events, node, name,
+                        self._emit_transition(runtime, node, name,
                                               transition)
                 raise
             if breaker is not None and (breaker.state != "closed"
@@ -271,7 +272,7 @@ class ResiliencePolicy:
                 # reset; the healthy steady state pays two attr reads.
                 transition = breaker.record_success()
                 if transition is not None:
-                    self._emit_transition(runtime.events, node, name,
+                    self._emit_transition(runtime, node, name,
                                           transition)
             return result
 
@@ -315,6 +316,7 @@ class ResiliencePolicy:
 
     def _deadline_exceeded(self, runtime, node, frame) -> DeadlineExceeded:
         elapsed = frame.elapsed()
+        runtime._context.stats.deadlines_exceeded += 1
         runtime.events.emit(
             EventKind.DEADLINE_EXCEEDED,
             node,
@@ -326,8 +328,9 @@ class ResiliencePolicy:
         return DeadlineExceeded(node.label, frame.deadline, elapsed)
 
     @staticmethod
-    def _emit_transition(events, node, name, transition) -> None:
-        events.emit(
+    def _emit_transition(runtime, node, name, transition) -> None:
+        runtime._context.stats.breaker_transitions += 1
+        runtime.events.emit(
             EventKind.BREAKER_STATE,
             node,
             data={

@@ -74,6 +74,7 @@ def read_with_info(runtime, target, *, staleness: str = FRESH):
             raise  # never produced a good value: nothing to degrade to
         stamp = getattr(poison, "stamp", None)
         age = None if stamp is None else max(0.0, time.monotonic() - stamp)
+        runtime._context.stats.stale_reads += 1
         runtime.events.emit(
             EventKind.STALE_READ,
             data={

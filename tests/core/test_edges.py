@@ -15,14 +15,19 @@ from repro.core.graph import DependencyGraph
 from repro.core.node import DepNode, NodeKind
 from repro.core.order import TopologicalOrder
 from repro.core.partition import PartitionManager
-from repro.core.stats import StatsCollector
+from repro.core.stats import RuntimeStats
+
+from ..counting import tally
 
 
 def _graph():
     events = EventBus()
-    stats = StatsCollector().attach(events).stats
+    stats = RuntimeStats()
     graph = DependencyGraph(
-        events, TopologicalOrder(), PartitionManager(events)
+        events,
+        TopologicalOrder(),
+        PartitionManager(events, stats=stats),
+        stats=stats,
     )
     return graph, stats
 
@@ -158,6 +163,7 @@ class TestSymmetry:
 
     def test_removal_counts_match_the_event_stream(self):
         graph, stats = _graph()
+        counts = tally(graph.events)
         sources = [_storage(graph, f"s{i}") for i in range(4)]
         targets = [_proc(graph, f"t{i}") for i in range(3)]
         for source in sources:
@@ -165,7 +171,8 @@ class TestSymmetry:
                 graph.create_edge(source, target)
         assert graph.remove_succ_edges(sources[0]) == 3
         assert graph.remove_pred_edges(targets[0]) == 3  # s0 already gone
-        assert stats.edges_removed == 6
+        assert stats.edges_removed == counts["edges_removed"] == 6
+        assert stats.edges_created == counts["edges_created"] == 12
         assert stats.live_edges == _edge_count(sources + targets) == 6
         _assert_symmetric(sources + targets)
 

@@ -1,11 +1,27 @@
 """The EventBus observability layer: typed events, subscribers, the
-stats collector, the trace exporter, and the no-hand-counting invariant."""
+trace exporter, and the counting contract — the kernel's counters agree
+with the events it announces, and an unobserved kind is never emitted."""
+
+import collections
+import contextlib
 
 import pytest
 
-from repro import Cell, EAGER, cached
+from repro import (
+    EAGER,
+    LRU,
+    Cell,
+    NodeExecutionError,
+    PropagationBudgetError,
+    Runtime,
+    Watchdog,
+    cached,
+)
 from repro.core.events import EventBus, EventKind, TraceExporter
-from repro.core.stats import StatsCollector
+from repro.core.stats import RuntimeStats
+from repro.spreadsheet import Spreadsheet
+
+from ..counting import COUNTER_FOR, SPECIAL_COUNTERS, tally
 
 
 def _collect(bus, kind, sink):
@@ -63,6 +79,33 @@ class TestEventBus:
         assert bus.subscriber_count(EventKind.ACCESS) == 2
         assert bus.subscriber_count(EventKind.MODIFY) == 1
         assert bus.subscriber_count() == 1
+
+    def test_observed_tracks_subscriptions(self):
+        bus = EventBus()
+        assert bus.observed == set()
+
+        def handler(kind, node, amount, data):
+            pass
+
+        bus.subscribe(EventKind.ACCESS, handler)
+        bus.subscribe(EventKind.ACCESS, handler)
+        assert bus.observed == {EventKind.ACCESS}
+        bus.unsubscribe(EventKind.ACCESS, handler)
+        assert bus.observed == {EventKind.ACCESS}  # one handler left
+        bus.unsubscribe(EventKind.ACCESS, handler)
+        assert bus.observed == set()
+
+    def test_subscribe_all_observes_every_kind(self):
+        bus = EventBus()
+        observed = bus.observed
+        bus.subscribe(EventKind.MODIFY, lambda *a: None)
+        everything = bus.subscribe_all(lambda *a: None)
+        assert observed == set(EventKind)
+        bus.unsubscribe(EventKind.MODIFY, bus._by_kind[EventKind.MODIFY][0])
+        assert observed == set(EventKind)  # the catch-all still sees it
+        bus.unsubscribe_all(everything)
+        assert observed == set()
+        assert bus.observed is observed  # updated in place
 
     def test_amount_batches(self):
         bus = EventBus()
@@ -139,62 +182,6 @@ class TestRuntimeEmitsTypedEvents:
 
         reader()
         assert flags == [True]
-
-
-class TestStatsCollector:
-    def test_runtime_stats_flow_through_bus(self, rt):
-        """The acceptance invariant: counters are bus subscribers, so a
-        second collector on the same bus sees identical traffic."""
-        shadow = StatsCollector().attach(rt.events)
-        cell = Cell(1, label="c")
-
-        @cached
-        def reader():
-            return cell.get()
-
-        reader()
-        reader()
-        cell.set(2)
-        reader()
-        rt.flush()
-        assert shadow.stats.snapshot() == rt.stats.snapshot()
-        assert rt.stats.executions == 2
-        assert rt.stats.cache_hits == 1
-        assert rt.stats.changes_detected == 1
-
-    def test_detach_stops_counting(self, rt):
-        shadow = StatsCollector().attach(rt.events)
-        shadow.detach()
-        Cell(1, label="c").set(2)
-        assert shadow.stats.modifies == 0
-        assert rt.stats.modifies == 1
-
-    def test_double_attach_rejected(self, rt):
-        shadow = StatsCollector().attach(rt.events)
-        with pytest.raises(RuntimeError):
-            shadow.attach(rt.events)
-
-    def test_runtime_source_has_no_hand_counting(self):
-        """`Runtime` must not increment stats counters directly — all
-        instrumentation flows through EventBus subscribers."""
-        import inspect
-
-        import repro.core.runtime as runtime_mod
-        import repro.core.graph as graph_mod
-        import repro.core.scheduler as scheduler_mod
-        import repro.core.partition as partition_mod
-        import repro.core.transaction as transaction_mod
-
-        for mod in (
-            runtime_mod,
-            graph_mod,
-            scheduler_mod,
-            partition_mod,
-            transaction_mod,
-        ):
-            source = inspect.getsource(mod)
-            assert ".stats." not in source.replace("self._collector.stats", "")
-            assert "stats +=" not in source
 
 
 class TestTraceExporter:
@@ -284,3 +271,243 @@ class TestTraceExporter:
         trace.detach()
         record = json.loads(trace.to_jsonl())
         assert record["data"] == [["hot()", 7], ["cold()", 1]]
+
+
+#: The kinds announced at per-operation sites: reads, writes, calls,
+#: executions, poisonings, node creation, edges, order shifts,
+#: union-find, marking, and drains.  A runtime nobody observes must not
+#: emit any of them.
+PER_OPERATION_KINDS = frozenset(
+    {
+        EventKind.ACCESS,
+        EventKind.UNCHECKED_SUPPRESSION,
+        EventKind.MODIFY,
+        EventKind.CHANGE_DETECTED,
+        EventKind.CACHE_HIT,
+        EventKind.CACHE_MISS,
+        EventKind.CACHE_EVICTION,
+        EventKind.FORCED_EVALUATION_STARTED,
+        EventKind.FORCED_EVALUATION,
+        EventKind.EXECUTION_STARTED,
+        EventKind.EXECUTION,
+        EventKind.NODE_POISONED,
+        EventKind.NODE_CREATED,
+        EventKind.EDGE_ADDED,
+        EventKind.EDGE_REMOVED,
+        EventKind.ORDER_SHIFTED,
+        EventKind.PARTITION_FIND,
+        EventKind.PARTITION_UNION,
+        EventKind.INCONSISTENT_MARKED,
+        EventKind.DRAIN_STARTED,
+        EventKind.PROPAGATION_STEP,
+        EventKind.EAGER_REEXECUTION,
+        EventKind.QUIESCENCE_CUT,
+        EventKind.DRAIN,
+        EventKind.DRAIN_ABORTED,
+    }
+)
+
+#: The workload's drain budget: every drain but the last stays under it.
+MAX_STEPS = 40
+
+
+def _mixed_workload(rt):
+    """Drive every counted path of the engine on ``rt`` (active).
+
+    A cached DAG with demand and eager nodes (hits, misses, forced
+    evaluation, quiescence cuts), spreadsheet edits and reads, a batch
+    commit with coalesced writes, a rollback whose mid-batch value
+    leaked, poison then heal (including the eager poisoned-input
+    shortcut), LRU eviction, a budgeted drain, an unchecked region, and
+    a final drain that trips the watchdog.
+    """
+    a, b, d = Cell(1, label="a"), Cell(2, label="b"), Cell(2, label="d")
+
+    @cached
+    def left():
+        return a.get() + 1
+
+    @cached(strategy=EAGER)
+    def right():
+        return b.get() * 2
+
+    @cached
+    def top():
+        return left() + right()
+
+    @cached(strategy=EAGER)
+    def sign():
+        return 1 if a.get() > 0 else -1
+
+    assert top() == 6 and top() == 6
+    sign()
+    a.set(5)
+    assert top() == 10  # forced evaluation of the pending write
+    b.set(2)  # no change
+    b.set(3)
+    rt.flush()
+    assert top() == 12
+    a.set(7)  # sign() recomputes to 1: quiescence cut
+    rt.flush()
+
+    sheet = Spreadsheet(3, 3)
+    sheet.set_formula(0, 0, 5)
+    sheet.set_formula(1, 1, "R0C0 + 2")
+    sheet.set_formula(2, 2, "SUM(R0C0:R1C1)")
+    assert sheet.values()[2][2] == 12
+    sheet.set_formula(0, 0, 9)
+    assert sheet.value(2, 2) == 20
+
+    with rt.batch():
+        a.set(1)
+        a.set(2)
+        b.set(4)
+    assert top() == 11
+
+    @cached
+    def peek_a():
+        return a.get()
+
+    with contextlib.suppress(RuntimeError):
+        with rt.batch(rollback_on_error=True):
+            a.set(100)
+            assert peek_a() == 100  # the mid-batch value leaks
+            raise RuntimeError("abort the batch")
+    assert peek_a() == 2
+
+    @cached
+    def inverse():
+        return 1 / d.get()
+
+    @cached(strategy=EAGER)
+    def eager_inverse():
+        return 1 / d.get()
+
+    @cached(strategy=EAGER)
+    def eager_dependent():
+        return eager_inverse() + 1
+
+    assert inverse() == 0.5 and eager_dependent() == 1.5
+    d.set(0)
+    rt.flush()  # eager_dependent is poisoned from its input
+    for _ in range(2):
+        with pytest.raises(NodeExecutionError):
+            inverse()
+    d.set(4)
+    assert inverse() == 0.25
+    rt.flush()
+    assert eager_dependent() == 1.25
+
+    @cached(policy=lambda: LRU(2))
+    def scaled(i):
+        return a.get() * i
+
+    for i in range(5):
+        scaled(i)
+
+    fan_cells = [Cell(i, label=f"f{i}") for i in range(4)]
+
+    @cached(strategy=EAGER)
+    def fan(i):
+        return fan_cells[i].get() + 1
+
+    for i in range(4):
+        fan(i)
+    for cell in fan_cells:
+        cell.set(cell.peek() + 10)
+    while rt.idle_tick(3):
+        pass
+
+    @cached
+    def unchecked_sum():
+        with rt.unchecked():
+            return a.get() + b.get()
+
+    assert unchecked_sum() == 6
+
+    wide = Cell(0, label="wide")
+
+    @cached(strategy=EAGER)
+    def reader(i):
+        return wide.get() + i
+
+    for i in range(MAX_STEPS):
+        reader(i)
+    wide.set(1)
+    with pytest.raises(PropagationBudgetError):
+        rt.flush()
+
+
+def _workload_runtime():
+    return Runtime(watchdog=Watchdog(max_steps=MAX_STEPS))
+
+
+class TestKernelCounting:
+    """Counters are incremented in the kernel; the events agree."""
+
+    def test_counters_match_the_observed_event_stream(self):
+        """With a subscribe-all recorder attached, each counter's delta
+        equals the amount-weighted count of the event that announces it
+        — the same numbers a bus subscriber would have counted."""
+        rt = _workload_runtime()
+        counts = tally(rt.events)
+        before = rt.stats.snapshot()
+        with rt.active():
+            _mixed_workload(rt)
+        delta = rt.stats.delta(before)
+        assert delta == {name: counts[name] for name in delta}
+        exercised = {name for name, value in delta.items() if value}
+        assert {
+            "accesses",
+            "cache_evictions",
+            "changes_detected",
+            "drains_aborted",
+            "eager_reexecutions",
+            "forced_evaluations",
+            "nodes_poisoned",
+            "quiescent_stops",
+            "rollbacks",
+            "unchecked_suppressions",
+            "watchdog_trips",
+            "batch_writes_coalesced",
+        } <= exercised
+
+    def test_every_counter_is_announced_by_an_event(self):
+        announced = list(COUNTER_FOR.values())
+        for names in SPECIAL_COUNTERS.values():
+            announced.extend(names)
+        assert sorted(announced) == sorted(RuntimeStats().snapshot())
+
+    def test_unobserved_runtime_emits_no_per_operation_event(
+        self, monkeypatch
+    ):
+        emitted = self._spy(monkeypatch)
+        rt = _workload_runtime()
+        with rt.active():
+            _mixed_workload(rt)
+        assert not set(emitted) & PER_OPERATION_KINDS
+        assert rt.stats.executions and rt.stats.accesses
+
+    def test_one_subscription_turns_on_only_its_kind(self, monkeypatch):
+        emitted = self._spy(monkeypatch)
+        rt = _workload_runtime()
+        executions = []
+        rt.events.subscribe(
+            EventKind.EXECUTION, lambda k, n, a, d: executions.append(n)
+        )
+        with rt.active():
+            _mixed_workload(rt)
+        assert set(emitted) & PER_OPERATION_KINDS == {EventKind.EXECUTION}
+        assert len(executions) == rt.stats.executions
+
+    @staticmethod
+    def _spy(monkeypatch):
+        emitted = collections.Counter()
+        real_emit = EventBus.emit
+
+        def spy(bus, kind, node=None, amount=1, data=None):
+            emitted[kind] += 1
+            real_emit(bus, kind, node, amount, data)
+
+        monkeypatch.setattr(EventBus, "emit", spy)
+        return emitted

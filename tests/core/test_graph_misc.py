@@ -6,18 +6,19 @@ from repro.core.graph import DependencyGraph
 from repro.core.node import NodeKind
 from repro.core.order import TopologicalOrder
 from repro.core.partition import PartitionManager
-from repro.core.stats import StatsCollector
+from repro.core.stats import RuntimeStats
 
 
 def _graph(keep_registry=True):
     events = EventBus()
-    stats = StatsCollector().attach(events).stats
+    stats = RuntimeStats()
     return (
         DependencyGraph(
             events,
             TopologicalOrder(),
-            PartitionManager(events, enabled=True),
+            PartitionManager(events, enabled=True, stats=stats),
             keep_registry=keep_registry,
+            stats=stats,
         ),
         stats,
     )

@@ -21,6 +21,7 @@ from repro.core.cells import (
 from repro.core.node import DepNode, Poisoned
 from repro.core.partition import InconsistentSet, PartitionScheduler, _Item
 from repro.core.runtime import Location, _Ctx, _Frame
+from repro.core.stats import RuntimeStats
 from repro.core.watchdog import DrainBudget, Watchdog
 
 #: Every class whose instance count scales with graph size (or with
@@ -41,6 +42,7 @@ HOT_CLASSES = [
     _Ctx,
     Watchdog,
     DrainBudget,
+    RuntimeStats,
 ]
 
 
@@ -63,6 +65,14 @@ def test_instances_carry_no_dict(cls):
     assert not hasattr(cls, "__dictoffset__") or cls.__dictoffset__ == 0, (
         f"{cls.__name__} instances carry a __dict__"
     )
+
+
+def test_misspelled_counter_raises():
+    """Counters are bumped by plain attribute increments in the kernel;
+    a typo there must fail loudly, not count into a new attribute."""
+    stats = RuntimeStats()
+    with pytest.raises(AttributeError):
+        stats.executoins += 1
 
 
 def test_tracked_object_instances_have_no_dict():

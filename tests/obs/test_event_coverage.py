@@ -1,15 +1,17 @@
 """Exhaustive EventKind <-> observability mapping.
 
-Every event the engine can emit must be consumed by at least one
-observability layer — the stats counters, the span tracer, the metrics
+Every event the engine can emit must either announce a stats counter
+(the kind→counter table in ``tests/counting.py``) or be consumed by at
+least one observability layer — the span tracer, the metrics
 collector, or the explain recorder — or be explicitly exempted below
 with a reason.  Adding an EventKind without wiring it (or exempting it)
 fails this test: that is the point.
 """
 
-from repro.core.events import EventBus, EventKind
-from repro.core.stats import SPAN_OPEN_KINDS, StatsCollector
+from repro.core.events import EventKind
 from repro.obs import ExplainRecorder, RuntimeMetrics, SpanTracer
+
+from ..counting import COUNTED_KINDS, SPAN_OPEN_KINDS
 
 #: Kinds deliberately not consumed by any observability layer.
 #: Every entry needs a reason; an empty dict means full coverage.
@@ -18,19 +20,9 @@ EXEMPT = {
 }
 
 
-def _stats_kinds():
-    """The kinds StatsCollector actually subscribes to."""
-    bus = EventBus()
-    collector = StatsCollector().attach(bus)
-    try:
-        return frozenset(collector._handlers)
-    finally:
-        collector.detach()
-
-
 def test_every_event_kind_is_observed():
     covered = (
-        _stats_kinds()
+        COUNTED_KINDS
         | SpanTracer.KINDS
         | RuntimeMetrics.KINDS
         | ExplainRecorder.KINDS
@@ -39,7 +31,8 @@ def test_every_event_kind_is_observed():
     missing = sorted(k.name for k in EventKind if k not in covered)
     assert not missing, (
         f"EventKind(s) with no observability wiring: {missing}. "
-        f"Subscribe them in a collector (stats/spans/metrics/explain) or "
+        f"Count them (tests/counting.py), subscribe them in a collector "
+        f"(spans/metrics/explain), or "
         f"add them to EXEMPT in {__file__} with a reason."
     )
 

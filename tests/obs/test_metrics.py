@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro import Cell, cached
+from repro import Cell, Runtime, cached
+from repro.core.events import EventBus, EventKind
 from repro.obs import (
     SIZE_BUCKETS,
     TIME_BUCKETS,
@@ -188,6 +189,53 @@ class TestRuntimeMetrics:
         with pytest.raises(RuntimeError):
             metrics.attach(rt.events)
         metrics.detach()
+
+    def test_end_event_unwinds_activations_that_never_ended(self):
+        """Without containment a raising body sends no end event; the
+        enclosing activation's EXECUTION drops the stale entry and
+        records exactly one observation of its own."""
+        runtime = Runtime(containment=False)
+        metrics = RuntimeMetrics().attach(runtime.events)
+        x = Cell(1, label="x")
+
+        @cached
+        def inner():
+            x.get()
+            raise ValueError("no end event")
+
+        @cached
+        def outer():
+            try:
+                inner()
+            except ValueError:
+                pass
+            return x.get()
+
+        with runtime.active():
+            assert outer() == 1
+        metrics.detach()
+        assert metrics.executions.value == 1
+        assert [row[:2] for row in metrics.procedure_table()] == [("outer", 1)]
+        assert metrics._exec_stack() == []
+
+    def test_end_event_without_a_start_leaves_the_stack(self):
+        """Poison copied from an input has no body in flight: its end
+        event must not pop the activations that are running."""
+
+        class Node:
+            def __init__(self, node_id, label):
+                self.node_id = node_id
+                self.label = label
+
+        bus = EventBus()
+        metrics = RuntimeMetrics().attach(bus)
+        outer, copied = Node(1, "outer()"), Node(2, "copied()")
+        bus.emit(EventKind.EXECUTION_STARTED, outer)
+        bus.emit(EventKind.NODE_POISONED, copied)
+        assert [entry[0] for entry in metrics._exec_stack()] == [1]
+        bus.emit(EventKind.EXECUTION, outer)
+        assert metrics._exec_stack() == []
+        assert metrics.executions.value == 1
 
 
 class TestStatsJsonRoundTrip:
