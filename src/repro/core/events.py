@@ -51,7 +51,8 @@ class EventKind(enum.Enum):
     EDGE_ADDED = "edge-added"
     #: ``amount`` in-/out-edges of ``node`` were detached.
     EDGE_REMOVED = "edge-removed"
-    #: Pearce–Kelly performed ``amount`` affected-region reorderings.
+    #: An edge insertion raised height labels (``amount`` slow-path
+    #: inserts; ``node`` is the edge's destination).
     ORDER_SHIFTED = "order-shifted"
 
     #: A tracked read (Algorithm 3); ``node`` may be None if the

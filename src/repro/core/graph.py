@@ -22,7 +22,7 @@ Threading: a dict raises if it is resized while being iterated.  Under
 ``Runtime(parallel_drains=N)`` every insertion and removal here runs
 under the partition manager's lock, and so does every walk that can
 race with them (successor marking, :meth:`PartitionManager.mark_successors`;
-the Pearce–Kelly search, which runs inside :meth:`create_edge`).  The
+the height-label walk, which runs inside :meth:`create_edge`).  The
 serial path takes no lock and copies nothing.
 """
 
@@ -132,13 +132,14 @@ class DependencyGraph:
         self.stats.edges_created += 1
         if _EDGE_ADDED in self.events.observed:
             self.events.emit(_EDGE_ADDED, src, data=dst)
-        before = self.order.shifts
-        self.order.edge_added(src, dst)
-        shifted = self.order.shifts - before
-        if shifted:
-            self.stats.order_shifts += shifted
-            if _ORDER_SHIFTED in self.events.observed:
-                self.events.emit(_ORDER_SHIFTED, dst, amount=shifted)
+        if src.order >= dst.order:  # else the labels already fit
+            order = self.order
+            before = order.shifts
+            order.edge_added(src, dst)
+            if order.shifts != before:
+                self.stats.order_shifts += 1
+                if _ORDER_SHIFTED in self.events.observed:
+                    self.events.emit(_ORDER_SHIFTED, dst, amount=1)
         self.partitions.union(src, dst)
 
     def remove_pred_edges(self, node: DepNode) -> int:

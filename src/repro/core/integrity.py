@@ -11,6 +11,9 @@ violation of the invariants the rest of the engine assumes:
   mirror in the destination's predecessor map, and vice versa (the
   graph always writes both sides of an edge together, so asymmetry
   means corruption).
+* **Label order** — every edge runs from a lower to a higher height
+  label (:mod:`repro.core.order`).  Checked only while the runtime has
+  never seen a cyclic insertion: edges on a cycle cannot all satisfy it.
 * **Inconsistent-set/flag agreement** — a node's
   ``in_inconsistent_set`` flag is True iff its partition's set counts it
   as a member; the dirty-set registry covers every non-empty set.
@@ -69,6 +72,8 @@ def audit(rt: "Runtime", *, raise_on_violation: bool = True) -> List[str]:
     nodes = rt.graph.nodes
     if nodes:
         _audit_edges(nodes, report)
+        if not rt.order.cycles_detected:
+            _audit_labels(nodes, report)
         _audit_incset_membership(rt, nodes, report)
         _audit_partition_ownership(rt, nodes, report)
         _audit_disposed(nodes, report)
@@ -104,6 +109,17 @@ def _audit_edges(nodes, report) -> None:
                 if not report(
                     f"edge {src.label!r} -> {node.label!r} missing from "
                     f"the source's succ map"
+                ):
+                    return
+
+
+def _audit_labels(nodes, report) -> None:
+    for node in nodes:
+        for dst in node.succ:
+            if node.order >= dst.order:
+                if not report(
+                    f"edge {node.label!r} -> {dst.label!r} runs from label "
+                    f"{node.order} to {dst.order}, not upwards"
                 ):
                     return
 

@@ -157,7 +157,8 @@ class DepNode:
         self.pred: Dict[DepNode, None] = {}
         self.ref = ref
         self.label = label or f"{kind.value}#{self.node_id}"
-        #: Topological order key maintained by repro.core.order.
+        #: Height label maintained by repro.core.order: every edge runs
+        #: from a lower to a higher label.
         self.order: int = 0
         #: Handle used by repro.core.partition's union-find.
         self.partition_item: Any = None

@@ -74,15 +74,17 @@ class _Item:
 class InconsistentSet:
     """A partition's pending-change worklist, drained in topological order.
 
-    Implemented as a binary min-heap keyed by the node's topological
-    order at insertion time, with lazy deletion (the node's
+    Implemented as a binary min-heap keyed by the node's height label
+    (:mod:`repro.core.order`: every edge runs from a lower to a higher
+    label) at insertion time, with lazy deletion (the node's
     ``in_inconsistent_set`` flag is the source of truth for membership).
-    Order keys may go stale when Pearce–Kelly reorders nodes; that only
-    degrades scheduling quality, never correctness, because quiescence
-    propagation re-checks values.
+    Labels only rise, so a key goes stale only by understating its
+    node's label; that only degrades scheduling quality, never
+    correctness, because quiescence propagation re-checks values.
 
-    The tie-break sequence keeps heap entries from ever comparing on the
-    DepNode itself (which would raise).  Sets created by a
+    Many nodes share a label, and the tie-break sequence orders them
+    FIFO, by insertion.  It also keeps heap entries from ever comparing
+    on the DepNode itself (which would raise).  Sets created by a
     :class:`PartitionManager` share the manager's counter so entries
     stay comparable across :meth:`merge_from`; a standalone set (tests,
     tooling) gets a private counter.

@@ -25,12 +25,12 @@ leaves node selection to subclasses:
 
 * :class:`TopologicalScheduler` — the default and the pre-refactor
   ``Evaluator``: pops the inconsistent set's min-heap, which is keyed by
-  Pearce–Kelly topological order.
+  the incrementally maintained height labels of :mod:`repro.core.order`.
 * :class:`HeightOrderedScheduler` — processes pending nodes in
-  ascending *dependency height* (longest path from storage), the
+  ascending *exact* dependency height (longest path from storage), the
   priority used by Hoover's earlier aggregate-update work and by
-  Incremental-style engines.  Heights are computed per refill, so it
-  trades scheduling bookkeeping for immunity to stale Pearce–Kelly keys.
+  Incremental-style engines.  Heights are recomputed per refill, so it
+  trades scheduling bookkeeping for immunity to stale heap keys.
 
 The unit of draining is a partition (:class:`PartitionScheduler`), not
 the runtime: :meth:`Scheduler.drain` claims one partition, processes it
@@ -334,7 +334,7 @@ class Scheduler:
                 # re-running its body — the body would only re-raise
                 # through the poisoned read, and skipping it keeps the
                 # drain deterministic.
-                source = self._poisoned_input(node)
+                source = self._poisoned_input(rt, node)
                 if source is not None:
                     rt._poison_from_input(node, source)
                     rt.partitions.mark_successors(node)
@@ -372,21 +372,26 @@ class Scheduler:
                 rt.partitions.mark_successors(node)
 
     @staticmethod
-    def _poisoned_input(node: DepNode) -> Optional[Poisoned]:
-        for pred in node.pred:
-            value = pred.value
-            if type(value) is Poisoned:
-                return value
+    def _poisoned_input(rt: "Runtime", node: DepNode) -> Optional[Poisoned]:
+        # Under parallel_drains another thread may be running this very
+        # node, rewriting ``node.pred``; scan it under the lock that
+        # guards every edge edit.
+        with rt.partitions.guard():
+            for pred in node.pred:
+                value = pred.value
+                if type(value) is Poisoned:
+                    return value
         return None
 
 
 class TopologicalScheduler(Scheduler):
     """The default policy and the pre-refactor ``Evaluator``.
 
-    The inconsistent set is a min-heap keyed by Pearce–Kelly topological
-    order at insertion time, so popping it *is* the selection policy —
-    O(log n) per step, with keys that may go stale under reordering
-    (degrading schedule quality, never correctness).
+    The inconsistent set is a min-heap keyed by each node's height label
+    (:mod:`repro.core.order`) at insertion time, ties broken FIFO, so
+    popping it *is* the selection policy — O(log n) per step.  Labels
+    only rise, so a stale key can only pop a node early (degrading
+    schedule quality, never correctness).
     """
 
     name = "topological"
@@ -404,8 +409,10 @@ class HeightOrderedScheduler(Scheduler):
     itself is height 0).  Each refill drains the whole inconsistent set
     into a private per-drain buffer, computes heights once, and serves
     the buffer smallest-height first; nodes marked *during* processing
-    are picked up by the next refill.  Unlike the insertion-time heap
-    keys this priority is always fresh, at the cost of an O(affected
+    are picked up by the next refill.  The topological policy's heap
+    keys are height labels read at insertion time: labels only rise, so
+    a key can overstate a node's height or go stale in the queue.  This
+    priority is exact and always fresh, at the cost of an O(affected
     subgraph) height computation per refill — the classic
     throughput-vs-overhead scheduling trade the Scheduler interface
     exists to let callers make.

@@ -67,7 +67,8 @@ class RuntimeStats:
     #: the inconsistent set (Algorithm 5's Evaluate call).
     forced_evaluations: int = 0
 
-    #: Topological-order maintenance work (Pearce–Kelly reorderings).
+    #: Topological-order maintenance work (edge insertions that raised
+    #: height labels).
     order_shifts: int = 0
 
     #: Union-find operations for graph partitioning (Section 6.3).

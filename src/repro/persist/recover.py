@@ -286,8 +286,9 @@ def _materialize(
         else:
             node = rt.graph.new_procedure_node(kind, spec["label"])
         made.append((node, spec))
-    # Edges re-run Pearce–Kelly ordering and union-find partitioning, so
-    # heights and partitions come back for free.
+    # Edges re-run height labelling and union-find partitioning, so
+    # labels and partitions come back for free (the checkpoint stores
+    # neither).
     for src, dst in payload.get("edges", ()):
         rt.graph.create_edge(made[src][0], made[dst][0])
     for node, spec in made:

@@ -127,6 +127,29 @@ class TestCorruptionDetection:
         violations = rt.check_invariants(raise_on_violation=False)
         assert any("succ map" in v for v in violations)
 
+    def test_label_below_a_predecessor_reported(self, rt):
+        _, total, doubled = _busy_runtime(rt)
+        node = rt.node_for(total, ())
+        assert rt.check_invariants() == []
+        node.order = 0  # corrupt: below the storage cells it reads
+        violations = rt.check_invariants(raise_on_violation=False)
+        assert any("not upwards" in v and "total()" in v for v in violations)
+
+    def test_label_audit_waits_out_cycles(self, rt):
+        """Edges on a cycle cannot all point upwards, so once an insert
+        has closed one the audit stops checking labels."""
+        cell = Cell(1, label="c")
+
+        @cached
+        def f():
+            return cell.get()
+
+        f()
+        node = rt.node_for(f, ())
+        rt.graph.create_edge(node, node)  # a self-loop closes a cycle
+        assert rt.order.cycles_detected == 1
+        assert rt.check_invariants() == []
+
     def test_error_lists_all_violations(self, rt):
         from repro.core.runtime import _Frame
         from repro.core.node import DepNode, NodeKind

@@ -271,3 +271,65 @@ class TestEdgeMapRace:
     def test_cross_partition_reads_during_a_drain(self):
         for _ in range(self.ROUNDS):
             self._round()
+
+
+class TestPoisonScanRace:
+    """The eager containment shortcut scans a node's ``pred`` map for a
+    poisoned input, and another thread running that node rewrites the
+    map.  Here a helper thread stands in for that execution: it links
+    and unlinks a storage node into ``total``'s ``pred`` map through
+    ``DependencyGraph.create_edge``/``remove_succ_edges`` (the calls a
+    concurrent run of ``total`` makes) while every flush scans the map
+    past 3,000 clean inputs to the poisoned one at its end.  The scan
+    holds the partition lock, so no flush may fail."""
+
+    READS = 3000
+    ROUNDS = 3
+    FLUSHES = 200
+
+    def _round(self):
+        runtime = Runtime(parallel_drains=2)
+        with runtime.active():
+            cells = [Cell(i, label=f"c{i}") for i in range(self.READS)]
+            bad = Cell(1, label="bad")
+
+            @cached(strategy=EAGER)
+            def broken():
+                if bad.get():
+                    raise ValueError("poison")
+                return 0
+
+            @cached(strategy=EAGER)
+            def total():
+                return sum(cell.get() for cell in cells) + broken()
+
+            with pytest.raises(NodeExecutionError):
+                total()
+            node = runtime.node_for(total, ())
+            extra = runtime.graph.new_storage_node("extra")
+            stop = threading.Event()
+
+            def churn():
+                graph = runtime.graph
+                while not stop.is_set():
+                    graph.create_edge(extra, node)
+                    graph.remove_succ_edges(extra)
+
+            helper = threading.Thread(target=churn)
+            helper.start()
+            try:
+                for value in range(1, self.FLUSHES + 1):
+                    cells[0].set(value)
+                    runtime.flush()  # total: poisoned from its input
+            finally:
+                stop.set()
+                helper.join()
+            runtime.graph.remove_succ_edges(extra)
+            bad.set(0)
+            runtime.flush()
+            assert total() == self.FLUSHES + sum(range(1, self.READS))
+        runtime.close()
+
+    def test_poisoned_input_scan_during_edge_edits(self):
+        for _ in range(self.ROUNDS):
+            self._round()
