@@ -87,6 +87,8 @@ class TrackedObject:
     """
 
     _fields_: Tuple[str, ...] = ()
+    #: :meth:`all_fields`, computed once per class.
+    _all_fields_: Tuple[str, ...] = ()
 
     # One dict per instance would dominate the footprint of fine-grained
     # object graphs (a tracked tree node is mostly its cells).  Subclasses
@@ -94,8 +96,19 @@ class TrackedObject:
     # a __dict__ of their own; the base stays lean.
     __slots__ = ("_cells", "__weakref__")
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # Runs for classes built with type(...) too (the attribute
+        # grammar's productions, tracked_fields).
+        super().__init_subclass__(**kwargs)
+        seen: List[str] = []
+        for klass in reversed(cls.__mro__):
+            for name in getattr(klass, "_fields_", ()):
+                if name not in seen:
+                    seen.append(name)
+        cls._all_fields_ = tuple(seen)
+
     def __init__(self, **field_values: Any) -> None:
-        fields = type(self).all_fields()
+        fields = type(self)._all_fields_
         cells: Dict[str, Cell] = {}
         cls_name = type(self).__name__
         for name in fields:
@@ -108,13 +121,9 @@ class TrackedObject:
 
     @classmethod
     def all_fields(cls) -> Tuple[str, ...]:
-        """Every tracked field declared by this class and its bases."""
-        seen: List[str] = []
-        for klass in reversed(cls.__mro__):
-            for name in getattr(klass, "_fields_", ()):
-                if name not in seen:
-                    seen.append(name)
-        return tuple(seen)
+        """Every tracked field declared by this class and its bases,
+        base-class fields first."""
+        return cls._all_fields_
 
     def field_cell(self, name: str) -> Cell:
         """The underlying cell for field ``name`` (diagnostics)."""

@@ -82,12 +82,17 @@ class PickleCodec:
             raise CodecError(f"undecodable pickle payload: {exc}") from exc
 
 
+#: Built once: ``json.dumps`` with keyword arguments constructs a new
+#: encoder on every call.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class JsonCodec:
     name = "json"
 
     def encode(self, value: Any) -> str:
         try:
-            return json.dumps(value, sort_keys=True)
+            return _JSON_ENCODER.encode(value)
         except (TypeError, ValueError) as exc:
             raise CodecError(f"value is not JSON-safe: {exc}") from exc
 

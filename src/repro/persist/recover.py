@@ -149,7 +149,8 @@ def recover(
     """Reconstruct a runtime from the checkpoint/WAL pair at ``path``.
 
     Returns ``(runtime, report)``; the report is also kept at
-    ``runtime.last_recovery`` and announced as a ``RECOVERY`` event.
+    ``runtime.last_recovery`` and, if a handler observes that kind,
+    announced as a ``RECOVERY`` event.
     Extra keyword arguments are forwarded to the ``Runtime``
     constructor (``keep_registry`` is forced on — adoption and
     re-checkpointing both need the registry).
@@ -229,8 +230,15 @@ def recover(
     if report.replayed:
         report.mode = "replayed"
     rt.last_recovery = report
-    rt.events.emit(EventKind.RECOVERY, None, data=report.to_dict())
+    _announce(rt, report)
     return rt, report
+
+
+def _announce(rt: Runtime, report: RecoveryReport) -> None:
+    """Emit the ``RECOVERY`` event, if some handler observes it: the
+    payload deep-copies ``app_state``, whole edit history included."""
+    if EventKind.RECOVERY in rt.events.observed:
+        rt.events.emit(EventKind.RECOVERY, None, data=report.to_dict())
 
 
 def _degraded(
@@ -264,7 +272,7 @@ def _degraded(
     report.corrupt_file = wal.corrupt_file
     report.corrupt_offset = wal.corrupt_offset
     rt.last_recovery = report
-    rt.events.emit(EventKind.RECOVERY, None, data=report.to_dict())
+    _announce(rt, report)
     return rt, report
 
 

@@ -68,6 +68,10 @@ __all__ = ["PersistenceManager", "WalScan", "WriteAheadLog"]
 #: Sealed-segment suffix: ``<path>.seg000001`` etc., ordered by number.
 _SEGMENT_RE = re.compile(r"\.seg(\d{6})$")
 
+#: Canonical record encoder, built once: ``json.dumps`` with keyword
+#: arguments constructs a new encoder on every call.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclasses.dataclass
 class WalScan:
@@ -162,7 +166,7 @@ class WriteAheadLog:
         """Append one record; returns the LSN it was stamped with."""
         lsn = self.last_lsn + 1
         record = dict(record, lsn=lsn)
-        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        body = _RECORD_ENCODER.encode(record)
         crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
         line = f"{crc:08x} {body}\n"
         torn = self._torn
@@ -381,7 +385,8 @@ class PersistenceManager:
     WAL it subsumes.  :meth:`log_app` appends an application-level redo
     record (surfaced by recovery as ``RecoveryReport.app_records`` in
     order, for layers that replay semantic operations — see the
-    spreadsheet's formula log).
+    spreadsheet's formula log).  :attr:`changed` says whether a new
+    checkpoint could differ from the one on disk.
     """
 
     def __init__(
@@ -410,6 +415,38 @@ class PersistenceManager:
         )
         for kind, handler in self._subscriptions:
             rt.events.subscribe(kind, handler)
+        # Attaching adopts the files at ``path`` as the graph's durable
+        # state: the caller either just recovered from them or cuts a
+        # checkpoint next.
+        self._settled = self._progress()
+
+    def _progress(self) -> Tuple[int, ...]:
+        """The WAL position and the counters of every change a checkpoint
+        records: tracked writes, and bodies run, poisoned or marked
+        inconsistent."""
+        stats = self.runtime.stats
+        return (
+            self.wal.last_lsn,
+            stats.modifies,
+            stats.executions,
+            stats.nodes_poisoned,
+            stats.inconsistent_marks,
+        )
+
+    @property
+    def changed(self) -> bool:
+        """Whether a WAL record was appended, or the graph or its
+        storage changed, since the last checkpoint (or since attach, for
+        a manager reattached to the state it was recovered from).
+
+        Reads alone leave it False: a cache hit, and a restored node
+        adopted without running its body, change nothing a checkpoint
+        would add — the one on disk already holds those nodes.  Writes
+        count even when they log nothing (a location no node tracks
+        yet): application state checkpointed beside the graph may still
+        have moved.
+        """
+        return self._progress() != self._settled
 
     # -- event handlers ---------------------------------------------------
 
@@ -490,6 +527,7 @@ class PersistenceManager:
             crash_hook=self._checkpoint_crash_hook,
         )
         self.wal.truncate()
+        self._settled = self._progress()
         self.runtime.events.emit(
             EventKind.CHECKPOINT,
             None,

@@ -87,8 +87,9 @@ def promote_root(
 
     Returns ``(report, sessions)``; ``sessions`` is populated only with
     ``keep_open=True`` (the caller then owns closing them) — otherwise
-    each session is closed with a fresh checkpoint, leaving the root
-    ready for a new server to serve from.
+    each session is closed, its WAL tail already folded into a
+    checkpoint at open, leaving the root ready for a new server to
+    serve from.
     """
     from ..core.integrity import audit
     from ..serve.config import ServeConfig

@@ -114,6 +114,12 @@ class Session:
         config's watchdog budget and (optional) resilience deadline; its
         metrics collector is pointed at the server's shared registry so
         every tenant aggregates into one ``/metrics`` exposition.
+
+        A fresh session is checkpointed at once, and so is a recovery
+        that replayed WAL records, surfaced app records, dropped a torn
+        tail or degraded: the checkpoint folds the log into the new
+        state.  A clean recovery from an empty WAL only reattaches the
+        log; the checkpoint on disk is the state it just loaded.
         """
         path = cls.state_path(config.root, sid)
         policy = None
@@ -128,16 +134,15 @@ class Session:
         }
         if config.parallel_drains is not None:
             runtime_kwargs["parallel_drains"] = config.parallel_drains
+        report = None
         if os.path.exists(path):
-            sheet, _report = Spreadsheet.load(path, **runtime_kwargs)
+            sheet, report = Spreadsheet.load(path, **runtime_kwargs)
             rt = sheet.runtime
-            resurrected = True
         else:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             rt = Runtime(**runtime_kwargs)
             with rt.active():
                 sheet = Spreadsheet(config.rows, config.cols)
-            resurrected = False
         if registry is not None:
             rt.obs.metrics = RuntimeMetrics(registry=registry)
         rt.obs.flight = FlightRecorder(config.flight_capacity)
@@ -148,14 +153,18 @@ class Session:
             flight=True,
         )
         with rt.active():
-            # (Re)attach the WAL manager and cut a checkpoint: a fresh
-            # session becomes durable before its first edit, and a
-            # resurrected one folds its replayed WAL tail back into the
-            # checkpoint so the log never grows across generations.
-            sheet.save(path)
-        if config.wal_segment_records is not None and rt._persist is not None:
-            rt._persist.wal.segment_records = config.wal_segment_records
-        session = cls(sid, sheet, rt, path, resurrected=resurrected)
+            manager = rt.persist_to(path, codec="json")
+            if report is None or report.mode != "clean" or manager.wal.last_lsn:
+                # A fresh session becomes durable before its first edit,
+                # and a resurrected one folds whatever its WAL held back
+                # into the checkpoint, so the log never grows across
+                # generations.  After a clean recovery from an empty log
+                # the checkpoint on disk is kept: it holds every restored
+                # node, and a new one would keep only those adopted so far.
+                sheet.save(path)
+        if config.wal_segment_records is not None:
+            manager.wal.segment_records = config.wal_segment_records
+        session = cls(sid, sheet, rt, path, resurrected=report is not None)
         if shipper is not None:
             session.attach_replication(shipper)
         return session
@@ -163,17 +172,24 @@ class Session:
     def close(
         self, *, checkpoint: bool = True, reason: str = "shutdown"
     ) -> None:
-        """Flush, checkpoint, and release the tenant's threads.
+        """Flush, checkpoint if anything changed, and release the
+        tenant's threads.
 
-        Idempotent.  This is both the eviction path (``reason=
-        "eviction"``) and the graceful shutdown path: after it returns
-        the session's entire state is on disk and every thread-backed
-        resource (deadline monitor, drain pool, WAL handle) is stopped —
-        :meth:`open` on the same directory resurrects an equivalent
-        session.  An eviction that buries live poisoned values dumps
-        the flight ring first: the tenant is leaving memory with an
-        unresolved failure, and this is the last chance to keep the
-        evidence.
+        Idempotent.  This is the eviction path (``reason="eviction"``),
+        the graceful shutdown path and the end of a promotion: after it
+        returns the session's entire state is on disk and every
+        thread-backed resource (deadline monitor, drain pool, WAL
+        handle) is stopped — :meth:`open` on the same directory
+        resurrects an equivalent session.  The closing checkpoint is
+        cut only when a WAL record was appended, a tracked write
+        happened, or a body ran, was poisoned or was marked
+        inconsistent, since the last checkpoint (or since a clean
+        reopen); a generation that only hit caches leaves the files as
+        they are.  ``checkpoint=False`` never cuts one and leaves any
+        WAL tail for the next :meth:`open` to replay.  An eviction that
+        buries live poisoned values dumps the flight ring first: the
+        tenant is leaving memory with an unresolved failure, and this
+        is the last chance to keep the evidence.
         """
         with self._lock:
             if self._closed:
@@ -181,7 +197,7 @@ class Session:
             self._closed = True
             with self.runtime.active():
                 self.runtime.flush()
-                if checkpoint:
+                if checkpoint and self.runtime._persist.changed:
                     self.sheet.save(self.path)
             if (
                 reason == "eviction"

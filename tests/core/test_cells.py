@@ -70,6 +70,12 @@ class TestTrackedObject:
         obj = Leaf(a=1, b=2, c=3)
         assert (obj.a, obj.b, obj.c) == (1, 2, 3)
 
+    def test_all_fields_is_computed_once_per_class(self, rt):
+        Built = type("Built", (tracked_fields("x", "y"),), {"_fields_": ("x", "z")})
+        assert Built.all_fields() == ("x", "y", "z")
+        assert Built.all_fields() is Built.all_fields()
+        assert TrackedObject.all_fields() == ()
+
     def test_field_reads_tracked_inside_procedures(self, rt):
         Point = tracked_fields("x")
         p = Point(x=5)

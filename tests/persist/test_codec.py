@@ -1,5 +1,7 @@
 """Checkpoint/WAL value codecs (repro.persist.codec)."""
 
+import json
+
 import pytest
 
 from repro import Cell, Runtime, TrackedObject
@@ -60,6 +62,14 @@ class TestJsonCodec:
     def test_garbled_payload_raises_codec_error(self):
         with pytest.raises(CodecError):
             JsonCodec().decode("{truncated")
+
+    def test_encoding_is_byte_identical_to_json_dumps(self):
+        codec = JsonCodec()
+        for value in (
+            None, True, 7, -2.5, float("inf"), "plain", "caf\u00e9 \u2713",
+            [3, "b", None], {"z": 1, "a": {"y": [1.5], "b": "x"}},
+        ):
+            assert codec.encode(value) == json.dumps(value, sort_keys=True)
 
 
 class TestRegistry:

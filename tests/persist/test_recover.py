@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import Cell, EAGER, NodeExecutionError, Runtime, cached
+from repro import Cell, EAGER, EventBus, EventKind, NodeExecutionError, Runtime, cached
 from repro.persist.ids import fresh_id_space
 from repro.persist.recover import RecoveryReport, RestoredFault, recover
 from repro.persist.wal import WriteAheadLog
@@ -333,6 +333,34 @@ class TestRecoveryReport:
         out = tmp_path / "report.json"
         report.write(str(out))
         assert json.loads(out.read_text())["mode"] == "clean"
+
+    @pytest.mark.parametrize("damaged", [False, True])
+    def test_recovery_event_only_when_observed(self, tmp_path, monkeypatch, damaged):
+        path = str(tmp_path / "state")
+        fresh_id_space()
+        rt = Runtime(keep_registry=True)
+        with rt.active():
+            _program([1])[1]()
+            rt.checkpoint(path, app_state={"edits": [[0, 0, 1]]})
+        if damaged:
+            with open(path, "ab") as fh:
+                fh.write(b"trailing garbage")
+        mode = "degraded" if damaged else "clean"
+
+        # Unobserved: the payload, a deep copy of app_state, is not built.
+        def no_payload(report):
+            raise AssertionError("RECOVERY payload built for nobody")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RecoveryReport, "to_dict", no_payload)
+            rt2, report = recover(path)
+        assert report.mode == mode and rt2.last_recovery is report
+
+        bus = EventBus()
+        seen = []
+        bus.subscribe(EventKind.RECOVERY, lambda k, n, a, data: seen.append(data))
+        _rt3, report = recover(path, events=bus)
+        assert seen == [report.to_dict()] and seen[0]["mode"] == mode
 
     def test_missing_checkpoint_never_raises(self, tmp_path):
         rt, report = recover(str(tmp_path / "never-written"))

@@ -1,6 +1,7 @@
 """Checkpoint snapshots: format, atomicity, drop policy, corruption
 detection (repro.persist.snapshot)."""
 
+import json
 import os
 
 import pytest
@@ -59,6 +60,29 @@ class TestWriteCheckpoint:
         path = str(tmp_path / "ckpt")
         write_checkpoint(rt, path, app_state={"rows": 3, "cols": [1, 2]})
         assert read_checkpoint(path)["app_state"] == {"rows": 3, "cols": [1, 2]}
+
+    def test_json_checkpoint_is_byte_identical_to_json_dumps(self, tmp_path):
+        fresh_id_space()
+        rt = Runtime(keep_registry=True)
+        values = [{"z": 1, "a": ["caf\u00e9", 2.5]}, "x", None, 3]
+        with rt.active():
+            cells = [Cell(v, label=f"c{i}") for i, v in enumerate(values)]
+
+            @cached
+            def everything():
+                return [c.get() for c in cells]
+
+            everything()
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(rt, path, codec="json", app_state={"b": 1, "a": 2})
+        payload = read_checkpoint(path)
+        stored = {n["sid"]: n["value"] for n in payload["nodes"]}
+        for i, value in enumerate(values):
+            assert stored[f"c{i}#0"] == json.dumps(value, sort_keys=True)
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        with open(path, "rb") as fh:
+            fh.readline()  # header: magic, version, CRC, length
+            assert fh.read() == body.encode("utf-8")
 
     def test_requires_a_node_registry(self, tmp_path):
         rt = Runtime(keep_registry=False)

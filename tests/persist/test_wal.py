@@ -1,6 +1,9 @@
 """Write-ahead log and the event-driven persistence manager
 (repro.persist.wal)."""
 
+import json
+import zlib
+
 import pytest
 
 from repro import Cell, EventKind, Runtime, cached
@@ -23,6 +26,17 @@ def _track(*cells):
 
 
 class TestWriteAheadLog:
+    def test_line_is_byte_identical_to_json_dumps(self, tmp_path):
+        path = str(tmp_path / "log.wal")
+        wal = WriteAheadLog(path)
+        record = {"t": "a", "d": {"source": "caf\u00e9", "row": 1, "col": 0}}
+        wal.append(record)
+        wal.close()
+        body = json.dumps(dict(record, lsn=1), sort_keys=True, separators=(",", ":"))
+        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == f"{crc:08x} {body}\n"
+
     def test_append_read_roundtrip(self, tmp_path):
         path = str(tmp_path / "log.wal")
         wal = WriteAheadLog(path)

@@ -1,5 +1,7 @@
 """Session lifecycle: open, apply, evict-close, resurrect."""
 
+import os
+
 import pytest
 
 from repro.ag.expr import Exp
@@ -265,3 +267,201 @@ class TestCloseAndResurrect:
         finally:
             a.close()
             b_sheet.runtime.close()
+
+
+# ----------------------------------------------------------------------
+# when open and close cut a checkpoint
+# ----------------------------------------------------------------------
+
+
+def _layered(rows, cols):
+    """Constants in row 0; every later cell sums two cells above it."""
+    cells = [[0, c, c + 1] for c in range(cols)]
+    for r in range(1, rows):
+        for c in range(cols):
+            cells.append([r, c, f"R{r - 1}C{c} + R{r - 1}C{(c + 1) % cols}"])
+    return cells
+
+
+def _read_row(session, row, cols=4):
+    return [
+        session.apply({"op": "read", "session": "t1", "row": row, "col": c})["value"]
+        for c in range(cols)
+    ]
+
+
+def _checkpoints(session):
+    """CHECKPOINT events in the session's flight ring (open included)."""
+    return sum(1 for r in session.flight.records() if r["kind"] == "checkpoint")
+
+
+def _seeded(config):
+    """A 4x4 layered tenant, fully read once, then evicted."""
+    session = Session.open("t1", config)
+    session.apply({"op": "batch", "session": "t1", "cells": _layered(4, 4)})
+    for row in range(4):
+        _read_row(session, row)
+    session.close(reason="eviction")
+    return Session.state_path(config.root, "t1")
+
+
+class TestQuiescentCheckpoints:
+    def test_read_only_generations_leave_the_checkpoint_alone(self, tmp_path):
+        config = make_config(tmp_path)
+        path = _seeded(config)
+        with open(path, "rb") as fh:
+            on_disk = fh.read()
+        mtime = os.stat(path).st_mtime_ns
+        expected = _replay_serially(_layered(4, 4), 4, 4)[3]
+        for _generation in range(6):
+            revived = Session.open("t1", config)
+            assert revived.runtime.last_recovery.mode == "clean"
+            assert _checkpoints(revived) == 0
+            assert _read_row(revived, 3) == expected
+            assert revived.runtime.stats.executions == 0
+            revived.close(reason="eviction")
+            assert _checkpoints(revived) == 0
+            with open(path, "rb") as fh:
+                assert fh.read() == on_disk
+            assert os.stat(path).st_mtime_ns == mtime
+            assert os.path.getsize(path + ".wal") == 0
+
+    def test_a_read_that_executes_checkpoints_at_eviction(self, tmp_path):
+        config = make_config(tmp_path)
+        session = Session.open("t1", config)
+        session.apply(
+            {"op": "batch", "session": "t1", "cells": [[0, 0, 2], [1, 0, "R0C0 + 1"]]}
+        )
+        session.close(reason="eviction")  # R1C0 was never computed
+
+        revived = Session.open("t1", config)
+        assert _checkpoints(revived) == 0
+        read = revived.apply({"op": "read", "session": "t1", "row": 1, "col": 0})
+        assert read["value"] == 3
+        assert revived.runtime.stats.executions > 0
+        revived.close(reason="eviction")
+        assert _checkpoints(revived) == 1
+        path = Session.state_path(config.root, "t1")
+        assert os.path.getsize(path + ".wal") == 0
+
+        # The computed cone is now on disk: the next read runs nothing.
+        again = Session.open("t1", config)
+        try:
+            read = again.apply({"op": "read", "session": "t1", "row": 1, "col": 0})
+            assert read["value"] == 3
+            assert again.runtime.stats.executions == 0
+        finally:
+            again.close()
+
+    def test_a_write_checkpoints_at_eviction(self, tmp_path):
+        config = make_config(tmp_path)
+        path = _seeded(config)
+        revived = Session.open("t1", config)
+        assert _checkpoints(revived) == 0
+        revived.apply({"op": "write", "session": "t1", "cells": [[0, 0, 10]]})
+        assert os.path.getsize(path + ".wal") > 0
+        revived.close(reason="eviction")
+        assert _checkpoints(revived) == 1
+        assert os.path.getsize(path + ".wal") == 0
+
+        again = Session.open("t1", config)
+        try:
+            assert again.runtime.last_recovery.mode == "clean"
+            log = again.apply({"op": "log", "session": "t1"})["edits"]
+            assert log == _layered(4, 4) + [[0, 0, 10]]
+            assert _read_row(again, 3) == _replay_serially(log, 4, 4)[3]
+        finally:
+            again.close()
+
+    def test_a_write_the_wal_does_not_log_checkpoints_at_eviction(self, tmp_path):
+        config = make_config(tmp_path)
+        session = Session.open("t1", config)
+        session.apply({"op": "write", "session": "t1", "cells": [[0, 0, 5]]})
+        session.apply({"op": "snapshot", "session": "t1"})
+        with session.runtime.active():
+            # No formula-grammar rendering, so no redo record; and no
+            # read gave the cell's formula a node, so no graph record.
+            session.sheet.set_formula(0, 0, _Exploding())
+        session.close(reason="eviction")
+        assert _checkpoints(session) == 3  # open, snapshot, eviction
+
+        revived = Session.open("t1", config)
+        try:
+            # A formula the redo state cannot hold reloads as an empty cell.
+            dump = revived.apply({"op": "dump", "session": "t1"})
+            assert dump["values"][0][0] == 0
+        finally:
+            revived.close()
+
+    @pytest.mark.parametrize("damage", ["torn-tail", "replayed-tail", "degraded"])
+    def test_a_recovery_that_read_the_wal_checkpoints_at_open(self, tmp_path, damage):
+        config = make_config(tmp_path)
+        path = _seeded(config)
+        session = Session.open("t1", config)
+        session.apply({"op": "write", "session": "t1", "cells": [[0, 1, 7]]})
+        session.apply({"op": "write", "session": "t1", "cells": [[0, 2, 8]]})
+        edits = session.edit_log[:]
+        session.close(checkpoint=False)
+        wal = path + ".wal"
+        if damage == "torn-tail":
+            # The two writes were checkpointed; only a torn append remains.
+            session = Session.open("t1", config)
+            session.close()
+            with open(wal, "ab") as fh:
+                fh.write(b'0badc0de {"t":"a","d":{"op":"set_f')
+        elif damage == "degraded":
+            with open(wal, "rb") as fh:
+                lines = fh.read().split(b"\n")
+            lines[0] = lines[0][:-4] + b"XXXX"  # garbled, with records after it
+            with open(wal, "wb") as fh:
+                fh.write(b"\n".join(lines))
+
+        revived = Session.open("t1", config)
+        try:
+            report = revived.runtime.last_recovery
+            if damage == "torn-tail":
+                assert report.mode == "clean" and report.dropped_tail
+            elif damage == "replayed-tail":
+                assert report.mode == "replayed" and report.app_records
+            else:
+                assert report.mode == "degraded"
+            assert _checkpoints(revived) == 1
+            assert os.path.getsize(wal) == 0
+            log = revived.apply({"op": "log", "session": "t1"})["edits"]
+            if damage == "degraded":
+                # Records from the damaged one on are untrusted.
+                assert log == edits[: len(log)] and len(log) < len(edits)
+            else:
+                assert log == edits
+            dump = revived.apply({"op": "dump", "session": "t1"})
+            assert dump["values"] == _replay_serially(log, 4, 4)
+        finally:
+            revived.close()
+
+    def test_wal_tail_after_a_skipped_open_checkpoint_recovers(self, tmp_path):
+        config = make_config(tmp_path)
+        path = _seeded(config)
+        revived = Session.open("t1", config)
+        assert _checkpoints(revived) == 0
+        revived.apply({"op": "write", "session": "t1", "cells": [[0, 3, 40]]})
+        revived.apply(
+            {"op": "batch", "session": "t1",
+             "cells": [[2, 1, "R0C3 + R1C0"], [1, 1, 5]]}
+        )
+        _read_row(revived, 3)
+        revived.apply({"op": "write", "session": "t1", "cells": [[3, 0, "R2C1 + 1"]]})
+        revived.close(checkpoint=False)
+        assert os.path.getsize(path + ".wal") > 0
+
+        again = Session.open("t1", config)
+        try:
+            assert again.runtime.last_recovery.mode == "replayed"
+            log = again.apply({"op": "log", "session": "t1"})["edits"]
+            assert log == _layered(4, 4) + [
+                [0, 3, 40], [2, 1, "R0C3 + R1C0"], [1, 1, 5], [3, 0, "R2C1 + 1"],
+            ]
+            dump = again.apply({"op": "dump", "session": "t1"})
+            assert dump["values"] == _replay_serially(log, 4, 4)
+            assert again.apply({"op": "audit", "session": "t1"})["sound"]
+        finally:
+            again.close()
