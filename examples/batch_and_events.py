@@ -5,13 +5,17 @@ Two additions the layering makes first-class:
 * ``with rt.batch():`` — a burst of writes is coalesced per location and
   served by a single propagation drain at commit, the paper's §3.4
   "changes to many pointers ... are batched" as an explicit API;
-* ``rt.events`` — every engine action is a typed event; counters, the
-  debugger, and trace export are just subscribers.
+* ``rt.events`` — every engine action is a typed event; the event ring
+  (``rt.obs.flight``) is a subscriber, and explain chains, span trees
+  and the JSONL trace are views of it.
 
 Run:  python examples/batch_and_events.py
 """
 
-from repro import EventKind, Runtime, TraceExporter
+from collections import Counter
+
+from repro import EventKind, Runtime
+from repro.obs import WIDE_CAPACITY, FlightRecorder
 from repro.trees import Tree, TreeNil, build_balanced
 from repro.trees.height import collect_nodes
 
@@ -56,19 +60,21 @@ def main() -> None:
             EventKind.CHANGE_DETECTED,
             lambda k, n, a, d: changes.append(n.label),
         )
-        trace = TraceExporter()
+        # A ring whose own kinds are every kind records the whole trace.
+        trace = FlightRecorder(WIDE_CAPACITY, kinds=frozenset(EventKind))
         node = bottoms[0]
         relinked = node.field_cell("left").peek()
-        with trace.capture(rt):
-            with rt.batch():
-                node.left = leaf  # undo the relink...
-                node.left = relinked  # ...and redo it before commit
-            root.height()
+        trace.attach(rt.events)
+        with rt.batch():
+            node.left = leaf  # undo the relink...
+            node.left = relinked  # ...and redo it before commit
+        root.height()
+        trace.detach()
         rt.events.unsubscribe(EventKind.CHANGE_DETECTED, handler)
-        counts = trace.counts()
+        counts = Counter(record["kind"] for record in trace.records())
         print(
             f"undo+redo in one batch: {len(changes)} changes detected, "
-            f"{counts.get('execution', 0)} re-executions"
+            f"{counts['execution']} re-executions"
         )
         print(f"trace captured {len(trace)} events")
 

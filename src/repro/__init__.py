@@ -46,7 +46,6 @@ from .core import (
     RuntimeStats,
     Scheduler,
     TopologicalScheduler,
-    TraceExporter,
     TrackedArray,
     TrackedDict,
     TrackedList,
@@ -116,7 +115,6 @@ __all__ = [
     "SpanTracer",
     "StalenessInfo",
     "TopologicalScheduler",
-    "TraceExporter",
     "Transaction",
     "TrackedArray",
     "TrackedDict",

@@ -10,7 +10,7 @@ A layered engine (see ``docs/architecture.md``):
 * **transaction** — batched writes (:class:`Transaction`,
   ``with rt.batch():``);
 * **events** — typed observability (:class:`EventBus`,
-  :class:`EventKind`, :class:`TraceExporter`); counters
+  :class:`EventKind`); counters
   (:class:`RuntimeStats`) are incremented by the kernel itself;
 * **robustness** — fault containment (:class:`Poisoned`,
   :class:`NodeExecutionError`), transactional rollback
@@ -31,7 +31,7 @@ Public surface:
 """
 
 from .cache import FIFO, LRU, ArgumentTable, CachePolicy, Unbounded
-from .events import EventBus, EventKind, TraceExporter
+from .events import EventBus, EventKind
 from .cells import (
     MISSING,
     Cell,
@@ -106,7 +106,6 @@ __all__ = [
     "SCHEDULERS",
     "Scheduler",
     "TopologicalScheduler",
-    "TraceExporter",
     "TrackedArray",
     "TrackedDict",
     "TrackedList",

@@ -5,10 +5,11 @@ maintained by Alphonse programs enables a host of other benefits
 including eager evaluation, sophisticated debugging, and parallel
 execution".  This module is the channel those benefits flow through: the
 storage/graph kernel, the scheduler, and the transaction layer announce
-what they do on an :class:`EventBus`, and every consumer — the
-execution recorder (:func:`repro.core.debug.record`), structured trace
-export (:class:`TraceExporter`), the :mod:`repro.obs` tools — is just a
-subscriber.  Operation counters are not: the kernel increments each
+what they do on an :class:`EventBus`, and every consumer — the event
+ring (:class:`repro.obs.flight.FlightRecorder`) whose views answer
+"why did this recompute" and "where did the time go", the metrics
+collector — is just a subscriber.  Operation counters are not: the
+kernel increments each
 :class:`~repro.core.stats.RuntimeStats` counter at the site that does
 the work, exactly even under ``parallel_drains``.
 
@@ -27,13 +28,11 @@ Design constraints:
 
 from __future__ import annotations
 
-import contextlib
 import enum
-import json
 import threading
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
-__all__ = ["EventKind", "EventBus", "Handler", "TraceExporter"]
+__all__ = ["EventKind", "EventBus", "Handler"]
 
 
 class EventKind(enum.Enum):
@@ -198,7 +197,7 @@ class EventBus:
     Threading: a bus is single-threaded by default (one ``is None``
     check on the hot path).  :meth:`use_lock` — called by
     ``Runtime(parallel_drains=N)`` — serializes whole emits under a
-    re-entrant lock so handlers with internal state (span tracers,
+    re-entrant lock so handlers with internal state (the event ring,
     metrics, the WAL) see events one at a time even when disjoint
     partitions drain concurrently.  The lock is re-entrant because
     handlers may themselves emit (the WAL announces its appends).
@@ -290,107 +289,3 @@ class EventBus:
             if self._all:
                 for handler in self._all:
                     handler(kind, node, amount, data)
-
-
-class TraceExporter:
-    """Structured-trace subscriber: records events, exports JSON lines.
-
-    Attach to a runtime's bus to capture a machine-readable execution
-    trace — the "sophisticated debugging" artifact layered observability
-    makes cheap::
-
-        trace = TraceExporter()
-        with trace.capture(rt):
-            sheet.put(1, 1, "= R2C2 + 1")
-            sheet.value_at(1, 1)
-        trace.write("trace.jsonl")
-
-    Each record is ``{"seq", "event", "node", "node_id", "node_kind",
-    "amount", "data"}`` with graph nodes rendered by label so traces
-    survive serialization.  ``limit`` bounds memory on unbounded runs:
-    once reached, older records are dropped (the trace keeps the tail).
-    """
-
-    def __init__(self, limit: Optional[int] = None) -> None:
-        self.records: List[Dict[str, Any]] = []
-        self.limit = limit
-        self._seq = 0
-        self._bus: Optional[EventBus] = None
-
-    # -- subscription lifecycle -----------------------------------------
-
-    def attach(self, bus: EventBus) -> "TraceExporter":
-        if self._bus is not None:
-            raise RuntimeError("TraceExporter is already attached")
-        bus.subscribe_all(self._handle)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe_all(self._handle)
-            self._bus = None
-
-    @contextlib.contextmanager
-    def capture(self, runtime_or_bus: Any) -> Iterator["TraceExporter"]:
-        """Context manager: attach for the duration of the block."""
-        self.attach(getattr(runtime_or_bus, "events", runtime_or_bus))
-        try:
-            yield self
-        finally:
-            self.detach()
-
-    # -- recording -------------------------------------------------------
-
-    def _handle(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
-        record: Dict[str, Any] = {
-            "seq": self._seq,
-            "event": kind.value,
-            "node": getattr(node, "label", None),
-            "node_id": getattr(node, "node_id", None),
-            "node_kind": getattr(getattr(node, "kind", None), "value", None),
-            "amount": amount,
-            "data": self._render(data),
-        }
-        self._seq += 1
-        self.records.append(record)
-        if self.limit is not None and len(self.records) > self.limit:
-            del self.records[: len(self.records) - self.limit]
-
-    @staticmethod
-    def _render(data: Any) -> Any:
-        if data is None or isinstance(data, (bool, int, float, str)):
-            return data
-        label = getattr(data, "label", None)
-        if label is not None:
-            return label
-        if isinstance(data, dict):
-            return {str(k): TraceExporter._render(v) for k, v in data.items()}
-        if isinstance(data, (list, tuple)):
-            return [TraceExporter._render(v) for v in data]
-        return repr(data)
-
-    # -- export ----------------------------------------------------------
-
-    def counts(self) -> Dict[str, int]:
-        """Recorded occurrences per event name (amount-weighted)."""
-        out: Dict[str, int] = {}
-        for record in self.records:
-            out[record["event"]] = out.get(record["event"], 0) + record["amount"]
-        return out
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
-
-    def write(self, path: str) -> int:
-        """Write the trace as JSON lines; returns the record count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)

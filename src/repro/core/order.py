@@ -105,3 +105,38 @@ def verify_order(nodes: List[DepNode]) -> bool:
             if not node.order < succ.order:
                 return False
     return True
+
+
+def exact_height(node: DepNode, memo: Dict[int, int]) -> int:
+    """Longest pred-path from storage to ``node``, iteratively (graphs
+    are deep); ``memo`` maps ``id(node)`` to finished heights and may be
+    shared across calls.
+
+    Unlike a label, this is the exact height of the current graph.
+    Nodes on the DFS stack (re-entrant dependency cycles) count 0,
+    matching the paper's tolerance of cycles: the order is a heuristic,
+    quiescence bounds the work.
+    """
+    if id(node) not in memo and node.kind is NodeKind.STORAGE:
+        memo[id(node)] = 0
+    on_stack = {id(node)}
+    stack = [] if id(node) in memo else [(node, iter(list(node.pred)))]
+    while stack:
+        current, preds = stack[-1]
+        for pred in preds:
+            key = id(pred)
+            if key in memo or key in on_stack:
+                continue
+            if pred.kind is NodeKind.STORAGE:
+                memo[key] = 0
+                continue
+            on_stack.add(key)
+            stack.append((pred, iter(list(pred.pred))))
+            break
+        else:
+            stack.pop()
+            on_stack.discard(id(current))
+            memo[id(current)] = 1 + max(
+                (memo.get(id(p), 0) for p in current.pred), default=0
+            )
+    return memo[id(node)]

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Type, Uni
 from .errors import EvaluationLimitError, NodeExecutionError
 from .events import EventKind
 from .node import DepNode, NodeKind, Poisoned, values_equal
+from .order import exact_height
 from .partition import PartitionScheduler
 from .stats import RuntimeStats
 
@@ -436,7 +437,7 @@ class HeightOrderedScheduler(Scheduler):
             if not batch:
                 return None
             memo: Dict[int, int] = {}
-            batch.sort(key=lambda n: self._height(n, memo), reverse=True)
+            batch.sort(key=lambda n: exact_height(n, memo), reverse=True)
             state.extend(batch)  # tail = smallest height
         return state.pop()
 
@@ -446,47 +447,6 @@ class HeightOrderedScheduler(Scheduler):
         for node in state:
             self.runtime.partitions.mark(node)
         state.clear()
-
-    @staticmethod
-    def _height(node: DepNode, memo: Dict[int, int]) -> int:
-        """Longest pred-path from storage, iteratively (graphs are deep).
-
-        Nodes currently on the DFS stack (re-entrant dependency cycles)
-        contribute 0, matching the paper's tolerance of cycles: the
-        order is a heuristic, quiescence bounds the work.
-        """
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        on_stack: Dict[int, None] = {}
-        stack: List[tuple] = [(node, None)]
-        while stack:
-            current, pred_iter = stack.pop()
-            key = id(current)
-            if pred_iter is None:
-                if key in memo or key in on_stack:
-                    continue
-                if current.kind is NodeKind.STORAGE:
-                    memo[key] = 0
-                    continue
-                on_stack[key] = None
-                pred_iter = iter(list(current.pred))
-            advanced = False
-            for pred in pred_iter:
-                pk = id(pred)
-                if pk not in memo and pk not in on_stack:
-                    stack.append((current, pred_iter))
-                    stack.append((pred, None))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            del on_stack[key]
-            best = 0
-            for pred in current.pred:
-                best = max(best, memo.get(id(pred), 0))
-            memo[key] = best + 1
-        return memo.get(id(node), 0)
 
 
 #: Scheduler registry for ``Runtime(scheduler="...")``.

@@ -103,7 +103,7 @@ class DrainBudget:
         self, node: DepNode, budget: str, message: str
     ) -> PropagationBudgetError:
         """Announce the trip and build the error (the span-boundary
-        event the tracer pairs with the DRAIN_ABORTED that follows)."""
+        event the span fold pairs with the DRAIN_ABORTED that follows)."""
         hot = self.hot_nodes()
         resil = self._dog.resilience
         quarantined = resil.quarantined() if resil is not None else []

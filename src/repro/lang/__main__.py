@@ -182,7 +182,6 @@ def main(argv=None) -> int:
                 result = transform(info, optimize=not args.no_optimize)
                 print(unparse(result.module))
                 return 0
-        trace = None
         runtime = None
         trace_failed = False
         want_obs = args.profile or args.explain is not None or args.spans
@@ -201,7 +200,7 @@ def main(argv=None) -> int:
                 )
                 need_runtime = want_obs = want_persist = want_resil = False
             else:
-                from ..core import Runtime, TraceExporter
+                from ..core import EventKind, Runtime
 
                 if args.resume is not None:
                     runtime = Runtime.recover(args.resume)
@@ -218,8 +217,12 @@ def main(argv=None) -> int:
                     # --explain need the strong node registry.
                     runtime = Runtime()
                 if args.trace is not None:
-                    trace = TraceExporter()
-                    trace.attach(runtime.events)
+                    # Every kind is this ring's own, so its flight view
+                    # is the event trace; --spans and --explain read it.
+                    from ..obs import WIDE_CAPACITY, FlightRecorder
+
+                    ring = FlightRecorder(WIDE_CAPACITY, kinds=frozenset(EventKind))
+                    runtime.obs.flight = ring.attach(runtime.events)
                 if want_obs:
                     runtime.obs.enable()
                 if want_resil:
@@ -245,16 +248,18 @@ def main(argv=None) -> int:
                 max_steps=args.max_steps,
             )
         finally:
-            if trace is not None:
-                trace.detach()
+            if runtime is not None and args.trace is not None:
                 try:
-                    count = trace.write(args.trace)
+                    text = runtime.obs.flight.to_jsonl()
+                    with open(args.trace, "w", encoding="utf-8") as fh:
+                        fh.write(text + "\n" if text else "")
                 except OSError as exc:
                     trace_failed = True
                     print(f"error: cannot write trace: {exc}", file=sys.stderr)
                 else:
                     print(
-                        f"trace: {count} events -> {args.trace}",
+                        f"trace: {len(runtime.obs.flight)} events "
+                        f"-> {args.trace}",
                         file=sys.stderr,
                     )
     except AlphonseError as exc:

@@ -1,28 +1,25 @@
 """Introspection suite for the Alphonse runtime.
 
-Everything here is an :class:`~repro.core.events.EventBus` consumer.
 The engine counts its own operations (``rt.stats``, incremented in the
 kernel and exact under ``parallel_drains``) and does not emit a kind no
 handler observes, so an unobserved runtime pays no emit at all.
 
-Four tools, one facade (``rt.obs``, built lazily on first access):
-
-* :class:`~repro.obs.spans.SpanTracer` — folds the event stream into a
-  nested, timed span tree (batch → drain → execute → force) exportable
-  as JSONL or Chrome ``trace_event`` format;
-* :class:`~repro.obs.metrics.RuntimeMetrics` — counters, gauges, and
-  fixed-bucket histograms for the standard engine metrics, with JSON
-  snapshots and Prometheus text exposition;
-* :func:`~repro.obs.explain.explain` — a causal chain answering *why*
-  a node recomputed (write → change-detected → marked → re-executed →
-  quiescence-cut), fed by an :class:`~repro.obs.explain.ExplainRecorder`;
-* :class:`~repro.obs.inspect.GraphSnapshot` — the dependency graph as
-  DOT / JSON, with before/after diffing.
+One facade (``rt.obs``, built lazily on first access) owns two bus
+consumers.  :class:`~repro.obs.flight.FlightRecorder` is the one event
+ring, and the other tools are views that read it when asked: the flight
+view (incidents and notes), :class:`~repro.obs.spans.SpanTracer` (span
+trees batch → drain → execute → force, as JSONL or Chrome
+``trace_event``) and :func:`~repro.obs.explain.explain` (why a node
+recomputed: write → change-detected → marked → re-executed →
+quiescence-cut).  :class:`~repro.obs.metrics.RuntimeMetrics` keeps
+counters, gauges and fixed-bucket histograms with JSON snapshots and
+Prometheus text.  :class:`~repro.obs.inspect.GraphSnapshot` reads the
+graph itself (DOT / JSON, before/after diffing).
 
 Typical use::
 
     rt = Runtime()
-    rt.obs.enable()            # start tracing, metrics, and recording
+    rt.obs.enable()            # record spans and explain kinds, count metrics
     ... workload ...
     print(rt.explain("total"))         # causal chain
     print(rt.obs.metrics.registry.to_prometheus())
@@ -35,8 +32,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict
 
-from .explain import CausalLink, Explanation, ExplainRecorder, explain
-from .flight import FlightRecorder
+from . import explain as _explain
+from . import spans as _spans
+from .explain import CausalLink, Explanation, explain
+from .flight import WIDE_CAPACITY, FlightRecorder
 from .inspect import GraphSnapshot, SnapshotDiff
 from .metrics import (
     SIZE_BUCKETS,
@@ -54,7 +53,6 @@ __all__ = [
     "CausalLink",
     "Counter",
     "Explanation",
-    "ExplainRecorder",
     "FlightRecorder",
     "Gauge",
     "GraphSnapshot",
@@ -68,6 +66,7 @@ __all__ = [
     "SnapshotDiff",
     "TIME_BUCKETS",
     "TraceContext",
+    "WIDE_CAPACITY",
     "current_trace",
     "explain",
     "mint_trace_id",
@@ -78,22 +77,27 @@ __all__ = [
 class Observability:
     """Per-runtime facade over the introspection tools (``rt.obs``).
 
-    Constructing it is free: the tracer, metrics collector, and explain
-    recorder exist but subscribe to nothing until :meth:`enable` (or the
+    Constructing it is free: the ring and the metrics collector exist
+    but subscribe to nothing until :meth:`enable` (or the
     :meth:`profile` context manager) attaches them.
     """
 
     def __init__(self, runtime: Any) -> None:
         self._runtime = runtime
-        self.tracer = SpanTracer()
         self.metrics = RuntimeMetrics()
-        self.recorder = ExplainRecorder()
+        #: The runtime's one event ring; replace it before :meth:`enable`
+        #: to choose its capacity or own kinds.
         self.flight = FlightRecorder()
         self._enabled = False
 
     @property
     def enabled(self) -> bool:
         return self._enabled
+
+    @property
+    def tracer(self) -> SpanTracer:
+        """The span-tree view of the ring."""
+        return SpanTracer(self.flight)
 
     def enable(
         self,
@@ -103,38 +107,40 @@ class Observability:
         explain: bool = True,
         flight: bool = False,
     ) -> "Observability":
-        """Attach the selected consumers to the runtime's event bus.
+        """Attach the metrics collector and widen what the ring watches.
 
-        Idempotent per consumer; re-enabling an attached facade is a
-        no-op for the parts already running.  ``flight`` attaches the
-        bounded :class:`~repro.obs.flight.FlightRecorder` — opt-in here,
-        always-on for serve-layer sessions.
+        ``spans`` and ``explain`` add the kinds those views fold and
+        walk (which widens the ring to
+        :data:`~repro.obs.flight.WIDE_CAPACITY` records); ``flight``
+        adds the ring's own incident kinds — opt-in here, always on for
+        serve-layer sessions.  Idempotent: a kind already watched is
+        not subscribed twice.
         """
         bus = self._runtime.events
-        if spans and self.tracer._bus is None:
-            self.tracer.attach(bus)
         if metrics and self.metrics._bus is None:
             self.metrics.attach(bus)
-        if explain and self.recorder._bus is None:
-            self.recorder.attach(bus)
-        if flight and self.flight._bus is None:
-            self.flight.attach(bus)
+        kinds = set()
+        if spans:
+            kinds |= _spans.KINDS
+        if explain:
+            kinds |= _explain.KINDS
+        if flight:
+            kinds |= self.flight.kinds
+        if kinds:
+            self.flight.watch(bus, kinds)
         self._enabled = True
         return self
 
     def disable(self) -> None:
         """Detach every consumer (recorded data is kept)."""
-        self.tracer.detach()
         self.metrics.detach()
-        self.recorder.detach()
         self.flight.detach()
         self._enabled = False
 
     def clear(self) -> None:
-        """Drop recorded spans and causal records (metrics keep counting
-        from their current values — counters are monotonic)."""
-        self.tracer.clear()
-        self.recorder.clear()
+        """Drop the ring's records (metrics keep counting from their
+        current values — counters are monotonic)."""
+        self.flight.clear()
 
     @contextmanager
     def profile(self):
@@ -157,19 +163,19 @@ class Observability:
     def explain(self, target: Any) -> Explanation:
         """Causal chain for a node / tracked location / label; see
         :func:`repro.obs.explain.explain`."""
-        recorder = self.recorder if len(self.recorder) else None
-        return explain(self._runtime, target, recorder)
+        return explain(self._runtime, target, self.flight)
 
     def inspect(self) -> GraphSnapshot:
         """Snapshot the dependency graph (no events emitted)."""
         return GraphSnapshot.capture(self._runtime)
 
     def snapshot(self) -> Dict[str, Any]:
-        """One JSON-able dict: metrics + runtime stats + span count."""
+        """One JSON-able dict: metrics + runtime stats + span and
+        record counts."""
         out: Dict[str, Any] = {"metrics": self.metrics.snapshot()}
         stats = getattr(self._runtime, "stats", None)
         if stats is not None:
             out["stats"] = stats.snapshot()
         out["spans"] = len(self.tracer)
-        out["records"] = len(self.recorder)
+        out["records"] = len(self.flight)
         return out

@@ -1,11 +1,12 @@
-"""Causal "explain" engine: why did this recompute / why this value?
+"""Causal "explain" view: why did this recompute / why this value?
 
 The paper's introduction promises that the maintained dependency
 information "enables ... sophisticated debugging".  This module makes
-that concrete: record the event stream (:class:`ExplainRecorder`), then
-ask :func:`explain` about any node, tracked location, or label — it
-walks the recorded trace *plus* the live dependency graph and returns a
-typed causal chain::
+that concrete: :func:`explain` reads the records of an event ring
+(:class:`~repro.obs.flight.FlightRecorder` watching :data:`KINDS`)
+about any node, tracked location, or label — it walks the recorded
+events *plus* the live dependency graph and returns a typed causal
+chain::
 
     write R2C2.func  →  change-detected  →  marked R2C2.value()
       →  marked total.value()  →  re-executed total.value()
@@ -23,9 +24,11 @@ Chain link kinds (the ``kind`` of each :class:`CausalLink`):
   did *not* recompute);
 * ``poisoned`` — the body's failure was contained into the cached value.
 
-The recorder must be attached *before* the actions of interest
-(``rt.obs.enable()`` does this).  Without any recording, :func:`explain`
-degrades to a dependency-only explanation from the live graph.
+The ring must watch these kinds *before* the actions of interest
+(``rt.obs.enable()`` does this).  Without any records, :func:`explain`
+degrades to a dependency-only explanation from the live graph.  Reading
+never touches the runtime: partitions are compared by a read-only
+union-find walk, so an explanation leaves every counter as it was.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ import collections
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..core.events import EventBus, EventKind
+from ..core.events import EventKind
 from ..core.node import DepNode, Poisoned
+from .inspect import _partition_root
 
-__all__ = ["CausalLink", "Explanation", "ExplainRecorder", "explain"]
+__all__ = ["CausalLink", "Explanation", "KINDS", "explain"]
 
 
 @dataclass
@@ -107,61 +111,23 @@ class Explanation:
 #: One recorded event: (seq, kind, node, data).
 _Record = Tuple[int, EventKind, Any, Any]
 
-
-class ExplainRecorder:
-    """Ring-buffer recorder of the causally relevant event kinds.
-
-    Cheaper than a full :class:`~repro.core.events.TraceExporter`
-    capture: it keeps live node references instead of rendering records,
-    and only subscribes to the kinds the explain engine consumes.
-    """
-
-    #: Kinds the explain engine consumes (read by the coverage test).
-    KINDS = frozenset(
-        {
-            EventKind.MODIFY,
-            EventKind.CHANGE_DETECTED,
-            EventKind.INCONSISTENT_MARKED,
-            EventKind.EXECUTION,
-            EventKind.EAGER_REEXECUTION,
-            EventKind.QUIESCENCE_CUT,
-            EventKind.CACHE_HIT,
-            EventKind.FORCED_EVALUATION,
-            EventKind.NODE_POISONED,
-            EventKind.BATCH_COMMIT,
-            EventKind.ROLLBACK,
-        }
-    )
-
-    def __init__(self, limit: int = 100_000) -> None:
-        self.records: Deque[_Record] = collections.deque(maxlen=limit)
-        self._seq = 0
-        self._bus: Optional[EventBus] = None
-
-    def attach(self, bus: EventBus) -> "ExplainRecorder":
-        if self._bus is not None:
-            raise RuntimeError("ExplainRecorder is already attached")
-        for kind in self.KINDS:
-            bus.subscribe(kind, self._handle)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind in self.KINDS:
-            self._bus.unsubscribe(kind, self._handle)
-        self._bus = None
-
-    def _handle(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
-        self.records.append((self._seq, kind, node, data))
-        self._seq += 1
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)
+#: The kinds a ring must watch for explain chains (also read by the
+#: observability coverage test).
+KINDS = frozenset(
+    {
+        EventKind.MODIFY,
+        EventKind.CHANGE_DETECTED,
+        EventKind.INCONSISTENT_MARKED,
+        EventKind.EXECUTION,
+        EventKind.EAGER_REEXECUTION,
+        EventKind.QUIESCENCE_CUT,
+        EventKind.CACHE_HIT,
+        EventKind.FORCED_EVALUATION,
+        EventKind.NODE_POISONED,
+        EventKind.BATCH_COMMIT,
+        EventKind.ROLLBACK,
+    }
+)
 
 
 def resolve_target(runtime: Any, target: Any) -> Optional[DepNode]:
@@ -185,7 +151,7 @@ def resolve_target(runtime: Any, target: Any) -> Optional[DepNode]:
 def explain(
     runtime: Any,
     target: Any,
-    recorder: Optional[ExplainRecorder] = None,
+    ring: Any = None,
 ) -> Explanation:
     """Build the causal chain for ``target``; see the module docstring."""
     node = resolve_target(runtime, target)
@@ -204,13 +170,17 @@ def explain(
                 )
             ],
         )
-    records = list(recorder.records) if recorder is not None else []
-    return _explain_node(runtime, node, records)
+    records: List[_Record] = []
+    if ring is not None:
+        records = [
+            (seq, kind, subject, data)
+            for seq, (_, kind, subject, _, data, _, _) in ring.entries()
+            if type(kind) is not str
+        ]
+    return _explain_node(node, records)
 
 
-def _explain_node(
-    runtime: Any, node: DepNode, records: List[_Record]
-) -> Explanation:
+def _explain_node(node: DepNode, records: List[_Record]) -> Explanation:
     computed_from = sorted(p.label for p in node.pred)
     mine = [r for r in records if r[2] is node]
 
@@ -228,7 +198,7 @@ def _explain_node(
             return _explain_storage(node, mine, records)
         if last_cut is not None:
             verdict = "quiescent"
-            links.extend(_upstream_chain(runtime, node, records, last_cut[0]))
+            links.extend(_upstream_chain(node, records, last_cut[0]))
             links.append(
                 CausalLink(
                     "quiescence-cut",
@@ -280,7 +250,7 @@ def _explain_node(
         verdict = "first-execution"
     else:
         verdict = "recomputed"
-        links.extend(_upstream_chain(runtime, node, records, anchor_seq))
+        links.extend(_upstream_chain(node, records, anchor_seq))
 
     if last_exec is not None and _seq_of(last_exec) == anchor_seq:
         committed = last_exec[3]
@@ -376,7 +346,7 @@ def _explain_storage(
 
 
 def _upstream_chain(
-    runtime: Any, node: DepNode, records: List[_Record], before: int
+    node: DepNode, records: List[_Record], before: int
 ) -> List[CausalLink]:
     """The write → change → marked… prefix that led to ``node`` rerunning.
 
@@ -388,23 +358,16 @@ def _upstream_chain(
     cause: Optional[_Record] = None
     # A cause must live in the target's partition: causal chains never
     # cross partitions (disjoint components share no edges).  The
-    # reachability check below already guarantees this; the id compare
-    # is a cheap pre-filter that skips whole foreign-partition drains.
-    partitions = getattr(runtime, "partitions", None)
-    same_part = (
-        partitions.partition_id(node)
-        if partitions is not None and partitions.enabled
-        else None
-    )
+    # reachability check below already guarantees this; comparing
+    # union-find roots is a cheap pre-filter that skips whole
+    # foreign-partition drains.
+    same_part = _partition_root(node)
     for rec in reversed(records):
         if rec[0] >= before:
             continue
         if rec[1] is not EventKind.CHANGE_DETECTED:
             continue
-        if (
-            same_part is not None
-            and partitions.partition_id(rec[2]) != same_part
-        ):
+        if same_part is not None and _partition_root(rec[2]) is not same_part:
             continue
         if rec[2] is node or _reaches(rec[2], node):
             cause = rec
@@ -419,10 +382,17 @@ def _upstream_chain(
     )
     if write is not None:
         links.append(CausalLink("write", cause_node.label, seq=write[0]))
-    links.append(
-        CausalLink("change-detected", cause_node.label, seq=cause[0])
-    )
     path = _path_between(cause_node, node)
+    # Name the reader the change flowed through: a field label such as
+    # ``SheetCell.func`` does not say whose field was written.
+    links.append(
+        CausalLink(
+            "change-detected",
+            cause_node.label,
+            seq=cause[0],
+            detail=f"read by {path[1].label}" if len(path) > 1 else "",
+        )
+    )
     for hop in path:
         hop_records = [
             r

@@ -1,35 +1,36 @@
-"""Always-on flight recorder: a bounded ring of recent events and spans.
+"""The event ring: one bounded record of what a runtime did.
 
-Span tracing and the full :class:`~repro.core.events.TraceExporter` are
-*profiling* tools — you attach them when you already know something is
-worth watching.  A postmortem needs the opposite: when a watchdog trips
-or a circuit breaker opens, the question is "what were the last things
-this runtime did?", and by then it is too late to start recording.
+:class:`FlightRecorder` subscribes to the kinds it watches and appends
+one tuple per event to a bounded deque.  Every consumer is a *view*
+that reads the ring when asked: the flight view (:meth:`records`,
+:meth:`dump`, :meth:`chrome_events`: the ring's own kinds and the
+notes), span trees (:class:`~repro.obs.spans.SpanTracer`), explain
+chains (:func:`~repro.obs.explain.explain`) and the lang CLI's
+``--trace`` (the flight view of a ring whose own kinds are every kind).
 
-:class:`FlightRecorder` answers that by being cheap enough to leave on
-forever:
+The default own kinds (:data:`FlightRecorder.DEFAULT_KINDS`) are
+low-rate incidents — drains, aborts, watchdog trips, poisonings, batch
+boundaries, resilience events, checkpoints — never the per-read hot
+kinds, so a ring watching only them costs the hot path nothing (the
+engine does not emit a kind no handler observes).  Once the ring also
+watches other kinds (for explain or spans) it holds
+:data:`WIDE_CAPACITY` records; the flight view still shows at most the
+newest ``capacity`` of its own records and notes.
 
-* it subscribes **only to low-rate, high-signal kinds** — drain
-  completions, aborts, watchdog trips, poisonings, batch boundaries,
-  resilience events, checkpoints — never to the per-read hot kinds
-  (``ACCESS``, ``MODIFY``, ``PROPAGATION_STEP``, cache traffic), so the
-  engine's hot path pays nothing at all for it (the engine does not
-  emit a kind no handler observes);
-* each captured event is one tuple appended to a bounded
-  ``collections.deque`` — no dict building, no rendering, no lock (the
-  GIL makes deque appends atomic, and a bus in parallel-drain mode
-  already serializes emits);
-* rendering to JSON happens only at dump time.
-
-Records are tagged with the ambient :class:`~repro.obs.trace.TraceContext`
-when one is installed, so a dump after an incident correlates directly
-with the protocol request ids the serve layer handed its clients.
-
-Layers without an event bus (the asyncio server, the dispatch hop)
-record through :meth:`FlightRecorder.note`, optionally with a duration —
-those records double as spans and export to Chrome ``trace_event``
-format via :meth:`chrome_events`, which is how the serve layer stitches
-server/dispatch/session/drain activity into one per-request timeline.
+A record is a 7-tuple ``(ts, kind, subject, amount, data, trace,
+extra)``: clock reading, :class:`~repro.core.events.EventKind` (a
+note's string kind), the node by reference (a note's label), amount and
+payload as emitted, the ambient :class:`~repro.obs.trace.TraceContext`
+by reference, and the emitting thread's id (a note's duration).  Kinds
+no view places in time — the ones only explain chains read, such as
+cache hits and marks, and the span kinds while no span is folded —
+leave ``ts``, ``trace`` and ``extra`` None, which skips three calls and
+the float on the busiest kinds.  The sequence
+number is the ring position plus the records dropped before it.
+Labels, ids and JSON are rendered only when a view reads the ring;
+appends take no lock (the GIL makes deque appends atomic, and a bus in
+parallel-drain mode already serializes emits).  Layers without an
+event bus record through :meth:`FlightRecorder.note`.
 """
 
 from __future__ import annotations
@@ -38,29 +39,50 @@ import itertools
 import json
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from threading import get_ident
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core.events import EventBus, EventKind, TraceExporter
-from .trace import current_trace
+from ..core.events import EventBus, EventKind
+from .spans import KINDS as SPAN_KINDS
+from .spans import OPEN_KINDS as SPAN_OPEN_KINDS
+from .trace import _CURRENT
 
-__all__ = ["FlightRecorder"]
+__all__ = ["FlightRecorder", "WIDE_CAPACITY", "render_data"]
+
+#: Records a ring holds once it watches kinds beyond its own.
+WIDE_CAPACITY = 100_000
+
+#: The ambient trace context, read without a Python-level call.
+_current_trace = _CURRENT.get
+
+
+def render_data(data: Any) -> Any:
+    """An event payload as JSON-safe data: nodes by label, containers
+    element-wise, anything else by ``repr``."""
+    if data is None or isinstance(data, (bool, int, float, str)):
+        return data
+    label = getattr(data, "label", None)
+    if label is not None:
+        return label
+    if isinstance(data, dict):
+        return {str(k): render_data(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [render_data(v) for v in data]
+    return repr(data)
 
 
 class FlightRecorder:
-    """Bounded, lock-cheap ring of recent significant events.
+    """Bounded, lock-free ring of runtime events and notes.
 
-    ``capacity`` bounds memory; older records fall off the front.
-    ``kinds`` selects the subscribed event kinds (default:
-    :data:`FlightRecorder.DEFAULT_KINDS` — the incident/boundary set).
-    ``clock`` defaults to :func:`time.perf_counter` so record times
-    align with :class:`~repro.obs.spans.SpanTracer` spans in a stitched
-    timeline; dumps carry a wall-clock reference for conversion.
+    ``capacity`` bounds the ring while it watches only ``kinds``
+    (default :data:`DEFAULT_KINDS`) and always bounds the flight view.
+    ``clock`` defaults to :func:`time.perf_counter`; dumps carry a
+    wall-clock reference for conversion.
     """
 
     #: Low-rate, high-signal kinds worth keeping forever.  Deliberately
     #: excludes the per-read hot kinds (ACCESS/MODIFY/CACHE_*/
-    #: PROPAGATION_STEP/EDGE_*) and per-record WAL appends — the ring is
-    #: a postmortem artifact, not a profile.
+    #: PROPAGATION_STEP/EDGE_*) and per-record WAL appends.
     DEFAULT_KINDS = frozenset(
         {
             EventKind.DRAIN,
@@ -90,45 +112,76 @@ class FlightRecorder:
         self.capacity = capacity
         self.kinds = frozenset(kinds) if kinds is not None else self.DEFAULT_KINDS
         self._clock = clock if clock is not None else time.perf_counter
-        #: Ring entries: (seq, ts, kind, label, amount, data, trace, dur).
         self._ring: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
-        self._seq = itertools.count()
         self._recorded = 0
+        self._tid: Optional[int] = None
+        self._watched: Set[EventKind] = set()
+        #: Kinds whose records carry clock, trace and thread: the ones a
+        #: view places in time (see :meth:`watch`).
+        self._timed = self.kinds
         self._bus: Optional[EventBus] = None
 
     # -- subscription lifecycle -----------------------------------------
 
     def attach(self, bus: EventBus) -> "FlightRecorder":
+        """Record this ring's own kinds from ``bus``."""
         if self._bus is not None:
             raise RuntimeError("FlightRecorder is already attached")
-        for kind in self.kinds:
-            bus.subscribe(kind, self._handle)
-        self._bus = bus
+        return self.watch(bus, self.kinds)
+
+    def watch(self, bus: EventBus, kinds: Any) -> "FlightRecorder":
+        """Also record ``kinds`` from ``bus`` (attaching to it if needed).
+
+        Idempotent per kind.  Watching any kind beyond the ring's own
+        widens the ring to :data:`WIDE_CAPACITY` records.  Records are
+        timed for the ring's own kinds (the flight view) and, once a
+        span-open kind is watched, for every span kind (span trees).
+        """
+        if self._bus is None:
+            self._bus = bus
+        elif bus is not self._bus:
+            raise RuntimeError("FlightRecorder is attached to another bus")
+        for kind in kinds:
+            if kind not in self._watched:
+                self._watched.add(kind)
+                bus.subscribe(kind, self._handle)
+        if not self._watched <= self.kinds and self._ring.maxlen < WIDE_CAPACITY:
+            self._ring = deque(self._ring, maxlen=WIDE_CAPACITY)
+        if not self._watched.isdisjoint(SPAN_OPEN_KINDS):
+            self._timed = self.kinds | SPAN_KINDS
         return self
 
     def detach(self) -> None:
+        """Stop recording (the ring keeps what it holds)."""
         if self._bus is None:
             return
-        for kind in self.kinds:
+        for kind in self._watched:
             self._bus.unsubscribe(kind, self._handle)
+        self._watched.clear()
+        self._timed = self.kinds
         self._bus = None
+
+    @property
+    def watching(self) -> frozenset:
+        """The kinds currently recorded from the attached bus."""
+        return frozenset(self._watched)
 
     # -- recording -------------------------------------------------------
 
     def _handle(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
-        ctx = current_trace()
         self._recorded += 1
+        if kind not in self._timed:
+            self._ring.append((None, kind, node, amount, data, None, None))
+            return
+        # Keep one int per thread instead of a fresh one per record.
+        tid = get_ident()
+        last = self._tid
+        if tid == last:
+            tid = last
+        else:
+            self._tid = tid
         self._ring.append(
-            (
-                next(self._seq),
-                self._clock(),
-                kind.value,
-                getattr(node, "label", None),
-                amount,
-                data,
-                None if ctx is None else ctx.ids(),
-                None,
-            )
+            (self._clock(), kind, node, amount, data, _current_trace(), tid)
         )
 
     def note(
@@ -146,18 +199,16 @@ class FlightRecorder:
         backdated by the duration, so Chrome export places it where the
         work actually happened.
         """
-        ctx = current_trace()
         now = self._clock()
         self._recorded += 1
         self._ring.append(
             (
-                next(self._seq),
                 now if duration is None else now - duration,
                 kind,
                 label,
                 amount,
                 data,
-                None if ctx is None else ctx.ids(),
+                _current_trace(),
                 duration,
             )
         )
@@ -180,28 +231,27 @@ class FlightRecorder:
     def clear(self) -> None:
         self._ring.clear()
 
-    def records(self) -> List[Dict[str, Any]]:
-        """The ring rendered oldest-first as JSON-safe dicts.
+    def entries(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
+        """``(seq, record)`` pairs oldest-first over a snapshot of the
+        ring (``list(deque)`` copies atomically under the GIL)."""
+        ring = list(self._ring)
+        return zip(itertools.count(self._recorded - len(ring)), ring)
 
-        Safe under concurrent appends: ``list(deque)`` snapshots
-        atomically under the GIL before rendering.
-        """
-        out = []
-        for seq, ts, kind, label, amount, data, trace, dur in list(self._ring):
-            record: Dict[str, Any] = {
-                "seq": seq,
-                "ts": round(ts, 6),
-                "kind": kind,
-                "label": label,
-                "amount": amount,
-                "data": TraceExporter._render(data),
-            }
-            if trace is not None:
-                record.update(trace)
-            if dur is not None:
-                record["duration"] = round(dur, 6)
-            out.append(record)
-        return out
+    def records(self) -> List[Dict[str, Any]]:
+        """The flight view: the ring's own kinds and the notes, at most
+        the newest ``capacity`` of them, oldest-first as JSON-safe
+        dicts."""
+        kinds = self.kinds
+        ring = list(self._ring)
+        first = self._recorded - len(ring)
+        picked: List[int] = []
+        for i in range(len(ring) - 1, -1, -1):
+            kind = ring[i][1]
+            if type(kind) is str or kind in kinds:
+                picked.append(i)
+                if len(picked) == self.capacity:
+                    break
+        return [_render(first + i, ring[i]) for i in reversed(picked)]
 
     # -- export ----------------------------------------------------------
 
@@ -218,7 +268,7 @@ class FlightRecorder:
         reason: str = "on-demand",
         extra: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Write the ring as JSONL with a header line; returns the
+        """Write the flight view as JSONL with a header line; returns the
         record count.
 
         The header carries the dump reason, drop accounting, and a
@@ -244,7 +294,7 @@ class FlightRecorder:
     def chrome_events(
         self, *, pid: int = 1, tid: Any = "flight"
     ) -> List[Dict[str, Any]]:
-        """The ring as Chrome ``trace_event`` objects.
+        """The flight view as Chrome ``trace_event`` objects.
 
         Records with a duration become complete ``"X"`` spans; the rest
         become thread-scoped instant events (``"i"``), so incidents show
@@ -274,3 +324,22 @@ class FlightRecorder:
                 event["s"] = "t"
             events.append(event)
         return events
+
+
+def _render(seq: int, record: Tuple[Any, ...]) -> Dict[str, Any]:
+    """One ring record as the JSON-safe dict every export shares."""
+    ts, kind, subject, amount, data, trace, extra = record
+    note = type(kind) is str
+    out: Dict[str, Any] = {
+        "seq": seq,
+        "ts": round(ts, 6),
+        "kind": kind if note else kind.value,
+        "label": subject if note else getattr(subject, "label", None),
+        "amount": amount,
+        "data": render_data(data),
+    }
+    if trace is not None:
+        out.update(trace.ids())
+    if note and extra is not None:
+        out["duration"] = round(extra, 6)
+    return out

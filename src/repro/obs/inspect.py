@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.node import DepNode, NodeKind, Poisoned
+from ..core.node import DepNode, Poisoned
+from ..core.order import exact_height
 
 __all__ = ["GraphSnapshot", "SnapshotDiff"]
 
@@ -36,43 +37,6 @@ def _partition_root(node: DepNode) -> Optional[Any]:
     while item.parent is not item:
         item = item.parent
     return item
-
-
-def _heights(nodes: List[DepNode]) -> Dict[int, int]:
-    """Longest pred-path from storage per node id, iteratively."""
-    memo: Dict[int, int] = {}
-    for start in nodes:
-        if id(start) in memo:
-            continue
-        on_stack: Dict[int, None] = {}
-        stack: List[Tuple[DepNode, Any]] = [(start, None)]
-        while stack:
-            current, pred_iter = stack.pop()
-            key = id(current)
-            if pred_iter is None:
-                if key in memo or key in on_stack:
-                    continue
-                if current.kind is NodeKind.STORAGE:
-                    memo[key] = 0
-                    continue
-                on_stack[key] = None
-                pred_iter = iter(list(current.pred))
-            advanced = False
-            for pred in pred_iter:
-                pk = id(pred)
-                if pk not in memo and pk not in on_stack:
-                    stack.append((current, pred_iter))
-                    stack.append((pred, None))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            del on_stack[key]
-            best = 0
-            for pred in current.pred:
-                best = max(best, memo.get(id(pred), 0))
-            memo[key] = best + 1
-    return memo
 
 
 class GraphSnapshot:
@@ -101,7 +65,9 @@ class GraphSnapshot:
         ``Runtime(keep_registry=True)`` (the default).
         """
         live = [n for n in runtime.graph.nodes]
-        heights = _heights(live)
+        heights: Dict[int, int] = {}
+        for node in live:
+            exact_height(node, heights)
         part_ids: Dict[int, int] = {}
         nodes: List[Dict[str, Any]] = []
         edges: List[Tuple[int, int]] = []

@@ -1,12 +1,13 @@
-"""Span-based tracing: fold the flat event stream into nested timed spans.
+"""Span trees: fold the ring's flat records into nested timed spans.
 
 The event bus announces *points* — one event per operation.  Profiling
 needs *intervals*: how long did this drain take, and how much of it was
-one procedure's body?  :class:`SpanTracer` subscribes to the span
-boundary events the engine emits (``DRAIN_STARTED``/``DRAIN``,
-``EXECUTION_STARTED``/``EXECUTION``, ``BATCH_STARTED``/``BATCH_COMMIT``,
-``FORCED_EVALUATION_STARTED``/``FORCED_EVALUATION``) and reconstructs
-the interval tree those operations actually formed::
+one procedure's body?  The engine emits span boundary events
+(``DRAIN_STARTED``/``DRAIN``, ``EXECUTION_STARTED``/``EXECUTION``,
+``BATCH_STARTED``/``BATCH_COMMIT``,
+``FORCED_EVALUATION_STARTED``/``FORCED_EVALUATION``); a ring watching
+:data:`KINDS` records them, and :class:`SpanTracer` folds those records,
+per emitting thread, into the interval tree the operations formed::
 
     batch
     └── drain                 (commit's propagation pass)
@@ -21,22 +22,21 @@ or Perfetto for a flame view of drain time.
 
 Fault tolerance: a body that raises emits no ``EXECUTION`` end event, so
 closing an outer span also closes any still-open descendants (status
-``"interrupted"``); an aborted drain's ``DRAIN_ABORTED`` closes the
-drain span with status ``"aborted"``.  An end event with no matching
-open span (e.g. the tracer attached mid-drain) is ignored.
+``"interrupted"``), and so does reading the ring while a span is still
+open (it ends at the newest record); an aborted drain's
+``DRAIN_ABORTED`` closes the drain span with status ``"aborted"``.  An
+end record with no matching open record (the ring dropped it, or
+recording began mid-drain) is ignored.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..core.events import EventBus, EventKind
-from .trace import current_trace
+from ..core.events import EventKind
 
-__all__ = ["Span", "SpanTracer"]
+__all__ = ["KINDS", "OPEN_KINDS", "Span", "SpanTracer"]
 
 
 class Span:
@@ -56,19 +56,25 @@ class Span:
     )
 
     def __init__(
-        self, role: str, label: str, start: float, seq: int, node_id=None
+        self,
+        role: str,
+        label: str,
+        start: float,
+        seq: int,
+        node_id: Any = None,
+        tid: Any = None,
     ) -> None:
         self.role = role
         self.label = label
         self.start = start
         self.end: Optional[float] = None
         #: Identity of the thread the span opened on — concurrent
-        #: partition drains produce per-thread span stacks, and the
-        #: Chrome export lanes spans by this.
-        self.tid = threading.get_ident()
+        #: partition drains fold into per-thread trees, and the Chrome
+        #: export lanes spans by this.
+        self.tid = tid
         #: "ok", "aborted" (drain torn down), "poisoned" (body failure
-        #: contained), or "interrupted" (closed because an enclosing
-        #: span ended while this one was still open).
+        #: contained), or "interrupted" (an enclosing span ended, or the
+        #: ring was read, while this one was still open).
         self.status = "ok"
         self.meta: Dict[str, Any] = {}
         self.children: List["Span"] = []
@@ -77,7 +83,7 @@ class Span:
 
     @property
     def duration(self) -> float:
-        """Seconds from open to close (0.0 while still open)."""
+        """Seconds from open to close."""
         if self.end is None:
             return 0.0
         return self.end - self.start
@@ -127,109 +133,57 @@ _CLOSE_ROLES = {
     EventKind.NODE_POISONED: "execute",
 }
 
+#: The kinds that open a span, and all the kinds a ring must watch for
+#: span trees (also read by the observability coverage test).
+OPEN_KINDS = frozenset(_OPEN_ROLES)
+KINDS = OPEN_KINDS | frozenset(_CLOSE_ROLES)
 
-class SpanTracer:
-    """EventBus subscriber reconstructing the span tree of a run.
 
-    ``clock`` defaults to :func:`time.perf_counter`; tests inject a
-    deterministic counter.  Completed top-level spans accumulate in
-    :attr:`roots`.
-    """
-
-    #: Kinds this tracer subscribes to (also read by the observability
-    #: coverage test).
-    KINDS = frozenset(_OPEN_ROLES) | frozenset(_CLOSE_ROLES)
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.roots: List[Span] = []
-        #: One open-span stack per thread: concurrent partition drains
-        #: each nest their own spans without interleaving (the bus's
-        #: emit lock serializes handler entry, so dict access is safe).
-        self._stacks: Dict[int, List[Span]] = {}
-        self._clock = clock if clock is not None else time.perf_counter
-        self._seq = 0
-        self._bus: Optional[EventBus] = None
-
-    @property
-    def _stack(self) -> List[Span]:
-        """The calling thread's open-span stack."""
-        ident = threading.get_ident()
-        stack = self._stacks.get(ident)
-        if stack is None:
-            stack = self._stacks[ident] = []
-        return stack
-
-    # -- subscription lifecycle -----------------------------------------
-
-    def attach(self, bus: EventBus) -> "SpanTracer":
-        if self._bus is not None:
-            raise RuntimeError("SpanTracer is already attached")
-        for kind in self.KINDS:
-            bus.subscribe(kind, self._handle)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind in self.KINDS:
-            self._bus.unsubscribe(kind, self._handle)
-        self._bus = None
-        # Anything still open — on any thread — was interrupted by the
-        # end of observation.  (The clock is only read if something is
-        # open: tests inject finite clocks.)
-        for stack in self._stacks.values():
-            if stack:
-                now = self._clock()
-                while stack:
-                    self._close_on(stack, stack[-1], now, "interrupted")
-        self._stacks.clear()
-
-    # -- event folding ---------------------------------------------------
-
-    def _handle(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
+def fold(ring: Any) -> List[Span]:
+    """The root spans of ``ring``'s records, in closing order."""
+    roots: List[Span] = []
+    stacks: Dict[Any, List[Span]] = {}
+    last_ts = 0.0
+    for seq, (ts, kind, node, amount, data, trace, tid) in ring.entries():
+        if ts is None or type(kind) is str:
+            continue  # untimed, or a note (its last slot is a duration)
+        last_ts = ts
         role = _OPEN_ROLES.get(kind)
         if role is not None:
-            self._open(role, node, amount, data)
-            return
-        self._on_close(kind, node, amount, data)
-
-    def _open(self, role: str, node: Any, amount: int, data: Any) -> None:
-        span = Span(
-            role,
-            getattr(node, "label", None) or role,
-            self._clock(),
-            self._seq,
-            node_id=getattr(node, "node_id", None),
-        )
-        self._seq += 1
-        if role == "drain":
-            span.meta["pending"] = amount
-        if isinstance(data, dict):
-            # DRAIN_STARTED carries {"partition": pid}: tag the span so
-            # flame views can group drain time by partition.
-            span.meta.update(data)
-        ctx = current_trace()
-        if ctx is not None:
-            # The ambient request context (serve layer): stamping the
-            # ids here is what lets a Chrome export correlate this
-            # drain/execute span with the protocol request that caused
-            # it, across the asyncio→worker-thread boundary.
-            span.meta.update(ctx.ids())
-        self._stack.append(span)
-
-    def _on_close(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
-        role = _CLOSE_ROLES[kind]
-        target = self._find_open(role, node if role == "execute" else None)
+            span = Span(
+                role,
+                getattr(node, "label", None) or role,
+                ts,
+                seq,
+                node_id=getattr(node, "node_id", None),
+                tid=tid,
+            )
+            if role == "drain":
+                span.meta["pending"] = amount
+            if isinstance(data, dict):
+                # DRAIN_STARTED carries {"partition": pid}: tag the span
+                # so flame views can group drain time by partition.
+                span.meta.update(data)
+            if trace is not None:
+                # The request that caused this span (serve layer): the
+                # ids let a Chrome export correlate it with the protocol
+                # request across the asyncio→worker-thread boundary.
+                span.meta.update(trace.ids())
+            stacks.setdefault(tid, []).append(span)
+            continue
+        role = _CLOSE_ROLES.get(kind)
+        stack = stacks.get(tid)
+        if role is None or not stack:
+            continue
+        target = _find_open(stack, role, node if role == "execute" else None)
         if target is None:
-            return  # unmatched end: attached mid-flight, or (for
-            # NODE_POISONED) poison copied from an input with no
-            # execution of this node in flight.
-        now = self._clock()
+            continue  # unmatched end: its open record is not in the
+            # ring, or (for NODE_POISONED) poison copied from an input
+            # with no execution of this node in flight.
         # Spans opened above the target never saw their end event (an
         # exception unwound through them): close them as interrupted.
-        while self._stack[-1] is not target:
-            self._close(self._stack[-1], now, "interrupted")
+        while stack[-1] is not target:
+            _close(stack, roots, ts, "interrupted")
         status = "ok"
         if kind is EventKind.DRAIN_ABORTED:
             status = "aborted"
@@ -238,51 +192,63 @@ class SpanTracer:
             status = "poisoned"
             if isinstance(data, dict):
                 target.meta.update(data)
-        if kind in (EventKind.DRAIN, EventKind.DRAIN_ABORTED):
+        if kind is EventKind.DRAIN or kind is EventKind.DRAIN_ABORTED:
             target.meta["steps"] = amount
             if isinstance(data, dict):
                 target.meta.update(data)
-        elif kind in (EventKind.BATCH_COMMIT, EventKind.ROLLBACK):
+        elif kind is EventKind.BATCH_COMMIT or kind is EventKind.ROLLBACK:
             if isinstance(data, dict):
                 target.meta.update(data)
             if kind is EventKind.ROLLBACK:
                 target.meta["rolled_back"] = True
-        self._close(target, now, status)
+        _close(stack, roots, ts, status)
+    for stack in stacks.values():
+        while stack:
+            _close(stack, roots, last_ts, "interrupted")
+    return roots
 
-    def _find_open(self, role: str, node: Any) -> Optional[Span]:
-        """Innermost open span of ``role`` (and of ``node``, if given)."""
-        for span in reversed(self._stack):
-            if span.role != role:
-                continue
-            if node is not None and span.node_id != getattr(
-                node, "node_id", None
-            ):
-                continue
-            return span
-        return None
 
-    def _close(self, span: Span, end: float, status: str) -> None:
-        self._close_on(self._stack, span, end, status)
+def _find_open(stack: List[Span], role: str, node: Any) -> Optional[Span]:
+    """Innermost open span of ``role`` (and of ``node``, if given)."""
+    for span in reversed(stack):
+        if span.role != role:
+            continue
+        if node is not None and span.node_id != getattr(node, "node_id", None):
+            continue
+        return span
+    return None
 
-    def _close_on(
-        self, stack: List[Span], span: Span, end: float, status: str
-    ) -> None:
-        assert stack and stack[-1] is span
-        stack.pop()
-        span.end = end
-        if status != "ok":
-            span.status = status
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
 
-    # -- aggregation -----------------------------------------------------
+def _close(stack: List[Span], roots: List[Span], end: float, status: str) -> None:
+    span = stack.pop()
+    span.end = end
+    if status != "ok":
+        span.status = status
+    if stack:
+        stack[-1].children.append(span)
+    else:
+        roots.append(span)
+
+
+class SpanTracer:
+    """The span-tree view of a ring (``rt.obs.tracer``).
+
+    Holds only the ring; every query folds the ring's current records,
+    so the view never goes stale and costs nothing between queries.
+    """
+
+    def __init__(self, ring: Any) -> None:
+        self.ring = ring
+
+    @property
+    def roots(self) -> List[Span]:
+        """Top-level spans, in closing order."""
+        return fold(self.ring)
 
     def spans(self) -> List[Span]:
-        """All completed spans, depth-first across the root forest."""
+        """All spans, depth-first across the root forest."""
         out: List[Span] = []
-        for root in self.roots:
+        for root in fold(self.ring):
             out.extend(root.walk())
         return out
 
@@ -308,16 +274,13 @@ class SpanTracer:
             )
         return table
 
-    def clear(self) -> None:
-        self.roots.clear()
-
     def __len__(self) -> int:
         return len(self.spans())
 
     # -- export ----------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        """One JSON object per completed span, depth-first, with depth."""
+        """One JSON object per span, depth-first, with depth."""
         lines: List[str] = []
 
         def emit(span: Span, depth: int) -> None:
@@ -327,7 +290,7 @@ class SpanTracer:
             for child in span.children:
                 emit(child, depth + 1)
 
-        for root in self.roots:
+        for root in fold(self.ring):
             emit(root, 0)
         return "\n".join(lines)
 
@@ -337,7 +300,7 @@ class SpanTracer:
         with open(path, "w", encoding="utf-8") as fh:
             if text:
                 fh.write(text + "\n")
-        return len(self)
+        return text.count("\n") + 1 if text else 0
 
     def to_chrome(self) -> Dict[str, Any]:
         """Chrome ``trace_event`` JSON (complete "X" events, µs)."""

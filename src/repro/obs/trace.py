@@ -4,8 +4,8 @@ A multi-tenant request crosses three execution domains — the asyncio
 loop (admission, routing), a pinned worker thread (the session
 operation), and the runtime's drain machinery (which may itself fan out
 to partition-drain threads).  Each domain has its own instrumentation
-(serve counters, flight records, :class:`~repro.obs.spans.SpanTracer`
-spans), but without a shared identifier the three stories cannot be
+(serve counters, event-ring records and the span trees folded from
+them), but without a shared identifier the three stories cannot be
 stitched back together after the fact.
 
 This module is that identifier.  A :class:`TraceContext` is minted per
@@ -14,9 +14,10 @@ protocol request (``trace_id`` names the request's whole journey,
 :func:`trace_scope`, and read back with :func:`current_trace` by every
 consumer that wants to tag what it records:
 
-* the span tracer stamps ``trace_id``/``request_id`` into each opened
-  span's ``meta`` (and therefore into the Chrome-trace ``args``);
-* the flight recorder (:mod:`repro.obs.flight`) tags each ring record;
+* the event ring (:mod:`repro.obs.flight`) keeps the context with each
+  timed record, so the flight view tags each record with the ids and
+  the span fold stamps them into each span's ``meta`` (and therefore
+  into the Chrome-trace ``args``);
 * the serve layer echoes the ids in error responses so a client-side
   failure can be matched to server-side dumps.
 

@@ -49,19 +49,18 @@ class ServeConfig:
     deadline_seconds: Optional[float] = None
     #: Per-session ``parallel_drains`` for the tenant runtime.
     parallel_drains: Optional[int] = None
-    #: Attach the explain recorder to each session (ring-buffered, so
-    #: safe for long-lived tenants).
+    #: Record explain kinds in each session's ring, which then holds
+    #: 100,000 records (bounded, so safe for long-lived tenants).
     explain: bool = True
 
     # -- observability -------------------------------------------------
-    #: Attach the span tracer to each session runtime, so per-request
-    #: drain/execute spans carry the originating request's trace ids
-    #: and export to one stitched Chrome timeline.  Off by default:
-    #: spans accumulate unboundedly on long-lived tenants.
+    #: Record span boundaries in each session's ring too (widening it
+    #: as ``explain`` does), so per-request drain/execute spans carry
+    #: the request's trace ids into one stitched Chrome timeline.
     trace: bool = False
-    #: Ring size of each flight recorder (one per session plus one for
-    #: the server itself).  The recorder is always on — it only captures
-    #: low-rate incident/boundary events, so idle cost is near zero.
+    #: Size of the server's ring, of each session ring without explain
+    #: or trace, and of every flight view (``debug`` op, dumps).  Always
+    #: on: its own kinds are low-rate incidents, so idle cost is ~zero.
     flight_capacity: int = 512
 
     # -- SLOs ----------------------------------------------------------

@@ -132,7 +132,7 @@ class Server:
 
         A :class:`~repro.obs.trace.TraceContext` is minted here and
         installed for the whole request: the dispatch shim carries it
-        onto the worker thread, so flight notes, tracer spans, and
+        onto the worker thread, so flight notes, span records, and
         resilience events downstream all tag themselves with this
         request's ids — and every error payload echoes them back.
         """

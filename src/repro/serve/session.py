@@ -65,14 +65,14 @@ class Session:
         self.opened_at = time.monotonic()
         self._lock = threading.Lock()
         self._closed = False
-        #: The tenant's always-on flight recorder (attached to the
-        #: runtime bus by :meth:`open`); session-op notes land here too.
+        #: The tenant runtime's one event ring (``rt.obs.flight``,
+        #: attached by :meth:`open`); session-op notes land here too.
         self.flight = runtime.obs.flight
         # Incident-triggered dumps: a watchdog trip or a circuit
         # breaker opening writes the ring to disk *at the moment of the
         # incident*, while the evidence is still in the buffer.  The
-        # flight recorder subscribed first (in open()), so the trigger
-        # event itself is already recorded when the dump runs.
+        # ring subscribed first (in open()), so the trigger event itself
+        # is already recorded when the dump runs.
         self._incident_kinds = (
             EventKind.WATCHDOG_TRIPPED,
             EventKind.BREAKER_STATE,
@@ -145,6 +145,8 @@ class Session:
                 sheet = Spreadsheet(config.rows, config.cols)
         if registry is not None:
             rt.obs.metrics = RuntimeMetrics(registry=registry)
+        # One ring per tenant; explain or trace widens it, while its
+        # flight view stays flight_capacity records.
         rt.obs.flight = FlightRecorder(config.flight_capacity)
         rt.obs.enable(
             spans=config.trace,
@@ -217,7 +219,7 @@ class Session:
     def closed(self) -> bool:
         return self._closed
 
-    # -- flight recorder -----------------------------------------------
+    # -- flight view ---------------------------------------------------
 
     def flight_path(self) -> str:
         """Where this tenant's flight dumps land (``<root>/<sid>/``)."""
@@ -226,7 +228,7 @@ class Session:
     def dump_flight(
         self, *, reason: str = "on-demand", extra: Optional[Dict[str, Any]] = None
     ) -> str:
-        """Write the flight ring as JSONL; returns the path."""
+        """Write the ring's flight view as JSONL; returns the path."""
         header: Dict[str, Any] = {"sid": self.sid}
         if extra:
             header.update(extra)
@@ -419,7 +421,7 @@ class Session:
         return self.stats()
 
     def _op_debug(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The flight ring on demand (optionally dumped to disk too)."""
+        """The ring's flight view on demand (optionally dumped too)."""
         limit = request.get("limit")
         records = self.flight.records()
         if isinstance(limit, int) and 0 < limit < len(records):
@@ -429,7 +431,7 @@ class Session:
             "records": records,
             "recorded": self.flight.recorded,
             "dropped": self.flight.dropped,
-            "tracing": self.runtime.obs.tracer._bus is not None,
+            "tracing": EventKind.EXECUTION_STARTED in self.flight.watching,
             "spans": len(self.runtime.obs.tracer),
         }
         if request.get("dump"):

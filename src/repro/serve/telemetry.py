@@ -3,8 +3,8 @@
 This module is the serve layer's half of the :mod:`repro.obs.flight` /
 :mod:`repro.obs.trace` pair:
 
-* :class:`ServeTelemetry` owns the **server's** flight recorder (session
-  recorders live on each tenant runtime's ``rt.obs.flight``), mints one
+* :class:`ServeTelemetry` owns the **server's** ring (each session's
+  ring is its tenant runtime's ``rt.obs.flight``), mints one
   :class:`~repro.obs.trace.TraceContext` per protocol request, measures
   every request against its op's latency objective, and stitches the
   server/dispatch/session/drain records into one Chrome trace;
@@ -155,9 +155,9 @@ class ServeTelemetry:
         """One Chrome trace across every layer.
 
         ``pid 0`` is the server (request + dispatch notes from its
-        flight recorder); each live session gets its own pid holding
-        its flight lane plus its tracer's drain/execute spans (laned by
-        real thread id).  Every event carries the originating request's
+        ring); each live session gets its own pid holding its ring's
+        flight view plus the drain/execute spans folded from the same
+        ring (laned by real thread id).  Every event carries the originating request's
         ``trace_id`` in ``args``, which is what makes one request's
         server-accept → dispatch-hop → session-op → drain journey
         followable in ``chrome://tracing``.

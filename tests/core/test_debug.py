@@ -2,6 +2,8 @@
 
 from repro import Cell, cached
 from repro.core import debug
+from repro.obs.explain import KINDS as explain_kinds
+from repro.obs.flight import FlightRecorder
 
 
 class TestGraphInspection:
@@ -63,21 +65,6 @@ class TestGraphInspection:
         assert any("inner" in label for label in affected)
         assert any("outer" in label for label in affected)
 
-    def test_format_graph_and_dot(self, rt):
-        a = Cell(1, label="a")
-
-        @cached
-        def f():
-            return a.get()
-
-        f()
-        text = debug.format_graph(rt)
-        assert "a" in text
-        dot = debug.to_dot(rt)
-        assert dot.startswith("digraph alphonse {")
-        assert "->" in dot
-        assert dot.rstrip().endswith("}")
-
     def test_consistency_report(self, rt):
         a = Cell(1, label="a")
 
@@ -94,6 +81,22 @@ class TestGraphInspection:
 
 
 class TestExecutionLog:
+    """What the removed execution log answered, read from the ring
+    (``rt.obs.flight``) and ``rt.explain``."""
+
+    @staticmethod
+    def _labels(rt, kind):
+        return [
+            r["label"] for r in rt.obs.flight.records() if r["kind"] == kind
+        ]
+
+    @staticmethod
+    def _record(rt):
+        # A ring whose own kinds are the explain kinds shows them in its
+        # flight view.
+        rt.obs.flight = FlightRecorder(kinds=explain_kinds)
+        return rt.obs.enable(spans=False, metrics=False, flight=True)
+
     def test_records_executions_and_hits(self, rt):
         a = Cell(1, label="a")
 
@@ -101,11 +104,11 @@ class TestExecutionLog:
         def f():
             return a.get()
 
-        with debug.record(rt) as log:
-            f()
-            f()
-        assert len(log.executions()) == 1
-        assert len(log.hits()) == 1
+        self._record(rt)
+        f()
+        f()
+        assert len(self._labels(rt, "execution")) == 1
+        assert len(self._labels(rt, "cache-hit")) == 1
 
     def test_records_changes(self, rt):
         a = Cell(1, label="a")
@@ -115,9 +118,9 @@ class TestExecutionLog:
             return a.get()
 
         f()
-        with debug.record(rt) as log:
-            a.set(9)
-        assert log.changes() == ["a"]
+        self._record(rt)
+        a.set(9)
+        assert self._labels(rt, "change-detected") == ["a"]
 
     def test_why_recomputed_names_the_cause(self, rt):
         a = Cell(1, label="price")
@@ -127,12 +130,12 @@ class TestExecutionLog:
             return a.get() * 3
 
         total()
-        with debug.record(rt) as log:
-            a.set(2)
-            total()
-        explanation = log.why_recomputed("total")
-        assert explanation is not None
-        assert "price" in explanation
+        self._record(rt)
+        a.set(2)
+        total()
+        explanation = rt.explain("total")
+        assert explanation.verdict == "recomputed"
+        assert "price" in explanation.render()
 
     def test_why_recomputed_first_execution(self, rt):
         a = Cell(1, label="a")
@@ -141,35 +144,37 @@ class TestExecutionLog:
         def f():
             return a.get()
 
-        with debug.record(rt) as log:
-            f()
-        explanation = log.why_recomputed("f")
-        assert "first execution" in explanation
+        self._record(rt)
+        f()
+        assert rt.explain("f").verdict == "first-execution"
 
     def test_why_recomputed_unknown_label(self, rt):
-        with debug.record(rt) as log:
-            pass
-        assert log.why_recomputed("missing") is None
+        self._record(rt)
+        assert rt.explain("missing").verdict == "never-demanded"
 
     def test_listener_restored_after_block(self, rt):
         from repro.core.events import EventKind
 
         before = rt.events.subscriber_count(EventKind.EXECUTION)
-        with debug.record(rt):
-            assert (
-                rt.events.subscriber_count(EventKind.EXECUTION) == before + 1
-            )
+        self._record(rt)
+        assert rt.events.subscriber_count(EventKind.EXECUTION) == before + 1
+        rt.obs.disable()
         assert rt.events.subscriber_count(EventKind.EXECUTION) == before
 
     def test_nested_recording_chains(self, rt):
+        from repro.core.events import EventKind
+
         a = Cell(1, label="a")
 
         @cached
         def f():
             return a.get()
 
-        with debug.record(rt) as outer_log:
-            with debug.record(rt) as inner_log:
-                f()
-        assert len(inner_log.executions()) == 1
-        assert len(outer_log.executions()) == 1
+        kinds = frozenset({EventKind.EXECUTION})
+        outer = FlightRecorder(kinds=kinds).attach(rt.events)
+        inner = FlightRecorder(kinds=kinds).attach(rt.events)
+        f()
+        inner.detach()
+        outer.detach()
+        assert len(inner.records()) == 1
+        assert len(outer.records()) == 1

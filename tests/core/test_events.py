@@ -17,7 +17,8 @@ from repro import (
     Watchdog,
     cached,
 )
-from repro.core.events import EventBus, EventKind, TraceExporter
+from repro.core.events import EventBus, EventKind
+from repro.obs.flight import WIDE_CAPACITY, FlightRecorder, render_data
 from repro.core.stats import RuntimeStats
 from repro.spreadsheet import Spreadsheet
 
@@ -184,20 +185,32 @@ class TestRuntimeEmitsTypedEvents:
         assert flags == [True]
 
 
+def _trace_ring(capacity=WIDE_CAPACITY):
+    """A ring whose own kinds are every kind: its flight view is the
+    full event trace the lang CLI's ``--trace`` writes."""
+    return FlightRecorder(capacity, kinds=frozenset(EventKind))
+
+
 class TestTraceExporter:
+    """The JSONL event trace, now the flight view of an all-kinds ring."""
+
     def test_capture_and_counts(self, rt):
-        trace = TraceExporter()
+        trace = _trace_ring().attach(rt.events)
         cell = Cell(1, label="c")
 
         @cached
         def reader():
             return cell.get()
 
-        with trace.capture(rt):
-            reader()
-            cell.set(2)
-            reader()
-        counts = trace.counts()
+        reader()
+        cell.set(2)
+        reader()
+        trace.detach()
+        counts = {}
+        for record in trace.records():
+            counts[record["kind"]] = (
+                counts.get(record["kind"], 0) + record["amount"]
+            )
         assert counts["execution"] == 2
         assert counts["change-detected"] == 1
         assert counts["access"] >= 2
@@ -205,43 +218,42 @@ class TestTraceExporter:
     def test_jsonl_round_trip(self, rt, tmp_path):
         import json
 
-        trace = TraceExporter()
+        trace = _trace_ring().attach(rt.events)
         cell = Cell(1, label="c")
 
         @cached
         def reader():
             return cell.get()
 
-        with trace.capture(rt):
-            reader()
+        reader()
+        trace.detach()
         path = tmp_path / "trace.jsonl"
-        written = trace.write(str(path))
+        path.write_text(trace.to_jsonl() + "\n")
         lines = path.read_text().splitlines()
-        assert written == len(trace) == len(lines)
+        assert len(trace) == len(lines)
         records = [json.loads(line) for line in lines]
         assert [r["seq"] for r in records] == list(range(len(records)))
-        events = {r["event"] for r in records}
-        assert {"node-created", "edge-added", "execution"} <= events
+        kinds = {r["kind"] for r in records}
+        assert {"node-created", "edge-added", "execution"} <= kinds
         # edge events carry the destination label as data
-        edge = next(r for r in records if r["event"] == "edge-added")
-        assert edge["node"] == "c"
+        edge = next(r for r in records if r["kind"] == "edge-added")
+        assert edge["label"] == "c"
         assert edge["data"] == "reader()"
 
     def test_limit_keeps_tail(self, rt):
-        trace = TraceExporter(limit=5)
+        trace = _trace_ring(capacity=5).attach(rt.events)
         cell = Cell(0, label="c")
-        with trace.capture(rt):
-            for i in range(20):
-                cell.set(i)
+        for i in range(20):
+            cell.set(i)
+        trace.detach()
         assert len(trace) == 5
-        seqs = [r["seq"] for r in trace.records]
+        seqs = [r["seq"] for r in trace.records()]
         assert seqs == sorted(seqs)
         assert seqs[-1] > 5  # the tail, not the head
 
     def test_detached_exporter_records_nothing(self, rt):
-        trace = TraceExporter()
-        with trace.capture(rt):
-            pass
+        trace = _trace_ring().attach(rt.events)
+        trace.detach()
         Cell(1, label="c").set(2)
         assert len(trace) == 0
 
@@ -251,18 +263,17 @@ class TestTraceExporter:
         class Labeled:
             label = "watched"
 
-        rendered = TraceExporter._render([Labeled(), 3, "x"])
+        rendered = render_data([Labeled(), 3, "x"])
         assert rendered == ["watched", 3, "x"]
-        assert TraceExporter._render((Labeled(), 1.5)) == ["watched", 1.5]
+        assert render_data((Labeled(), 1.5)) == ["watched", 1.5]
         # nested structures recurse
-        assert TraceExporter._render([["a", Labeled()]]) == [["a", "watched"]]
+        assert render_data([["a", Labeled()]]) == [["a", "watched"]]
 
     def test_render_event_with_list_payload(self, rt):
         """An emitted list payload survives into the JSONL as elements."""
         import json
 
-        trace = TraceExporter()
-        trace.attach(rt.events)
+        trace = _trace_ring().attach(rt.events)
         rt.events.emit(
             EventKind.WATCHDOG_TRIPPED,
             None,

@@ -159,7 +159,7 @@ class TestCli:
         assert "error:" in result.stderr
         assert trace_path.exists()
         events = [
-            json.loads(line)["event"]
+            json.loads(line)["kind"]
             for line in trace_path.read_text().splitlines()
         ]
         assert "node-poisoned" in events

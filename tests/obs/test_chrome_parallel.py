@@ -1,11 +1,10 @@
 """Chrome trace export under parallel drains: tid lanes + partition meta.
 
-PR 5 gave concurrent partition drains per-thread span stacks, but
-``Span.to_dict()`` dropped the ``tid`` — a JSONL export could not be
-re-laned by thread, and nothing asserted the partition tags survived
-the export round trips.  These tests close that gap: spans opened on
-different threads keep distinct ``tid`` lanes and their partition
-metadata through ``to_dict()`` / JSONL / ``trace_event`` exports.
+Concurrent partition drains emit their span boundaries from different
+threads into one ring; the span fold keeps one stack per recorded
+thread, so spans opened on different threads keep distinct ``tid``
+lanes and their partition metadata through ``to_dict()`` / JSONL /
+``trace_event`` exports.
 """
 
 import json
@@ -13,7 +12,8 @@ import threading
 
 from repro import Cell, Runtime, cached
 from repro.core.events import EventBus, EventKind
-from repro.obs import SpanTracer
+from repro.obs import FlightRecorder, SpanTracer
+from repro.obs.spans import KINDS
 
 
 class TestSyntheticParallelLanes:
@@ -22,7 +22,7 @@ class TestSyntheticParallelLanes:
     def _run_two_drains(self):
         bus = EventBus()
         bus.use_lock()  # what Runtime(parallel_drains=N) does
-        tracer = SpanTracer().attach(bus)
+        ring = FlightRecorder(kinds=KINDS).attach(bus)
         barrier = threading.Barrier(2)
 
         def drain(partition):
@@ -37,8 +37,8 @@ class TestSyntheticParallelLanes:
             t.start()
         for t in threads:
             t.join()
-        tracer.detach()
-        return tracer
+        ring.detach()
+        return SpanTracer(ring)
 
     def test_tid_lanes_survive_to_dict(self):
         tracer = self._run_two_drains()

@@ -2,14 +2,16 @@
 
 Every event the engine can emit must either announce a stats counter
 (the kind→counter table in ``tests/counting.py``) or be consumed by at
-least one observability layer — the span tracer, the metrics
-collector, or the explain recorder — or be explicitly exempted below
-with a reason.  Adding an EventKind without wiring it (or exempting it)
+least one observability layer — a view of the event ring (span trees,
+explain chains, the flight view) or the metrics collector — or be
+explicitly exempted below with a reason.  Adding an EventKind without wiring it (or exempting it)
 fails this test: that is the point.
 """
 
 from repro.core.events import EventKind
-from repro.obs import ExplainRecorder, RuntimeMetrics, SpanTracer
+from repro.obs import FlightRecorder, RuntimeMetrics
+from repro.obs.explain import KINDS as EXPLAIN_KINDS
+from repro.obs.spans import KINDS as SPAN_KINDS
 
 from ..counting import COUNTED_KINDS, SPAN_OPEN_KINDS
 
@@ -23,16 +25,17 @@ EXEMPT = {
 def test_every_event_kind_is_observed():
     covered = (
         COUNTED_KINDS
-        | SpanTracer.KINDS
+        | SPAN_KINDS
+        | EXPLAIN_KINDS
+        | FlightRecorder.DEFAULT_KINDS
         | RuntimeMetrics.KINDS
-        | ExplainRecorder.KINDS
         | frozenset(EXEMPT)
     )
     missing = sorted(k.name for k in EventKind if k not in covered)
     assert not missing, (
         f"EventKind(s) with no observability wiring: {missing}. "
-        f"Count them (tests/counting.py), subscribe them in a collector "
-        f"(spans/metrics/explain), or "
+        f"Count them (tests/counting.py), consume them in a view of the "
+        f"ring (spans/explain/flight) or in the metrics collector, or "
         f"add them to EXEMPT in {__file__} with a reason."
     )
 
@@ -45,7 +48,7 @@ def test_exemptions_are_real_kinds():
 
 def test_span_open_kinds_all_have_closers():
     """Every begin event the engine emits is closed by some end event the
-    tracer knows, so spans cannot leak by construction."""
+    span fold knows, so spans cannot leak by construction."""
     from repro.obs.spans import _CLOSE_ROLES, _OPEN_ROLES
 
     assert frozenset(_OPEN_ROLES) == SPAN_OPEN_KINDS
@@ -56,7 +59,7 @@ def test_span_open_kinds_all_have_closers():
 
 def test_stats_covers_span_end_for_every_open_kind():
     """SPAN_OPEN_KINDS are begin markers: they carry no count of their
-    own (the paired end event is counted), but the span tracer must
+    own (the paired end event is counted), but the span fold must
     consume them — otherwise they'd be dead weight on the bus."""
     for kind in SPAN_OPEN_KINDS:
-        assert kind in SpanTracer.KINDS
+        assert kind in SPAN_KINDS

@@ -23,7 +23,7 @@ class TestFacadeLifecycle:
 
         f()
         assert len(rt.obs.tracer) > 0
-        assert len(rt.obs.recorder) > 0
+        assert len(rt.obs.flight) > 0
         rt.obs.disable()
         assert not rt.obs.enabled
         spans_before = len(rt.obs.tracer)
@@ -54,7 +54,7 @@ class TestFacadeLifecycle:
 
         f()
         assert len(rt.obs.tracer) == 0
-        assert len(rt.obs.recorder) == 0
+        assert len(rt.obs.flight) == 0
         assert rt.obs.metrics.executions.value == 1
         rt.obs.disable()
 
@@ -87,7 +87,7 @@ class TestFacadeLifecycle:
         f()
         rt.obs.clear()
         assert len(rt.obs.tracer) == 0
-        assert len(rt.obs.recorder) == 0
+        assert len(rt.obs.flight) == 0
 
 
 class TestCombinedSnapshot:

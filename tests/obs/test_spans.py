@@ -1,4 +1,4 @@
-"""SpanTracer: folding the event stream into a nested timed span tree."""
+"""Span trees: folding the ring's records into nested timed spans."""
 
 import json
 
@@ -6,12 +6,19 @@ import pytest
 
 from repro import Cell, cached, maintained, TrackedObject, Watchdog, Runtime
 from repro.core.errors import PropagationBudgetError
-from repro.obs import SpanTracer
+from repro.core.events import EventBus, EventKind
+from repro.obs import FlightRecorder, SpanTracer
+from repro.obs.spans import KINDS
+
+
+def span_ring(bus, capacity=512, clock=None):
+    """A ring recording the span boundary kinds from ``bus``."""
+    return FlightRecorder(capacity, kinds=KINDS, clock=clock).attach(bus)
 
 
 class TestSpanStructure:
     def test_execute_span_per_body(self, rt):
-        tracer = SpanTracer().attach(rt.events)
+        ring = span_ring(rt.events)
         x = Cell(1, label="x")
 
         @cached
@@ -19,7 +26,8 @@ class TestSpanStructure:
             return x.get() + 1
 
         f()
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         executes = [s for s in tracer.spans() if s.role == "execute"]
         assert len(executes) == 1
         assert executes[0].label == "f()"
@@ -27,7 +35,7 @@ class TestSpanStructure:
         assert executes[0].duration >= 0
 
     def test_drain_nested_under_force(self, rt):
-        tracer = SpanTracer().attach(rt.events)
+        ring = span_ring(rt.events)
         x = Cell(1, label="x")
 
         @cached
@@ -37,13 +45,14 @@ class TestSpanStructure:
         f()
         x.set(5)
         f()
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         forces = [s for s in tracer.spans() if s.role == "force"]
         assert forces, "stale re-demand should force-evaluate"
         assert any(c.role == "drain" for f_ in forces for c in f_.children)
 
     def test_drain_span_records_pending_and_steps(self, rt):
-        tracer = SpanTracer().attach(rt.events)
+        ring = span_ring(rt.events)
         x = Cell(1, label="x")
 
         @cached
@@ -53,26 +62,28 @@ class TestSpanStructure:
         f()
         x.set(9)
         f()
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         drains = [s for s in tracer.spans() if s.role == "drain"]
         assert drains
         assert drains[0].meta["pending"] >= 1
         assert drains[0].meta["steps"] >= 1
 
     def test_batch_span_wraps_commit(self, rt):
-        tracer = SpanTracer().attach(rt.events)
+        ring = span_ring(rt.events)
         x = Cell(1, label="x")
         y = Cell(1, label="y")
         with rt.batch():
             x.set(2)
             y.set(3)
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         batches = [s for s in tracer.spans() if s.role == "batch"]
         assert len(batches) == 1
         assert batches[0].meta.get("writes") == 2
 
     def test_nested_executions_nest(self, rt):
-        tracer = SpanTracer().attach(rt.events)
+        ring = span_ring(rt.events)
         x = Cell(1, label="x")
 
         @cached
@@ -84,13 +95,14 @@ class TestSpanStructure:
             return inner() * 10
 
         outer()
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         outers = [s for s in tracer.spans() if s.label == "outer()"]
         assert len(outers) == 1
         assert [c.label for c in outers[0].children] == ["inner()"]
 
     def test_no_spans_without_attach(self, rt):
-        tracer = SpanTracer()
+        tracer = SpanTracer(FlightRecorder(kinds=KINDS))
         x = Cell(1, label="x")
 
         @cached
@@ -103,7 +115,7 @@ class TestSpanStructure:
 
 class TestSpanFaults:
     def test_poisoned_body_closes_span(self, rt):
-        tracer = SpanTracer().attach(rt.events)
+        ring = span_ring(rt.events)
         x = Cell(1, label="x")
 
         @cached
@@ -113,7 +125,8 @@ class TestSpanFaults:
 
         with pytest.raises(Exception):
             bad()
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         executes = [s for s in tracer.spans() if s.role == "execute"]
         assert executes
         assert executes[0].status == "poisoned"
@@ -121,7 +134,7 @@ class TestSpanFaults:
     def test_aborted_drain_marked(self):
         runtime = Runtime(watchdog=Watchdog(max_steps=1))
         with runtime.active():
-            tracer = SpanTracer().attach(runtime.events)
+            ring = span_ring(runtime.events)
             x = Cell(1, label="x")
 
             class T(TrackedObject):
@@ -139,35 +152,51 @@ class TestSpanFaults:
                 for obj in objs:
                     obj.v = x.get()
                 runtime.flush()
-            tracer.detach()
+            ring.detach()
+        tracer = SpanTracer(ring)
         drains = [s for s in tracer.spans() if s.role == "drain"]
         assert any(s.status == "aborted" for s in drains)
 
     def test_detach_closes_leftovers_as_interrupted(self):
-        clock = iter(range(100)).__next__
-        tracer = SpanTracer(clock=lambda: float(clock()))
-        from repro.core.events import EventBus, EventKind
-
         bus = EventBus()
-        tracer.attach(bus)
-        bus.emit(EventKind.BATCH_STARTED, None)
-        tracer.detach()
-        assert len(tracer.roots) == 1
-        assert tracer.roots[0].status == "interrupted"
+        ring = span_ring(bus, clock=iter([1.0, 2.0]).__next__)
+        bus.emit(EventKind.BATCH_STARTED, None)  # t=1
+        bus.emit(EventKind.EXECUTION_STARTED, None)  # t=2
+        ring.detach()
+        roots = SpanTracer(ring).roots
+        assert len(roots) == 1
+        assert roots[0].status == "interrupted"
+        assert roots[0].end == 2.0  # the newest record
+        assert [c.status for c in roots[0].children] == ["interrupted"]
 
     def test_unmatched_end_ignored(self):
-        from repro.core.events import EventBus, EventKind
+        bus = EventBus()
+        ring = span_ring(bus)
+        bus.emit(EventKind.DRAIN, None, amount=3)  # no DRAIN_STARTED
+        ring.detach()
+        assert len(SpanTracer(ring)) == 0
+
+    def test_ring_that_dropped_an_open_record(self):
+        """A full ring keeps the tail: a close whose open record fell
+        off the front is ignored, and what remains still nests."""
+
+        class FakeNode:
+            label, node_id = "f()", 1
 
         bus = EventBus()
-        tracer = SpanTracer().attach(bus)
-        bus.emit(EventKind.DRAIN, None, amount=3)  # no DRAIN_STARTED
-        tracer.detach()
-        assert len(tracer) == 0
+        ring = span_ring(bus, capacity=3)
+        bus.emit(EventKind.DRAIN_STARTED, None, 1)  # dropped
+        bus.emit(EventKind.EXECUTION_STARTED, FakeNode)
+        bus.emit(EventKind.EXECUTION, FakeNode)
+        bus.emit(EventKind.DRAIN, None, 1)  # its open record is gone
+        assert ring.dropped == 1
+        (span,) = SpanTracer(ring).spans()
+        assert (span.role, span.label, span.status) == ("execute", "f()", "ok")
 
 
 class TestSpanExports:
     def _traced(self, rt):
-        tracer = SpanTracer().attach(rt.events)
+        ring = span_ring(rt.events)
         x = Cell(1, label="x")
 
         @cached
@@ -177,7 +206,8 @@ class TestSpanExports:
         f()
         x.set(2)
         f()
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         return tracer
 
     def test_jsonl_round_trip(self, rt):
@@ -217,8 +247,6 @@ class TestSpanExports:
 
 class TestAggregation:
     def test_by_procedure_self_vs_total(self):
-        from repro.core.events import EventBus, EventKind
-
         bus = EventBus()
         ticks = iter([0.0, 1.0, 3.0, 4.0]).__next__
 
@@ -228,12 +256,13 @@ class TestAggregation:
                 self.node_id = node_id
 
         outer, inner = FakeNode("outer()", 1), FakeNode("inner(2)", 2)
-        tracer = SpanTracer(clock=ticks).attach(bus)
+        ring = span_ring(bus, clock=ticks)
         bus.emit(EventKind.EXECUTION_STARTED, outer)  # t=0
         bus.emit(EventKind.EXECUTION_STARTED, inner)  # t=1
         bus.emit(EventKind.EXECUTION, inner)  # t=3
         bus.emit(EventKind.EXECUTION, outer)  # t=4
-        tracer.detach()
+        ring.detach()
+        tracer = SpanTracer(ring)
         table = tracer.by_procedure()
         assert table["outer"]["total_s"] == 4.0
         assert table["outer"]["self_s"] == 2.0  # 4 minus inner's 2

@@ -1,11 +1,13 @@
 """Session lifecycle: open, apply, evict-close, resurrect."""
 
+import json
 import os
 
 import pytest
 
 from repro.ag.expr import Exp
 from repro.core import maintained
+from repro.obs import FlightRecorder
 from repro.serve import ServeConfig, Session, SessionOpError
 from repro.serve.loadgen import _replay_serially
 from repro.serve.protocol import ProtocolError
@@ -103,6 +105,63 @@ class TestFreshSession:
                 {"op": "explain", "session": "t1", "row": 1, "col": 1}
             )["explanation"]
             assert "R1C1" in explanation
+        finally:
+            session.close()
+
+    def test_explain_chain_reaches_the_written_cell(self, tmp_path):
+        session = Session.open("t1", make_config(tmp_path))
+        try:
+            for request in (
+                {"op": "write", "cells": [[0, 0, 5], [1, 1, "R0C0 + 1"]]},
+                {"op": "read", "row": 1, "col": 1},
+                {"op": "write", "cells": [[0, 0, 7]]},
+                {"op": "read", "row": 1, "col": 1},
+            ):
+                session.apply(dict(request, session="t1"))
+            text = session.apply(
+                {"op": "explain", "session": "t1", "row": 1, "col": 1}
+            )["explanation"]
+            head, *links = text.splitlines()
+            assert head == "SheetCell.value(R1C1): recomputed"
+            (change,) = [line for line in links if "change-detected" in line]
+            assert "read by SheetCell.value(R0C0)" in change
+            assert "re-executed      SheetCell.value(R1C1)" in links[-2]
+        finally:
+            session.close()
+
+    def test_flight_view_stays_flight_sized_beside_explain(self, tmp_path):
+        capacity = 8
+        session = Session.open(
+            "t1", make_config(tmp_path, flight_capacity=capacity)
+        )
+        try:
+            session.apply(
+                {"op": "write", "session": "t1",
+                 "cells": [[0, 0, 5], [1, 1, "R0C0 + 1"]]}
+            )
+            session.apply({"op": "read", "session": "t1", "row": 1, "col": 1})
+            session.apply(
+                {"op": "write", "session": "t1", "cells": [[0, 0, 7]]}
+            )
+            hot_before = session.flight.recorded
+            for _ in range(3 * capacity):  # cache hits: explain kinds
+                session.apply(
+                    {"op": "read", "session": "t1", "row": 1, "col": 1}
+                )
+            assert session.flight.recorded - hot_before > 2 * capacity
+            flight_kinds = {k.value for k in FlightRecorder.DEFAULT_KINDS}
+            debug = session.apply({"op": "debug", "session": "t1", "dump": True})
+            with open(debug["path"], encoding="utf-8") as fh:
+                dumped = [json.loads(line) for line in fh][1:]
+            for records in (debug["records"], dumped):
+                assert 0 < len(records) <= capacity
+                assert {r["kind"] for r in records} <= flight_kinds | {
+                    "session-op"
+                }
+            assert debug["dropped"] == 0  # the ring itself is wide
+            explanation = session.runtime.explain("(R1C1)")
+            assert explanation.verdict == "recomputed"
+            assert explanation.kinds()[:2] == ["write", "change-detected"]
         finally:
             session.close()
 

@@ -6,6 +6,7 @@ import os
 
 from repro.ag.expr import Exp
 from repro.core import maintained
+from repro.core.events import EventKind
 from repro.obs.trace import TraceContext, current_trace, trace_scope
 from repro.serve import ServeConfig, Server, SloTracker, WorkerPool
 from repro.serve.loadgen import LoadProfile, run_load
@@ -109,7 +110,7 @@ class TestTraceIds:
             )
             assert read["ok"]
             session = server.sessions.get("a")
-            assert session.runtime.obs.tracer._bus is not None
+            assert EventKind.EXECUTION_STARTED in session.flight.watching
             spans = session.runtime.obs.tracer.spans()
             assert spans, "trace=True must record spans"
             # Spans opened while serving carry the originating
@@ -128,8 +129,8 @@ class TestTraceIds:
                 {"op": "write", "session": "a", "cells": [[0, 0, 5]]}
             )
             session = server.sessions.get("a")
-            assert session.runtime.obs.tracer._bus is None
-            # ... but the flight recorder is always on.
+            assert EventKind.EXECUTION_STARTED not in session.flight.watching
+            # ... but the ring is always on.
             assert session.flight._bus is session.runtime.events
             await server.shutdown()
 
