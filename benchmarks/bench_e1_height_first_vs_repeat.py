@@ -25,7 +25,7 @@ SIZES = [2**8 - 1, 2**10 - 1, 2**12 - 1, 2**14 - 1]
 def _measure(n, metrics=None):
     runtime = Runtime(keep_registry=False)
     if metrics is not None:
-        metrics.attach(runtime.events)
+        metrics.attach(runtime)
     try:
         with runtime.active():
             leaf = nil()

@@ -27,7 +27,7 @@ GRIDS = [4, 8, 16]
 def _chain_cost(length, metrics=None):
     runtime = Runtime(keep_registry=False)
     if metrics is not None:
-        metrics.attach(runtime.events)
+        metrics.attach(runtime)
     with runtime.active():
         sheet = Spreadsheet(1, length)
         sheet.set_formula(0, 0, 1)

@@ -12,7 +12,10 @@ scenario, and asserts:
 * the load run stayed inside its latency SLOs;
 * one traced TCP request stitches into a single Chrome timeline that
   spans all four layers (server accept, dispatch hop, session op,
-  runtime drain) under one ``trace_id``.
+  runtime drain) under one ``trace_id``;
+* a ``/metrics`` scrape after an eviction and a resurrection counts
+  every recovery: ``alphonse_recoveries_total`` equals
+  ``serve_resurrections_total`` and is not zero.
 
 Writes a machine-readable summary (for the CI artifact) to
 ``serve_smoke_report.json`` (or the path given as argv[1]), a
@@ -53,6 +56,41 @@ EXPECTED_COUNTERS = {
 }
 
 TRACE_LAYERS = {"request", "dispatch", "session-op", "drain"}
+
+
+async def _metrics_scenario(root: str) -> list:
+    """Evict and resurrect tenants on a one-session server, then scrape
+    ``/metrics`` over HTTP: every resurrection is a recovery the engine
+    counted, so the two series must agree."""
+    config = ServeConfig(root=root, rows=4, cols=4, max_live_sessions=1)
+    server = await Server(config).start()
+    for sid in ("a", "b", "a", "b"):
+        response = await server.handle(
+            {"op": "write", "session": sid, "cells": [[0, 0, 1]]}
+        )
+        if not response.get("ok"):
+            await server.shutdown()
+            return [f"metrics scenario write failed: {response}"]
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    writer.write(b"GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n")
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    await server.shutdown()
+    series = dict(
+        line.split(" ", 1)
+        for line in raw.decode().partition("\r\n\r\n")[2].splitlines()
+        if line and not line.startswith("#")
+    )
+    recoveries = float(series.get("alphonse_recoveries_total", 0))
+    resurrections = float(series.get("serve_resurrections_total", 0))
+    if not recoveries or recoveries != resurrections:
+        return [
+            f"/metrics: alphonse_recoveries_total {recoveries} != "
+            f"serve_resurrections_total {resurrections} (both must be > 0)"
+        ]
+    return []
 
 
 async def _trace_scenario(root: str, artifact_dir: str) -> list:
@@ -175,6 +213,9 @@ def main(argv=None) -> int:
         if not load.slo_ok:
             failures.append(f"load run burned its SLO budget: {load.slo}")
 
+        failures.extend(
+            asyncio.run(_metrics_scenario(os.path.join(td, "metrics")))
+        )
         artifact_dir = os.path.dirname(report_path) or "."
         failures.extend(
             asyncio.run(

@@ -886,9 +886,10 @@ class Runtime:
         count = write_checkpoint(
             self, path, codec=codec or "pickle", app_state=app_state
         )
-        self.events.emit(
-            EventKind.CHECKPOINT, None, data={"path": path, "nodes": count}
-        )
+        self._context.stats.checkpoints += 1
+        if EventKind.CHECKPOINT in self.events.observed:
+            data = {"path": path, "nodes": count}
+            self.events.emit(EventKind.CHECKPOINT, None, data=data)
         return path
 
     @classmethod

@@ -117,6 +117,12 @@ class RuntimeStats:
     #: value (``rt.read(..., staleness=ALLOW_STALE)``).
     stale_reads: int = 0
 
+    #: Durability work (:mod:`repro.persist`): WAL records appended,
+    #: checkpoints written, and recoveries that built this runtime.
+    wal_records: int = 0
+    checkpoints: int = 0
+    recoveries: int = 0
+
     def reset(self) -> None:
         """Zero every counter."""
         for f in fields(self):

@@ -143,8 +143,7 @@ def _print_profile(runtime, out) -> None:
     metrics = runtime.obs.metrics
     stats = runtime.stats
     print(
-        f"cache: {int(metrics.cache_hits.value)} hits / "
-        f"{int(metrics.cache_misses.value)} misses "
+        f"cache: {stats.cache_hits} hits / {stats.cache_misses} misses "
         f"(rate {metrics.cache_hit_rate:.2f})  "
         f"drains: {metrics.drain_steps.total}  "
         f"propagation steps: {stats.propagation_steps}  "

@@ -117,8 +117,8 @@ class Observability:
         not subscribed twice.
         """
         bus = self._runtime.events
-        if metrics and self.metrics._bus is None:
-            self.metrics.attach(bus)
+        if metrics and self.metrics._runtime is None:
+            self.metrics.attach(self._runtime)
         kinds = set()
         if spans:
             kinds |= _spans.KINDS

@@ -5,11 +5,11 @@ Two layers:
 * a **generic registry** (:class:`MetricsRegistry`) with the three
   classic instrument types, a JSON-able :meth:`~MetricsRegistry.snapshot`
   and a Prometheus text exposition (:meth:`~MetricsRegistry.to_prometheus`);
-* a **runtime collector** (:class:`RuntimeMetrics`) — an
-  :class:`~repro.core.events.EventBus` subscriber wiring the standard
-  engine metrics: inconsistent-set size per drain, propagation steps per
-  drain and per detected change, per-procedure execution wall time, and
-  cache hit rate.
+* a **runtime collector** (:class:`RuntimeMetrics`) wiring the standard
+  engine metrics: the kernel's counters (``rt.stats``), read at scrape,
+  and the clocked histograms fed from the event bus (inconsistent-set
+  size and propagation steps per drain and per detected change, and
+  per-procedure execution wall time).
 
 Histogram buckets are *fixed at construction* (and the standard buckets
 are module constants), so bucket edges are identical across runs and
@@ -22,10 +22,10 @@ read surfaces (:meth:`MetricsRegistry.snapshot`,
 :meth:`MetricsRegistry.to_prometheus`) take the registry lock and copy
 each instrument's state before rendering, so a scrape landing mid-drain
 never sees a half-registered instrument or a torn histogram (bucket
-counts that disagree with the advertised total).  Instrument *updates*
-stay lock-free: a ``+=`` race between two emitters can under-count by a
-tick, which Prometheus-style monotonic scraping tolerates, but a read
-never tears.
+counts that disagree with the advertised total).  Event-fed updates
+stay lock-free: a ``+=`` race between two emitters can under-count
+``alphonse_executions_total`` or a histogram by a tick, which
+Prometheus-style monotonic scraping tolerates, but a read never tears.
 
 Zero-subscriber cost: nothing here touches the engine until
 :meth:`RuntimeMetrics.attach`.  The kernel counts its own operations
@@ -40,7 +40,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.events import EventBus, EventKind
+from ..core.events import EventKind
 
 __all__ = [
     "Counter",
@@ -85,6 +85,39 @@ class Counter:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
+
+
+class StatsCounter(Counter):
+    """A counter the kernel keeps: one ``RuntimeStats`` field summed
+    over the attached runtimes' ``rt.stats``, plus what detached ones
+    folded in under the lock a read takes, so it never falls."""
+
+    __slots__ = ("field", "_live", "_folded", "_lock")
+
+    def __init__(self, name: str, help: str, field: str) -> None:
+        self.name, self.help, self.field = name, help, field
+        self._live: Dict[int, Any] = {}
+        self._folded = 0
+        self._lock = threading.Lock()
+
+    @property
+    def value(self) -> int:  # type: ignore[override]
+        with self._lock:
+            live = (getattr(s, self.field) for s in self._live.values())
+            return self._folded + sum(live)
+
+    def add(self, stats: Any, folded: int) -> None:
+        """Read ``stats`` live; ``folded`` of it was folded in before."""
+        with self._lock:
+            self._folded -= folded
+            self._live[id(stats)] = stats
+
+    def fold(self, stats: Any) -> int:
+        with self._lock:
+            del self._live[id(stats)]
+            value = getattr(stats, self.field)
+            self._folded += value
+        return value
 
 
 class Gauge:
@@ -262,6 +295,24 @@ def _num(value: float) -> str:
     return repr(value)
 
 
+#: The kernel's counters as series: ``RuntimeStats`` field, name, help.
+STATS_SERIES = (
+    ("cache_hits", "alphonse_cache_hits_total", "calls answered from cache"),
+    ("cache_misses", "alphonse_cache_misses_total", "calls that found a stale node"),
+    ("changes_detected", "alphonse_changes_detected_total", "writes that changed a value"),
+    ("checkpoints", "alphonse_checkpoints_total", "checkpoint snapshots written"),
+    ("wal_records", "alphonse_wal_records_total", "write-ahead-log records appended"),
+    ("recoveries", "alphonse_recoveries_total", "runtimes reconstructed from disk"),
+    ("retries", "alphonse_retries_total",
+     "failed body runs re-executed by the resilience layer"),
+    ("breaker_transitions", "alphonse_breaker_transitions_total",
+     "circuit-breaker state changes"),
+    ("deadlines_exceeded", "alphonse_deadlines_exceeded_total",
+     "procedure bodies that overran their deadline"),
+    ("stale_reads", "alphonse_stale_reads_total",
+     "degraded reads served from a last-known-good value"),
+)
+
 #: Cap on distinct per-partition drain counters: a long-lived runtime
 #: churning partitions would otherwise grow the registry without bound;
 #: drains beyond the cap fall into one overflow series.
@@ -269,43 +320,27 @@ _PARTITION_SERIES = 64
 
 
 class RuntimeMetrics:
-    """The standard engine metrics, fed from the event bus.
+    """The standard engine metrics: kernel counters, clocked histograms.
 
-    Attach to a runtime's bus (``rt.obs.enable()`` does this) and read
+    Attach to a runtime (``rt.obs.enable()`` does this) and read
     ``snapshot()`` at any point::
 
-        metrics = RuntimeMetrics().attach(rt.events)
+        metrics = RuntimeMetrics().attach(rt)
         ... workload ...
         print(metrics.registry.to_prometheus())
 
-    Per-procedure execution time is kept in per-name histograms
-    (``alphonse_execution_seconds::<proc>``), paired from
-    ``EXECUTION_STARTED``/``EXECUTION`` events; bodies that raise are
-    timed via their ``NODE_POISONED`` containment event.
+    The :data:`STATS_SERIES` counters read ``rt.stats``, so they count
+    from the runtime's construction.  Per-procedure execution time is
+    kept in per-name histograms (``alphonse_execution_seconds::<proc>``),
+    paired from ``EXECUTION_STARTED``/``EXECUTION`` events; bodies that
+    raise are timed via their ``NODE_POISONED`` containment event.
     """
 
-    #: The kinds that only bump one counter, and that counter's name.
-    _COUNTED = {
-        EventKind.CACHE_HIT: "cache_hits",
-        EventKind.CACHE_MISS: "cache_misses",
-        EventKind.CHECKPOINT: "checkpoints",
-        EventKind.WAL_APPEND: "wal_records",
-        EventKind.RECOVERY: "recoveries",
-        EventKind.RETRY: "retries",
-        EventKind.BREAKER_STATE: "breaker_transitions",
-        EventKind.DEADLINE_EXCEEDED: "deadlines_exceeded",
-        EventKind.STALE_READ: "stale_reads",
-    }
-    #: Kinds this collector subscribes to (read by the coverage test).
-    KINDS = frozenset(_COUNTED) | {
-        EventKind.DRAIN_STARTED,
-        EventKind.DRAIN,
-        EventKind.DRAIN_ABORTED,
-        EventKind.CHANGE_DETECTED,
-        EventKind.EXECUTION_STARTED,
-        EventKind.EXECUTION,
-        EventKind.NODE_POISONED,
-    }
+    #: Kinds this collector subscribes to: the clocked instruments'.
+    KINDS = frozenset({
+        EventKind.EXECUTION_STARTED, EventKind.EXECUTION, EventKind.NODE_POISONED,
+        EventKind.DRAIN_STARTED, EventKind.DRAIN, EventKind.DRAIN_ABORTED,
+    })
 
     def __init__(
         self,
@@ -314,7 +349,7 @@ class RuntimeMetrics:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._clock = clock if clock is not None else time.perf_counter
-        self._bus: Optional[EventBus] = None
+        self._runtime: Any = None
         reg = self.registry
         self.drain_set_size = reg.histogram(
             "alphonse_drain_inconsistent_set_size",
@@ -331,49 +366,19 @@ class RuntimeMetrics:
             "propagation steps per detected change (per drain)",
             SIZE_BUCKETS,
         )
-        self.cache_hits = reg.counter(
-            "alphonse_cache_hits_total", "calls answered from cache"
-        )
-        self.cache_misses = reg.counter(
-            "alphonse_cache_misses_total", "calls that found a stale node"
-        )
         self.executions = reg.counter(
             "alphonse_executions_total", "procedure bodies run"
         )
-        self.changes = reg.counter(
-            "alphonse_changes_detected_total", "writes that changed a value"
-        )
-        self.checkpoints = reg.counter(
-            "alphonse_checkpoints_total", "checkpoint snapshots written"
-        )
-        self.wal_records = reg.counter(
-            "alphonse_wal_records_total", "write-ahead-log records appended"
-        )
-        self.recoveries = reg.counter(
-            "alphonse_recoveries_total", "runtimes reconstructed from disk"
-        )
-        self.retries = reg.counter(
-            "alphonse_retries_total",
-            "failed body runs re-executed by the resilience layer",
-        )
-        self.breaker_transitions = reg.counter(
-            "alphonse_breaker_transitions_total",
-            "circuit-breaker state changes",
-        )
-        self.deadlines_exceeded = reg.counter(
-            "alphonse_deadlines_exceeded_total",
-            "procedure bodies that overran their deadline",
-        )
-        self.stale_reads = reg.counter(
-            "alphonse_stale_reads_total",
-            "degraded reads served from a last-known-good value",
-        )
-        self._counters: Dict[EventKind, Counter] = {
-            kind: getattr(self, name) for kind, name in self._COUNTED.items()
+        self.stats_counters = {
+            field: reg._register(StatsCounter(name, help, field))
+            for field, name, help in STATS_SERIES
         }
-        #: Changes detected since the last completed drain, the
-        #: denominator of steps_per_change.
-        self._changes_since_drain = 0
+        self.cache_hits = self.stats_counters["cache_hits"]
+        self.cache_misses = self.stats_counters["cache_misses"]
+        #: ``(rt.stats, {field: count})`` the last detach folded in.
+        self._folded: Tuple[Any, Dict[str, int]] = (None, {})
+        #: ``changes_detected`` at the last drain, steps_per_change's base.
+        self._changes_at_drain = 0
         #: Per-thread stacks of (node_id, start_time) for in-flight
         #: executions: concurrent partition drains run bodies on worker
         #: threads, and pairing start/end events across threads would
@@ -386,20 +391,30 @@ class RuntimeMetrics:
 
     # -- subscription lifecycle -----------------------------------------
 
-    def attach(self, bus: EventBus) -> "RuntimeMetrics":
-        if self._bus is not None:
+    def attach(self, runtime: Any) -> "RuntimeMetrics":
+        if self._runtime is not None:
             raise RuntimeError("RuntimeMetrics is already attached")
+        stats = runtime.stats
+        source, folded = self._folded  # a re-attach takes it back out
+        for field, counter in self.stats_counters.items():
+            counter.add(stats, folded[field] if source is stats else 0)
+        self._changes_at_drain = stats.changes_detected
         for kind in self.KINDS:
-            bus.subscribe(kind, self._handle)
-        self._bus = bus
+            runtime.events.subscribe(kind, self._handle)
+        self._runtime = runtime
         return self
 
     def detach(self) -> None:
-        if self._bus is None:
+        runtime = self._runtime
+        if runtime is None:
             return
         for kind in self.KINDS:
-            self._bus.unsubscribe(kind, self._handle)
-        self._bus = None
+            runtime.events.unsubscribe(kind, self._handle)
+        self._runtime = None
+        stats = runtime.stats
+        self._folded = (stats, {
+            field: c.fold(stats) for field, c in self.stats_counters.items()
+        })
         self._exec_stacks.clear()
 
     # -- event handling --------------------------------------------------
@@ -419,22 +434,18 @@ class RuntimeMetrics:
             )
         elif kind is _EXECUTION or kind is _NODE_POISONED:
             self._finish_execution(node)
-        elif kind in self._counters:
-            self._counters[kind].inc(amount)
         elif kind is EventKind.DRAIN_STARTED:
             self.drain_set_size.observe(amount)
-        elif kind is EventKind.DRAIN or kind is EventKind.DRAIN_ABORTED:
+        else:  # DRAIN or DRAIN_ABORTED
             self.drain_steps.observe(amount)
             if isinstance(data, dict) and "partition" in data:
                 self._count_partition_drain(data["partition"])
-            if self._changes_since_drain:
+            changes = self._runtime.stats.changes_detected
+            if changes > self._changes_at_drain:
                 self.steps_per_change.observe(
-                    amount / self._changes_since_drain
+                    amount / (changes - self._changes_at_drain)
                 )
-                self._changes_since_drain = 0
-        elif kind is EventKind.CHANGE_DETECTED:
-            self.changes.inc(amount)
-            self._changes_since_drain += amount
+            self._changes_at_drain = changes
 
     def _finish_execution(self, node: Any) -> None:
         stack = self._exec_stack()

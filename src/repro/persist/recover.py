@@ -235,8 +235,9 @@ def recover(
 
 
 def _announce(rt: Runtime, report: RecoveryReport) -> None:
-    """Emit the ``RECOVERY`` event, if some handler observes it: the
-    payload deep-copies ``app_state``, whole edit history included."""
+    """Count the recovery and emit ``RECOVERY`` if observed: the payload
+    deep-copies ``app_state``, whole edit history included."""
+    rt._context.stats.recoveries += 1
     if EventKind.RECOVERY in rt.events.observed:
         rt.events.emit(EventKind.RECOVERY, None, data=report.to_dict())
 

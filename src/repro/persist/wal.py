@@ -499,9 +499,9 @@ class PersistenceManager:
 
     def _append(self, record: Dict[str, Any], kind: str) -> None:
         self.wal.append(record)
-        self.runtime.events.emit(
-            EventKind.WAL_APPEND, None, data={"kind": kind}
-        )
+        self.runtime._context.stats.wal_records += 1
+        if EventKind.WAL_APPEND in self.runtime.events.observed:
+            self.runtime.events.emit(EventKind.WAL_APPEND, None, data={"kind": kind})
 
     # -- public surface ---------------------------------------------------
 
@@ -528,11 +528,11 @@ class PersistenceManager:
         )
         self.wal.truncate()
         self._settled = self._progress()
-        self.runtime.events.emit(
-            EventKind.CHECKPOINT,
-            None,
-            data={"path": self.path, "nodes": count},
-        )
+        self.runtime._context.stats.checkpoints += 1
+        if EventKind.CHECKPOINT in self.runtime.events.observed:
+            self.runtime.events.emit(
+                EventKind.CHECKPOINT, None, data={"path": self.path, "nodes": count}
+            )
         return self.path
 
     def close(self) -> None:

@@ -3,10 +3,11 @@
 The server owns a single :class:`~repro.obs.metrics.MetricsRegistry`.
 Every tenant session's :class:`~repro.obs.metrics.RuntimeMetrics`
 collector is constructed against it, so the engine-level series
-(``alphonse_executions_total``, drain histograms, ...) aggregate across
-all live runtimes — registration is idempotent per name, each session
-just increments the shared instruments.  This module adds the serve
-layer's own series on top, and one ``/metrics`` scrape exposes both.
+aggregate across tenants: a kernel counter reads each live runtime's
+``rt.stats`` at scrape plus what closed sessions folded in, and the
+event-fed series (histograms, ``alphonse_executions_total``) are shared
+instruments.  This module adds the serve layer's own series on top, and
+one ``/metrics`` scrape exposes both.
 """
 
 from __future__ import annotations

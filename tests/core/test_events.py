@@ -20,6 +20,8 @@ from repro import (
 from repro.core.events import EventBus, EventKind
 from repro.obs.flight import WIDE_CAPACITY, FlightRecorder, render_data
 from repro.core.stats import RuntimeStats
+from repro.persist.ids import fresh_id_space
+from repro.persist.recover import recover
 from repro.spreadsheet import Spreadsheet
 
 from ..counting import COUNTER_FOR, SPECIAL_COUNTERS, tally
@@ -318,6 +320,12 @@ PER_OPERATION_KINDS = frozenset(
     }
 )
 
+#: The kinds persistence announces: a runtime with a persistence manager
+#: but no handler for them must not emit them.
+PERSISTENCE_KINDS = frozenset(
+    {EventKind.WAL_APPEND, EventKind.CHECKPOINT, EventKind.RECOVERY}
+)
+
 #: The workload's drain budget: every drain but the last stays under it.
 MAX_STEPS = 40
 
@@ -453,6 +461,37 @@ def _workload_runtime():
     return Runtime(watchdog=Watchdog(max_steps=MAX_STEPS))
 
 
+def _persisted_workload(path, events=None, recovered_events=None):
+    """Persist a cached sum at ``path`` on a runtime announcing on
+    ``events``: a standalone checkpoint, a manager checkpoint, then a
+    write, a batch and an app record in the WAL; then recover it onto
+    ``recovered_events``.  Returns both runtimes."""
+    fresh_id_space()
+    rt = Runtime(keep_registry=True, events=events)
+    with rt.active():
+        cells = [Cell(i, label="p") for i in range(3)]
+
+        @cached
+        def total():
+            return sum(cell.get() for cell in cells)
+
+        assert total() == 3
+        rt.checkpoint(path + ".standalone")
+        manager = rt.persist_to(path)
+        manager.checkpoint()
+        cells[0].set(10)
+        with rt.batch():
+            cells[1].set(20)
+            cells[2].set(30)
+        manager.log_app({"op": "note"})
+        assert total() == 60
+        manager.close()
+    fresh_id_space()
+    recovered, report = recover(path, events=recovered_events)
+    assert report.mode == "replayed"
+    return rt, recovered
+
+
 class TestKernelCounting:
     """Counters are incremented in the kernel; the events agree."""
 
@@ -483,6 +522,22 @@ class TestKernelCounting:
             "batch_writes_coalesced",
         } <= exercised
 
+    def test_persistence_counters_match_the_observed_event_stream(
+        self, tmp_path
+    ):
+        """Counted from construction, a persisted runtime and the one
+        recovered from its files agree with the streams of their buses."""
+        bus, recovered_bus = EventBus(), EventBus()
+        counts, recovered_counts = tally(bus), tally(recovered_bus)
+        rt, recovered = _persisted_workload(
+            str(tmp_path / "state"), bus, recovered_bus
+        )
+        for runtime, tallied in ((rt, counts), (recovered, recovered_counts)):
+            snap = runtime.stats.snapshot()
+            assert snap == {name: tallied[name] for name in snap}
+        assert (rt.stats.checkpoints, rt.stats.wal_records) == (2, 3)
+        assert (rt.stats.recoveries, recovered.stats.recoveries) == (0, 1)
+
     def test_every_counter_is_announced_by_an_event(self):
         announced = list(COUNTER_FOR.values())
         for names in SPECIAL_COUNTERS.values():
@@ -490,7 +545,7 @@ class TestKernelCounting:
         assert sorted(announced) == sorted(RuntimeStats().snapshot())
 
     def test_unobserved_runtime_emits_no_per_operation_event(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         emitted = self._spy(monkeypatch)
         rt = _workload_runtime()
@@ -498,6 +553,12 @@ class TestKernelCounting:
             _mixed_workload(rt)
         assert not set(emitted) & PER_OPERATION_KINDS
         assert rt.stats.executions and rt.stats.accesses
+        # The persistence manager observes writes, not its own kinds.
+        persisted, recovered = _persisted_workload(str(tmp_path / "state"))
+        assert not set(emitted) & PERSISTENCE_KINDS
+        assert persisted.stats.checkpoints == 2
+        assert persisted.stats.wal_records == 3
+        assert recovered.stats.recoveries == 1
 
     def test_one_subscription_turns_on_only_its_kind(self, monkeypatch):
         emitted = self._spy(monkeypatch)

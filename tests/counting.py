@@ -40,6 +40,9 @@ COUNTER_FOR = {
     EventKind.BREAKER_STATE: "breaker_transitions",
     EventKind.DEADLINE_EXCEEDED: "deadlines_exceeded",
     EventKind.STALE_READ: "stale_reads",
+    EventKind.WAL_APPEND: "wal_records",
+    EventKind.CHECKPOINT: "checkpoints",
+    EventKind.RECOVERY: "recoveries",
 }
 
 #: The four kinds that count otherwise, and the counters they feed:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import Cell, Runtime, cached
-from repro.core.events import EventBus, EventKind
+from repro.core.events import EventKind
 from repro.obs import (
     SIZE_BUCKETS,
     TIME_BUCKETS,
@@ -106,7 +106,7 @@ class TestRegistry:
 
 class TestRuntimeMetrics:
     def test_cache_hit_rate(self, rt):
-        metrics = RuntimeMetrics().attach(rt.events)
+        metrics = RuntimeMetrics().attach(rt)
         x = Cell(1, label="x")
 
         @cached
@@ -121,8 +121,33 @@ class TestRuntimeMetrics:
         assert metrics.cache_misses.value == 1
         assert metrics.cache_hit_rate == pytest.approx(2 / 3)
 
+    def test_counters_read_the_kernel_from_construction(self, rt):
+        """Kernel series read ``rt.stats``: work before attach counts, a
+        detach folds the count in, and a re-attach counts nothing twice."""
+        x = Cell(1, label="x")
+
+        @cached
+        def f():
+            return x.get()
+
+        f()
+        f()  # hit before attach
+        metrics = RuntimeMetrics().attach(rt)
+        assert metrics.cache_hits.value == rt.stats.cache_hits == 1
+        metrics.detach()
+        f()  # hit while detached: not folded in
+        assert metrics.cache_hits.value == 1
+        metrics.attach(rt)
+        assert metrics.cache_hits.value == rt.stats.cache_hits == 2
+        f()
+        metrics.detach()
+        assert metrics.cache_hits.value == rt.stats.cache_hits == 3
+        assert metrics.snapshot()["alphonse_cache_hits_total"]["value"] == 3
+        with pytest.raises(AttributeError):
+            metrics.cache_hits.inc()
+
     def test_per_procedure_time_histograms(self, rt):
-        metrics = RuntimeMetrics().attach(rt.events)
+        metrics = RuntimeMetrics().attach(rt)
         x = Cell(1, label="x")
 
         @cached
@@ -141,7 +166,7 @@ class TestRuntimeMetrics:
         assert row[2] >= 0  # total_s
 
     def test_drain_histograms_observe(self, rt):
-        metrics = RuntimeMetrics().attach(rt.events)
+        metrics = RuntimeMetrics().attach(rt)
         x = Cell(1, label="x")
 
         @cached
@@ -157,7 +182,7 @@ class TestRuntimeMetrics:
         assert metrics.steps_per_change.total >= 1
 
     def test_snapshot_includes_derived_rate_and_round_trips(self, rt):
-        metrics = RuntimeMetrics().attach(rt.events)
+        metrics = RuntimeMetrics().attach(rt)
         x = Cell(1, label="x")
 
         @cached
@@ -177,7 +202,7 @@ class TestRuntimeMetrics:
             kind: rt.events.subscriber_count(kind)
             for kind in RuntimeMetrics.KINDS
         }
-        metrics = RuntimeMetrics().attach(rt.events)
+        metrics = RuntimeMetrics().attach(rt)
         for kind in RuntimeMetrics.KINDS:
             assert rt.events.subscriber_count(kind) == before[kind] + 1
         metrics.detach()
@@ -185,9 +210,9 @@ class TestRuntimeMetrics:
             assert rt.events.subscriber_count(kind) == before[kind]
 
     def test_double_attach_rejected(self, rt):
-        metrics = RuntimeMetrics().attach(rt.events)
+        metrics = RuntimeMetrics().attach(rt)
         with pytest.raises(RuntimeError):
-            metrics.attach(rt.events)
+            metrics.attach(rt)
         metrics.detach()
 
     def test_end_event_unwinds_activations_that_never_ended(self):
@@ -195,7 +220,7 @@ class TestRuntimeMetrics:
         enclosing activation's EXECUTION drops the stale entry and
         records exactly one observation of its own."""
         runtime = Runtime(containment=False)
-        metrics = RuntimeMetrics().attach(runtime.events)
+        metrics = RuntimeMetrics().attach(runtime)
         x = Cell(1, label="x")
 
         @cached
@@ -227,8 +252,9 @@ class TestRuntimeMetrics:
                 self.node_id = node_id
                 self.label = label
 
-        bus = EventBus()
-        metrics = RuntimeMetrics().attach(bus)
+        runtime = Runtime()
+        bus = runtime.events
+        metrics = RuntimeMetrics().attach(runtime)
         outer, copied = Node(1, "outer()"), Node(2, "copied()")
         bus.emit(EventKind.EXECUTION_STARTED, outer)
         bus.emit(EventKind.NODE_POISONED, copied)

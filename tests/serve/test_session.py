@@ -7,7 +7,7 @@ import pytest
 
 from repro.ag.expr import Exp
 from repro.core import maintained
-from repro.obs import FlightRecorder
+from repro.obs import FlightRecorder, MetricsRegistry
 from repro.serve import ServeConfig, Session, SessionOpError
 from repro.serve.loadgen import _replay_serially
 from repro.serve.protocol import ProtocolError
@@ -326,6 +326,33 @@ class TestCloseAndResurrect:
         finally:
             a.close()
             b_sheet.runtime.close()
+
+    def test_a_resurrected_tenant_counts_its_recovery(self, tmp_path):
+        """Engine counters read each runtime's ``rt.stats`` from its
+        construction, so the recovery that builds a resurrected tenant
+        counts although metrics attach after it."""
+        config = make_config(tmp_path)
+        registry = MetricsRegistry()
+        session = Session.open("t1", config, registry)
+        session.apply(
+            {"op": "write", "session": "t1",
+             "cells": [[0, 0, 5], [1, 0, "R0C0 + 2"]]}
+        )
+        session.close(reason="eviction")
+        revived = Session.open("t1", config, registry)
+        try:
+            read = revived.apply(
+                {"op": "read", "session": "t1", "row": 1, "col": 0}
+            )
+            assert read["value"] == 7
+            counted = {
+                name: registry.get(f"alphonse_{name}_total").value
+                for name in ("recoveries", "checkpoints", "cache_misses")
+            }
+            # open and eviction checkpointed; the clean reopen did not
+            assert counted == {"recoveries": 1, "checkpoints": 2, "cache_misses": 8}
+        finally:
+            revived.close()
 
 
 # ----------------------------------------------------------------------
