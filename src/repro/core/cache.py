@@ -147,8 +147,11 @@ class ArgumentTable:
 
     @staticmethod
     def evictable(node: DepNode) -> bool:
-        """An entry is evictable only if nothing depends on it."""
-        return len(node.succ) == 0 and node.executing == 0
+        """An entry is evictable only if nothing depends on it (a stashed
+        in-edge does not count); parallel callers hold the partition lock."""
+        return not node.executing and not any(
+            dst.depends_on(node) for dst in node.succ
+        )
 
     def clear(self) -> None:
         for node in list(self._entries.values()):

@@ -3,9 +3,8 @@
 Ties together nodes, their adjacency maps, the incremental topological
 order, and the union-find partitioning.  The runtime calls
 :meth:`DependencyGraph.create_edge` at every tracked read and incremental
-call (Algorithms 3 and 5) and :meth:`remove_pred_edges` before every
-re-execution (Algorithm 5's ``RemovePredEdges``), so these paths are kept
-small and allocation-light.
+call (Algorithms 3 and 5), and :meth:`enter`/:meth:`leave` around every
+body execution, so these paths are kept small and allocation-light.
 
 Edge representation (§9.2).  The paper's O(T) bound for dependence
 analysis needs "the edge removal at procedure calls in Algorithm 5" to
@@ -13,22 +12,34 @@ be "constant time per edge", which it gets from a doubly linked list of
 bidirectional edges.  Here an edge ``src -> dst`` is two entries of
 insertion-ordered dicts, ``src.succ[dst]`` and ``dst.pred[src]``, the
 representation miniAdapton uses.  Removing one is a hash deletion —
-O(1) expected — so ``RemovePredEdges`` stays linear in the edges
-removed, and an edge costs no object of its own.  Keying by neighbour
-also makes edges unique: a repeated read of one location within an
-execution finds ``src`` already in ``dst.pred`` and adds nothing.
+O(1) expected — and an edge costs no object of its own.  Keying by
+neighbour also makes edges unique: a repeated read of one location
+within an execution finds ``src`` already in ``dst.pred`` and adds
+nothing.
+
+Re-link, don't rebuild (§6.2 at run time).  Instead of Algorithm 5's
+``RemovePredEdges`` before a body runs again, :meth:`enter` moves
+``pred`` aside into ``node.stash`` (each source keeps its ``succ``
+entry), a re-read moves the source back in O(1) — no ``succ`` write,
+label check, union or ``edges_created`` — and :meth:`leave` unlinks the
+sources not read again, O(1) each.  The completed execution's edges are
+Algorithm 5's.  Until its re-read, a stashed edge is not a dependency
+(:meth:`DepNode.depends_on`; successor marking and eviction skip it),
+and a re-entrant activation removes stash and ``pred`` as Algorithm 5 does.
 
 Threading: a dict raises if it is resized while being iterated.  Under
-``Runtime(parallel_drains=N)`` every insertion and removal here runs
-under the partition manager's lock, and so does every walk that can
-race with them (successor marking, :meth:`PartitionManager.mark_successors`;
-the height-label walk, which runs inside :meth:`create_edge`).  The
-serial path takes no lock and copies nothing.
+``Runtime(parallel_drains=N)`` every insertion, re-link and removal
+here runs under the partition manager's lock, and so does every walk
+that can race with them (successor marking, :meth:`PartitionManager.mark_successors`;
+the eviction check, ``ArgumentTable.evictable``; the height-label walk,
+which runs inside :meth:`create_edge`), as do :meth:`enter`'s check,
+stash, increment of ``executing`` and activation number.  The serial
+path takes no lock and copies nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .events import EventBus, EventKind
 from .node import DepNode, NodeKind
@@ -112,8 +123,8 @@ class DependencyGraph:
     def create_edge(self, src: DepNode, dst: DepNode) -> bool:
         """Record that ``dst``'s computation read ``src`` (CreateEdge).
 
-        Returns True if an edge was added, False if ``dst`` already
-        depends on ``src``.
+        Returns True if ``src`` was linked into ``dst.pred`` (a new edge,
+        or a stashed one re-linked), False if it was already there.
         """
         if src in dst.pred:
             return False
@@ -127,6 +138,14 @@ class DependencyGraph:
         return True
 
     def _attach(self, src: DepNode, dst: DepNode) -> None:
+        stash = dst.stash
+        if stash is not None and src in stash:
+            # Read again by the re-executing body: the edge never left
+            # ``src.succ``, the labels already fit and both ends share
+            # a partition, so only the pred entry moves back.
+            del stash[src]
+            dst.pred[src] = None
+            return
         dst.pred[src] = None
         src.succ[dst] = None
         self.stats.edges_created += 1
@@ -142,20 +161,55 @@ class DependencyGraph:
                     self.events.emit(_ORDER_SHIFTED, dst, amount=1)
         self.partitions.union(src, dst)
 
-    def remove_pred_edges(self, node: DepNode) -> int:
-        """Detach every in-edge of ``node`` (before re-execution).
-
-        "If p has been executed previously, it has a set of dependent
-        edges from Alphonse procedures and storage locations that were
-        accessed during the previous execution.  These edges are removed
-        before subsequent executions." (Section 4.3)
+    def enter(self, node: DepNode, frozen: bool) -> int:
+        """Open an activation of ``node``'s body and return its number
+        (``node.activation_seq``).  "These edges are removed before
+        subsequent executions" (§4.3): an outermost activation stashes
+        them instead, a re-entrant one removes them, stash included, and
+        ``frozen`` (§6.2 static subgraph) keeps them.
         """
-        if not node.pred:
+        if self.partitions.locking:
+            with self.partitions.guard():
+                return self._enter(node, frozen)
+        return self._enter(node, frozen)
+
+    def _enter(self, node: DepNode, frozen: bool) -> int:
+        if not frozen:
+            if node.executing:
+                self._unlink_pred(node)
+            elif node.pred:
+                node.stash = node.pred
+                node.pred = {}
+        node.executing += 1
+        node.activation_seq += 1
+        return node.activation_seq
+
+    def leave(self, node: DepNode) -> None:
+        """Close an activation: unlink the stashed sources its body did
+        not read again (whether it returned or raised)."""
+        if self.partitions.locking:
+            with self.partitions.guard():
+                self._leave(node)
+        else:
+            self._leave(node)
+
+    def _leave(self, node: DepNode) -> None:
+        node.executing -= 1
+        stash = node.stash
+        if stash is not None:
+            node.stash = None
+            if stash:
+                self._removed(node, self._detach(node, stash))
+
+    def remove_pred_edges(self, node: DepNode) -> int:
+        """Detach every in-edge of ``node``, stashed ones included (used
+        on cache eviction)."""
+        if not node.pred and node.stash is None:
             return 0
         if self.partitions.locking:
             with self.partitions.guard():
-                return self._unlink(node, incoming=True)
-        return self._unlink(node, incoming=True)
+                return self._unlink_pred(node)
+        return self._unlink_pred(node)
 
     def remove_succ_edges(self, node: DepNode) -> int:
         """Detach every out-edge of ``node`` (used on cache eviction)."""
@@ -163,22 +217,37 @@ class DependencyGraph:
             return 0
         if self.partitions.locking:
             with self.partitions.guard():
-                return self._unlink(node, incoming=False)
-        return self._unlink(node, incoming=False)
+                return self._unlink_succ(node)
+        return self._unlink_succ(node)
 
-    def _unlink(self, node: DepNode, incoming: bool) -> int:
-        """Empty one side of ``node`` and delete the mirror entry at each
-        neighbour: one O(1) expected deletion per edge."""
-        if incoming:
-            side = node.pred
-            for src in side:
-                del src.succ[node]
-        else:
-            side = node.succ
-            for dst in side:
-                del dst.pred[node]
-        removed = len(side)
-        side.clear()
+    def _unlink_pred(self, node: DepNode) -> int:
+        """Empty ``node``'s pred map and stash, deleting the mirror entry
+        at each source: one O(1) expected deletion per edge."""
+        removed = self._detach(node, node.pred)
+        node.pred.clear()
+        stash = node.stash
+        if stash is not None:
+            node.stash = None
+            removed += self._detach(node, stash)
+        return self._removed(node, removed)
+
+    def _unlink_succ(self, node: DepNode) -> int:
+        """Empty ``node``'s succ map, deleting the mirror entry at each
+        destination, where a running body may hold it in its stash."""
+        succ = node.succ
+        for dst in succ:
+            del (dst.pred if node in dst.pred else dst.stash)[node]
+        removed = len(succ)
+        succ.clear()
+        return self._removed(node, removed)
+
+    @staticmethod
+    def _detach(node: DepNode, sources: Dict[DepNode, None]) -> int:
+        for src in sources:
+            del src.succ[node]
+        return len(sources)
+
+    def _removed(self, node: DepNode, removed: int) -> int:
         if removed:
             self.stats.edges_removed += removed
             if _EDGE_REMOVED in self.events.observed:

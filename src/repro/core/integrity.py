@@ -22,7 +22,9 @@ violation of the invariants the rest of the engine assumes:
   with a unique partition id, non-root items own none, and the dirty
   registry maps each pid to that partition's actual scheduler.
 * **Quiescent execution state** — when no drain or body is running,
-  every thread's call stack is empty and no node reports ``executing``.
+  every thread's call stack is empty, no node reports ``executing``,
+  and no node holds a stash of in-edges awaiting a re-read
+  (:mod:`repro.core.graph`).
 * **Disposed nodes detached** — a cache-evicted node keeps no edges,
   sits in no inconsistent set, and holds no thunk.
 * **Consistency/value sanity** — a consistent procedure node that is
@@ -132,6 +134,12 @@ def _audit_incset_membership(rt: "Runtime", nodes, report) -> None:
             if not report(
                 f"{node.label!r} reports executing={node.executing} at "
                 f"quiescence"
+            ):
+                return
+        if node.stash is not None:
+            if not report(
+                f"{node.label!r} holds {len(node.stash)} stashed in-edge(s) "
+                f"at quiescence"
             ):
                 return
         if not node.in_inconsistent_set:

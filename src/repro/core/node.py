@@ -124,6 +124,7 @@ class DepNode:
         "consistent",
         "succ",
         "pred",
+        "stash",
         "ref",
         "label",
         "order",
@@ -155,6 +156,10 @@ class DepNode:
         self.consistent: bool = kind is NodeKind.STORAGE
         self.succ: Dict[DepNode, None] = {}
         self.pred: Dict[DepNode, None] = {}
+        #: The previous execution's in-edges not yet read again by the
+        #: running body (their sources keep the ``succ`` entry); None
+        #: outside a re-execution (see DependencyGraph.enter).
+        self.stash: Optional[Dict[DepNode, None]] = None
         self.ref = ref
         self.label = label or f"{kind.value}#{self.node_id}"
         #: Height label maintained by repro.core.order: every edge runs
@@ -204,6 +209,13 @@ class DepNode:
 
     def has_value(self) -> bool:
         return self.value is not NO_VALUE
+
+    def depends_on(self, src: "DepNode") -> bool:
+        """Whether the edge ``src -> self`` is a dependency: it is not,
+        under Algorithm 5, while this node's running body has it
+        stashed and has not read ``src`` again."""
+        stash = self.stash
+        return stash is None or src not in stash
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = "ok" if self.consistent else "DIRTY"

@@ -386,17 +386,18 @@ class PartitionManager:
         """Mark every successor of ``node`` (the paper's "all elements
         of succ(u) are added to the inconsistent set").
 
+        A running successor whose stash still holds ``node`` is skipped
+        (:meth:`DepNode.depends_on`): its body has not read ``node``
+        again yet, so under Algorithm 5 the edge would already be gone.
+
         In parallel mode the walk holds the manager lock, under which
-        every edge insertion and removal also runs, so a drain of
-        another partition cannot resize ``node.succ`` mid-iteration.
+        every edge insertion, re-link and removal also runs, so a drain
+        of another partition cannot resize ``node.succ`` mid-iteration.
         """
-        if self.locking:
-            with self._lock:
-                for succ in node.succ:
-                    self._mark(succ)
-        else:
+        with self.guard():
             for succ in node.succ:
-                self._mark(succ)
+                if succ.depends_on(node):
+                    self._mark(succ)
 
     def discard(self, node: DepNode) -> None:
         """Drop ``node`` from its partition's worklist (disposal path)."""

@@ -446,7 +446,8 @@ class Runtime:
             )
             node.thunk = _make_thunk(proc, args, node)
             node.static_edges = proc.static_deps
-            table.add(args, node)
+            with self.partitions.guard():  # evictable() walks succ maps
+                table.add(args, node)
             # consistent is already False for fresh procedure nodes.
         elif not ctx.drain_depth:  # else the outer drain continues
             # "ELSE IF SetSize(Inconsistent) > 0 THEN Evaluate(Inconsistent)"
@@ -457,7 +458,16 @@ class Runtime:
             if not frame.freeze_edges:
                 self.graph.create_edge(node, frame.node)
 
-        if node.consistent:
+        if node.consistent and not (
+            # Another drain thread runs a demand node, or a first run:
+            # its value is not ready and nothing may re-mark this caller
+            # once it commits, so run the body here too (the newest run
+            # commits).  A drain re-running an eager node that has a
+            # value re-marks this caller if the value it commits changed.
+            node.executing
+            and (node.kind is NodeKind.DEMAND or not node.has_value())
+            and self._running_elsewhere(node, ctx)
+        ):
             value = node.value
             if type(value) is Poisoned:
                 resil = self._resilience
@@ -529,14 +539,19 @@ class Runtime:
         node.ref = proc
         node.static_edges = proc.static_deps
         node.edges_frozen = node.edges_frozen and proc.static_deps
-        table.add(args, node)
+        with self.partitions.guard():  # evictable() walks succ maps
+            table.add(args, node)
         return node
 
     def execute_node(self, node: DepNode) -> Any:
         """Run a procedure instance's body and cache the result.
 
         The tail of Algorithm 5: RemovePredEdges, push, set consistent
-        *before* the body, execute, record.
+        *before* the body, execute, record.  RemovePredEdges is deferred:
+        :meth:`DependencyGraph.enter` stashes the in-edges, a re-read
+        re-links one in O(1), and :meth:`DependencyGraph.leave` unlinks
+        the rest when the body returns or raises, leaving Algorithm 5's
+        edges.
 
         Re-entrancy: an execution may call the *same* instance again if
         intervening writes re-marked it inconsistent — the paper's AVL
@@ -555,7 +570,7 @@ class Runtime:
         from DET violations.
         """
         ctx = self._context
-        if node.executing:
+        if node.executing and not self._running_elsewhere(node, ctx):
             if self.strict_cycles:
                 raise CycleError(node.label)
             if node.executing >= self.max_reentry:
@@ -563,16 +578,12 @@ class Runtime:
                     f"{node.label} re-entered {node.executing} times"
                 )
         assert node.thunk is not None, "procedure node lost its thunk"
-        if not (node.static_edges and node.edges_frozen):
-            self.graph.remove_pred_edges(node)
         frame = _Frame(node)
         ctx.stack.append(frame)
         events = self.events
         if _EXECUTION_STARTED in events.observed:
             events.emit(_EXECUTION_STARTED, node)
-        node.executing += 1
-        node.activation_seq += 1
-        my_activation = node.activation_seq
+        my_activation = self.graph.enter(node, frame.freeze_edges)
         node.consistent = True
         # An (*UNCHECKED*) region suppresses dependencies of the
         # activation that opened it, not of its callees: a procedure
@@ -619,22 +630,33 @@ class Runtime:
             # while only the frame owner is poisoned).
             self.partitions.mark_successors(node)
             raise
+        else:
+            # Commit before leave() lowers ``executing``: a caller on
+            # another drain thread that then finds the node consistent
+            # and idle reads this value (see call).
+            committed = node.activation_seq == my_activation
+            if committed:
+                if type(node.value) is Poisoned:
+                    self._poison_live -= 1  # healed: success replaces poison
+                node.value = result
+                if node.static_edges:
+                    node.edges_frozen = True
         finally:
             ctx.unchecked = saved_unchecked
-            node.executing -= 1
+            self.graph.leave(node)
             popped = ctx.stack.pop()
             assert popped is frame
-        committed = node.activation_seq == my_activation
-        if committed:
-            if type(node.value) is Poisoned:
-                self._poison_live -= 1  # healed: success replaces poison
-            node.value = result
-            if node.static_edges:
-                node.edges_frozen = True
         ctx.stats.executions += 1
         if _EXECUTION in events.observed:
             events.emit(_EXECUTION, node, data=committed)
         return result
+
+    def _running_elsewhere(self, node: DepNode, ctx: _Ctx) -> bool:
+        """Whether every running activation of ``node`` (one at least)
+        belongs to another drain thread: not re-entry, not a cycle."""
+        return self._parallel is not None and all(
+            frame.node is not node for frame in ctx.stack
+        )
 
     # ------------------------------------------------------------------
     # fault containment

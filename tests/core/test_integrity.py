@@ -127,6 +127,23 @@ class TestCorruptionDetection:
         violations = rt.check_invariants(raise_on_violation=False)
         assert any("succ map" in v for v in violations)
 
+    def test_stash_left_at_quiescence_reported(self, rt):
+        """A stash of in-edges awaiting a re-read lives only while its
+        body runs; one left behind holds edges outside ``pred``."""
+        cell = Cell(1, label="c")
+
+        @cached
+        def f():
+            return cell.get()
+
+        f()
+        node = rt.node_for(f, ())
+        node.stash, node.pred = node.pred, {}  # as if a body never ended
+        violations = rt.check_invariants(raise_on_violation=False)
+        assert any("1 stashed in-edge(s) at quiescence" in v for v in violations)
+        node.pred, node.stash = node.stash, None
+        assert rt.check_invariants() == []
+
     def test_label_below_a_predecessor_reported(self, rt):
         _, total, doubled = _busy_runtime(rt)
         node = rt.node_for(total, ())

@@ -33,19 +33,30 @@ class TestStaticDeps:
         assert rt.stats.edges_created == created_first
         assert rt.stats.edges_removed == 0
 
-    def test_dynamic_variant_rebuilds_edges(self, rt):
-        a, b = Cell(1, label="a"), Cell(2, label="b")
+    def test_dynamic_variant_relinks_edges(self, rt):
+        """Without the assertion, a re-execution re-links the edges it
+        reads again (§6.2 at run time): an unchanged read set creates
+        and removes nothing, and only a changed one churns edges."""
+        a, b, c = Cell(1, label="a"), Cell(2, label="b"), Cell(3, label="c")
+        names = Cell("ab", label="names")
+        cells = {"a": a, "b": b, "c": c}
 
         @cached
         def total():
-            return a.get() + b.get()
+            return sum(cells[name].get() for name in names.get())
 
-        total()
-        created_first = rt.stats.edges_created
+        assert total() == 3
+        created, removed = rt.stats.edges_created, rt.stats.edges_removed
         a.set(5)
-        total()
-        assert rt.stats.edges_created > created_first
-        assert rt.stats.edges_removed > 0
+        assert total() == 7  # same read set
+        assert (rt.stats.edges_created, rt.stats.edges_removed) == (created, removed)
+        names.set("a")
+        assert total() == 5  # drops b
+        assert (rt.stats.edges_created, rt.stats.edges_removed) == (created, removed + 1)
+        names.set("ac")
+        assert total() == 8  # adds c
+        assert rt.stats.edges_created == created + 1
+        assert rt.stats.edges_removed == removed + 1
 
     def test_static_maintained_method(self, rt):
         class Pair(TrackedObject):

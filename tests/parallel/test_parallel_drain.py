@@ -7,10 +7,20 @@ to one partition of many, partition-tagged drain events, and
 transaction commits fanning out across partitions."""
 
 import threading
+import time
 
 import pytest
 
-from repro import Cell, EAGER, EventKind, NodeExecutionError, Runtime, cached
+from repro import (
+    DEMAND,
+    EAGER,
+    LRU,
+    Cell,
+    EventKind,
+    NodeExecutionError,
+    Runtime,
+    cached,
+)
 from repro.testing import FaultInjected, FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.parallel
@@ -271,6 +281,184 @@ class TestEdgeMapRace:
     def test_cross_partition_reads_during_a_drain(self):
         for _ in range(self.ROUNDS):
             self._round()
+
+    @staticmethod
+    def _waves(parallel, build, waves, **options):
+        """Build a graph (``build`` returns its per-wave writes and a read
+        of every value) and run ``waves`` flushes; after each, the values
+        read, with a clean audit and no stash left behind."""
+        if parallel:
+            options["parallel_drains"] = 4
+        runtime = Runtime(**options)
+        seen = []
+        with runtime.active():
+            write, read_all = build()
+            for wave in range(waves):
+                write(wave)
+                runtime.flush()
+                assert runtime.check_invariants() == []
+                assert all(node.stash is None for node in runtime.graph.nodes)
+                seen.append(read_all())
+        runtime.close()
+        return seen
+
+    def test_read_sets_change_between_waves(self):
+        """Each of 40 partitions holds an eager ``rotor`` whose read set
+        turns with its trigger's value, so every wave stashes, re-links,
+        adds and drops edges on the drain threads."""
+        count = 40
+
+        def build():
+            triggers = [Cell(0, label=f"T{j}") for j in range(count)]
+            left = [Cell(j, label=f"A{j}") for j in range(count)]
+            right = [Cell(2 * j, label=f"B{j}") for j in range(count)]
+
+            @cached(strategy=EAGER)
+            def rotor(j):
+                x = triggers[j].get()
+                total = x + (left[j].get() if x % 3 else 0)
+                return total + (right[j].get() if x % 3 != 1 else 0)
+
+            def write(wave):
+                for trigger in triggers:
+                    trigger.set(wave + 1)
+
+            for j in range(count):
+                rotor(j)
+            return write, lambda: [rotor(j) for j in range(count)]
+
+        for _ in range(10):
+            assert self._waves(True, build, 7) == self._waves(False, build, 7)
+
+    @pytest.mark.parametrize(
+        "strategy, options",
+        [(DEMAND, {}), (EAGER, {}), (DEMAND, {"strict_cycles": True})],
+        ids=["demand", "eager", "demand-strict"],
+    )
+    def test_call_into_a_partition_another_thread_drains(self, strategy, options):
+        """The known gap: ``caller(j)`` starts calling ``shared()`` in the
+        wave that also changes ``shared``'s input, while another thread
+        drains the owners' partition.  ``shared`` blocks briefly, so the
+        callers find it running there: its flag already says consistent
+        but its value is the old one.  A demand ``shared`` would not
+        re-mark them once it commits, so the callers run it themselves
+        (not a re-entry: ``strict_cycles`` must not call it a cycle).  An
+        eager ``shared`` is left to its drain, which re-marks them if the
+        value it commits changed; a second run there would win the commit
+        and leave that drain comparing the old value.  Either way every
+        value must equal a serial run's."""
+        count = 12
+
+        def build():
+            u = Cell(0, label="u")
+            votes = [Cell(0, label=f"v{j}") for j in range(count)]
+            extra = [Cell(10 * i, label=f"x{i}") for i in range(3)]
+
+            @cached(strategy=strategy)
+            def shared():
+                x = u.get()
+                time.sleep(0.001)  # releases the GIL mid-body
+                return x + extra[x % 3].get()
+
+            @cached(strategy=EAGER)
+            def owner(k):
+                return shared() + k
+
+            @cached(strategy=EAGER)
+            def caller(j):
+                y = votes[j].get()
+                return y + (shared() if y % 2 else 0)
+
+            def write(wave):
+                u.set(wave + 1)
+                if wave:  # from the second wave on, every caller calls in
+                    for vote in votes:
+                        vote.set(2 * wave + 1)
+
+            for k in range(4):
+                owner(k)
+            for j in range(count):
+                caller(j)
+            return write, lambda: (
+                [shared()]
+                + [owner(k) for k in range(4)]
+                + [caller(j) for j in range(count)]
+            )
+
+        for _ in range(20):
+            assert self._waves(True, build, 4, **options) == self._waves(
+                False, build, 4, **options
+            )
+
+    @pytest.mark.parametrize("strategy", [DEMAND, EAGER], ids=["demand", "eager"])
+    def test_first_run_of_a_node_another_thread_runs(self, strategy):
+        """Every ``caller(j)`` calls ``fresh()`` for the first time in one
+        wave, so most find it consistent but without a value while
+        another thread runs its first execution.  That is not a cycle:
+        they run it too, and every value must equal a serial run's."""
+        count = 12
+
+        def build():
+            votes = [Cell(0, label=f"v{j}") for j in range(count)]
+
+            @cached(strategy=strategy)
+            def fresh():
+                time.sleep(0.001)  # releases the GIL mid-body
+                return 42
+
+            @cached(strategy=EAGER)
+            def caller(j):
+                y = votes[j].get()
+                return y + (fresh() if y % 2 else 0)
+
+            def write(wave):
+                for vote in votes:
+                    vote.set(wave + 1)
+
+            for j in range(count):
+                caller(j)
+            return write, lambda: [caller(j) for j in range(count)]
+
+        for _ in range(10):
+            assert self._waves(True, build, 2) == self._waves(False, build, 2)
+
+    def test_eviction_walks_succ_under_the_partition_lock(self):
+        """A bounded table's eviction check walks each entry's ``succ``
+        map (a running body's stashed in-edge does not count), so it must
+        hold the lock under which other drain threads insert into it.
+        The table holds twice as many entries as there are choosers, so
+        no entry is evicted before its caller links it."""
+        held = []
+
+        class CheckedLRU(LRU):
+            def select_victims(self, table):
+                held.append(runtime.partitions._lock._is_owned())
+                return super().select_victims(table)
+
+        runtime = Runtime(parallel_drains=4)
+        with runtime.active():
+            picks = [Cell(j, label=f"P{j}") for j in range(8)]
+
+            @cached(policy=lambda: CheckedLRU(16))
+            def leaf(i):
+                return i * 10
+
+            @cached(strategy=EAGER)
+            def chooser(j):
+                return leaf(picks[j].get())
+
+            for j in range(8):
+                chooser(j)
+            for wave in range(1, 4):
+                for j, pick in enumerate(picks):
+                    pick.set(j + 8 * wave)
+                runtime.flush()
+                assert [chooser(j) for j in range(8)] == [
+                    10 * (j + 8 * wave) for j in range(8)
+                ]
+                assert runtime.check_invariants() == []
+        runtime.close()
+        assert len(held) == 32 and all(held)
 
 
 class TestPoisonScanRace:

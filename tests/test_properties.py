@@ -8,7 +8,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Cell, Runtime, cached
+from repro import EAGER, Cell, EventKind, Runtime, cached
 from repro.trees import Tree, build_balanced, nil
 from repro.trees.height import collect_nodes, exhaustive_height
 from repro.spreadsheet import CircularReference, Spreadsheet
@@ -104,6 +104,119 @@ def test_cached_dag_always_matches_recomputation(seed, n_cells, n_ops):
         # final: all consistent
         for i in range(len(functions)):
             assert functions[i]() == reference(i)
+
+
+class _LastReads:
+    """Each procedure node's read set in its last completed execution,
+    rebuilt from the event stream alone: EXECUTION_STARTED opens a read
+    set, ACCESS (a storage read) and CACHE_HIT/CACHE_MISS (a call) add
+    to the innermost one, and a committing EXECUTION closes it.  A first
+    read of a location is announced before its node exists; the
+    NODE_CREATED that follows names it."""
+
+    def __init__(self, events):
+        self.last = {}
+        self._open = []
+        self._unnamed = False
+        events.subscribe(EventKind.EXECUTION_STARTED, self._started)
+        events.subscribe(EventKind.EXECUTION, self._ended)
+        events.subscribe(EventKind.NODE_CREATED, self._created)
+        for kind in (EventKind.ACCESS, EventKind.CACHE_HIT, EventKind.CACHE_MISS):
+            events.subscribe(kind, self._read)
+
+    def _started(self, kind, node, amount, data):
+        self._open.append((node, set()))
+
+    def _read(self, kind, node, amount, data):
+        if not self._open:
+            return
+        if node is None:
+            self._unnamed = True
+        else:
+            self._open[-1][1].add(node)
+
+    def _created(self, kind, node, amount, data):
+        if self._unnamed and node.is_storage:
+            self._unnamed = False
+            self._open[-1][1].add(node)
+
+    def _ended(self, kind, node, amount, data):
+        started, reads = self._open.pop()
+        assert started is node
+        if data:  # committed
+            self.last[node] = reads
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_cells=st.integers(min_value=2, max_value=6),
+    n_ops=st.integers(min_value=1, max_value=15),
+    scheduler=st.sampled_from(["topological", "height"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_cached_dag_keeps_exactly_the_last_read_set(seed, n_cells, n_ops, scheduler):
+    """Random cached DAGs, demand and eager, whose bodies pick what they
+    read from a selector cell's value.  A re-execution re-links the
+    in-edges it reads again and drops the rest when it ends, so after
+    every query: each value equals a from-scratch recomputation, each
+    procedure node's in-edges are exactly what its last completed
+    execution read, no node keeps a stash, and the audit is clean."""
+    rng = random.Random(seed)
+    runtime = Runtime(scheduler=scheduler)
+    reads = _LastReads(runtime.events)
+    with runtime.active():
+        cells = [Cell(rng.randrange(10), label=f"c{i}") for i in range(n_cells)]
+        functions = []
+        specs = []
+        for i in range(n_cells):
+            selector = rng.randrange(n_cells)
+            branches = tuple(
+                (
+                    sorted(rng.sample(range(n_cells), rng.randrange(0, n_cells + 1))),
+                    sorted(rng.sample(range(i), rng.randrange(0, i + 1))),
+                )
+                for _ in range(2)
+            )
+            specs.append((selector, branches))
+
+            def body(selector=selector, branches=branches):
+                pick = cells[selector].get()
+                cell_idx, fn_idx = branches[pick % 2]
+                total = pick + sum(cells[j].get() for j in cell_idx)
+                return total + sum(functions[j]() * 3 for j in fn_idx)
+
+            body.__name__ = f"f{i}"
+            strategy = {"strategy": EAGER} if rng.random() < 0.3 else {}
+            functions.append(cached(**strategy)(body))
+
+        def reference(i):
+            selector, branches = specs[i]
+            pick = cells[selector].peek()
+            cell_idx, fn_idx = branches[pick % 2]
+            total = pick + sum(cells[j].peek() for j in cell_idx)
+            return total + sum(reference(j) * 3 for j in fn_idx)
+
+        def check():
+            for fn in functions:
+                node = runtime.node_for(fn, ())
+                if node is not None:
+                    assert set(node.pred) == reads.last[node], node.label
+            assert all(node.stash is None for node in runtime.graph.nodes)
+            assert runtime.check_invariants() == []
+
+        for i in range(n_cells):
+            assert functions[i]() == reference(i)
+            check()
+        for _ in range(n_ops):
+            for j in rng.sample(range(n_cells), rng.randrange(1, n_cells + 1)):
+                cells[j].set(rng.randrange(10))
+            probe = rng.randrange(n_cells)
+            assert functions[probe]() == reference(probe)
+            check()
+        runtime.flush()
+        for i in range(n_cells):
+            assert functions[i]() == reference(i)
+        check()
 
 
 @given(
