@@ -15,7 +15,10 @@ scenario, and asserts:
   runtime drain) under one ``trace_id``;
 * a ``/metrics`` scrape after an eviction and a resurrection counts
   every recovery: ``alphonse_recoveries_total`` equals
-  ``serve_resurrections_total`` and is not zero.
+  ``serve_resurrections_total`` and is not zero; and the bodies a
+  resurrected session ran were timed: ``alphonse_executions_total`` is
+  not zero and equals the sum of the ``alphonse_execution_seconds::*``
+  counts.
 
 Writes a machine-readable summary (for the CI artifact) to
 ``serve_smoke_report.json`` (or the path given as argv[1]), a
@@ -59,18 +62,25 @@ TRACE_LAYERS = {"request", "dispatch", "session-op", "drain"}
 
 
 async def _metrics_scenario(root: str) -> list:
-    """Evict and resurrect tenants on a one-session server, then scrape
-    ``/metrics`` over HTTP: every resurrection is a recovery the engine
-    counted, so the two series must agree."""
+    """Evict and resurrect tenants on a one-session server, run bodies
+    only on a resurrected one, then scrape ``/metrics`` over HTTP: every
+    resurrection is a recovery the engine counted, so the two series
+    must agree, and a resurrected runtime times its bodies, so the
+    execution series are not zero."""
     config = ServeConfig(root=root, rows=4, cols=4, max_live_sessions=1)
     server = await Server(config).start()
-    for sid in ("a", "b", "a", "b"):
-        response = await server.handle(
-            {"op": "write", "session": sid, "cells": [[0, 0, 1]]}
-        )
+    requests = [
+        {"op": "write", "session": sid, "cells": [[0, 0, 1]]}
+        for sid in ("a", "b", "a", "b")
+    ] + [
+        {"op": "write", "session": "b", "cells": [[0, 1, "R0C0 + 1"]]},
+        {"op": "read", "session": "b", "row": 0, "col": 1},
+    ]
+    for request in requests:
+        response = await server.handle(request)
         if not response.get("ok"):
             await server.shutdown()
-            return [f"metrics scenario write failed: {response}"]
+            return [f"metrics scenario {request['op']} failed: {response}"]
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
     writer.write(b"GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n")
     await writer.drain()
@@ -85,12 +95,25 @@ async def _metrics_scenario(root: str) -> list:
     )
     recoveries = float(series.get("alphonse_recoveries_total", 0))
     resurrections = float(series.get("serve_resurrections_total", 0))
+    failures = []
     if not recoveries or recoveries != resurrections:
-        return [
+        failures.append(
             f"/metrics: alphonse_recoveries_total {recoveries} != "
             f"serve_resurrections_total {resurrections} (both must be > 0)"
-        ]
-    return []
+        )
+    executions = float(series.get("alphonse_executions_total", 0))
+    timed = sum(
+        float(value)
+        for name, value in series.items()
+        if name.startswith("alphonse_execution_seconds::")
+        and name.endswith("_count")
+    )
+    if not executions or executions != timed:
+        failures.append(
+            f"/metrics: alphonse_executions_total {executions} != "
+            f"{timed} timed by alphonse_execution_seconds (both must be > 0)"
+        )
+    return failures
 
 
 async def _trace_scenario(root: str, artifact_dir: str) -> list:

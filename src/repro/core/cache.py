@@ -128,13 +128,19 @@ class ArgumentTable:
         return node
 
     def add(self, args: ArgKey, node: DepNode) -> List[DepNode]:
-        """``TableAdd``: insert and return any nodes evicted to make room."""
+        """``TableAdd``: insert and return any nodes evicted to make room.
+
+        The entry being added is never evicted: its caller is about to
+        run it, and a top-level call has no caller to pin it.
+        """
         try:
             self._entries[args] = node
         except TypeError:
             raise UnhashableArgumentsError(self.proc_name, args) from None
         evicted: List[DepNode] = []
         for key in self.policy.select_victims(self):
+            if key == args:
+                continue
             victim = self._entries.pop(key)
             evicted.append(victim)
             if self._on_evict is not None:

@@ -26,9 +26,11 @@ cell's dependency node belongs to the runtime that created it).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, Iterator, List, Tuple, Type
 
 from .errors import NotTrackedError
+from .node import PREFIX_REPRS
 from .runtime import Location, get_runtime
 
 #: Sentinel stored in a TrackedDict cell whose key is absent.
@@ -151,14 +153,7 @@ class TrackedObject:
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
-        # Deliberately shallow: tracked structures are routinely cyclic
-        # (tree rotations create transient parent/child cycles), so field
-        # values are rendered as type names, never recursively.
-        parts = ", ".join(
-            f"{name}={_shallow(cell.peek())}"
-            for name, cell in self._cells.items()
-        )
-        return f"{type(self).__name__}@{id(self):x}({parts})"
+        return _repr_prefix(self)
 
 
 class TrackedArray:
@@ -336,6 +331,26 @@ class TrackedList:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TrackedList({self.snapshot()!r})"
+
+
+def _repr_prefix(obj: TrackedObject, length: float = math.inf) -> str:
+    """``repr(obj)``, or a prefix of it longer than ``length`` characters
+    that stops before the next field value (a node label keeps only 24).
+
+    Deliberately shallow: tracked structures are routinely cyclic (tree
+    rotations create transient parent/child cycles), so field values
+    are rendered as type names, never recursively.
+    """
+    text = f"{type(obj).__name__}@{id(obj):x}("
+    for i, (name, cell) in enumerate(obj._cells.items()):
+        text += f"{', ' if i else ''}{name}="
+        if len(text) > length:
+            return text
+        text += _shallow(cell.peek())
+    return text + ")"
+
+
+PREFIX_REPRS[TrackedObject.__repr__] = _repr_prefix
 
 
 def _shallow(value: Any) -> str:

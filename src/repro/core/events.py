@@ -218,6 +218,12 @@ class EventBus:
         if self._lock is None:
             self._lock = threading.RLock()
 
+    @property
+    def lock(self) -> Optional[threading.RLock]:
+        """The emit lock (None on a single-threaded bus): code that feeds
+        a handler's state outside :meth:`emit` holds it as handlers do."""
+        return self._lock
+
     # -- subscription ----------------------------------------------------
 
     def subscribe(self, kind: EventKind, handler: Handler) -> Handler:

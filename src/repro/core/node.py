@@ -234,8 +234,17 @@ def procedure_instance_label(name: str, args: Tuple[Any, ...]) -> str:
     return f"{name}({rendered})"
 
 
+#: ``__repr__`` implementations that can stop early, mapped to their
+#: renderer: ``render(value, length)`` returns ``repr(value)`` whole or
+#: a prefix of it longer than ``length``, so a label cut from it equals
+#: one cut from the full repr (:mod:`repro.core.cells` registers the
+#: default ``TrackedObject.__repr__``, whose fields can be costly).
+PREFIX_REPRS: Dict[Any, Callable[[Any, int], str]] = {}
+
+
 def _short(value: Any, limit: int = 24) -> str:
-    text = repr(value)
+    render = PREFIX_REPRS.get(type(value).__repr__)
+    text = repr(value) if render is None else render(value, limit)
     if len(text) > limit:
         text = text[: limit - 3] + "..."
     return text

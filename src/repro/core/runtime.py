@@ -254,6 +254,12 @@ class Runtime:
         #: breaker admission, and deadline frames wrap the body there.
         #: None by default, costing one attribute check per execution.
         self._resilience: Optional[Any] = None
+        #: Execution clock (see :class:`~repro.obs.metrics.RuntimeMetrics`):
+        #: when set, ``execute_node`` reads ``time.perf_counter()`` around
+        #: the body and calls ``clock(node, seconds)`` once per activation
+        #: that returned or whose failure was contained into poison.
+        #: None by default, costing one attribute check per execution.
+        self._execution_clock: Optional[Callable[[DepNode, float], None]] = None
         #: Number of graph nodes currently caching a Poisoned value — an
         #: optimization gate only (the eager poisoned-input shortcut is
         #: skipped entirely while it is zero); correctness never depends
@@ -446,17 +452,18 @@ class Runtime:
             )
             node.thunk = _make_thunk(proc, args, node)
             node.static_edges = proc.static_deps
-            with self.partitions.guard():  # evictable() walks succ maps
-                table.add(args, node)
             # consistent is already False for fresh procedure nodes.
-        elif not ctx.drain_depth:  # else the outer drain continues
-            # "ELSE IF SetSize(Inconsistent) > 0 THEN Evaluate(Inconsistent)"
-            self._force_evaluation_for(node, stats)
-
-        if ctx.stack and not ctx.unchecked:
-            frame = ctx.stack[-1]
-            if not frame.freeze_edges:
-                self.graph.create_edge(node, frame.node)
+            # Linked to its caller before the table's policy runs, and
+            # in one section with it under parallel drains, so no add
+            # (this one or another thread's) evicts the entry unlinked.
+            with self.partitions.guard():  # evictable() walks succ maps
+                self._link_to_caller(node, ctx)
+                table.add(args, node)
+        else:
+            if not ctx.drain_depth:  # else the outer drain continues
+                # "ELSE IF SetSize(Inconsistent) > 0 THEN Evaluate(Inconsistent)"
+                self._force_evaluation_for(node, stats)
+            self._link_to_caller(node, ctx)
 
         if node.consistent and not (
             # Another drain thread runs a demand node, or a first run:
@@ -509,6 +516,13 @@ class Runtime:
         if _CACHE_MISS in self.events.observed:
             self.events.emit(_CACHE_MISS, node)
         return self.execute_node(node)
+
+    def _link_to_caller(self, node: DepNode, ctx: _Ctx) -> None:
+        """CreateEdge from a called ``node`` to the executing caller."""
+        if ctx.stack and not ctx.unchecked:
+            frame = ctx.stack[-1]
+            if not frame.freeze_edges:
+                self.graph.create_edge(node, frame.node)
 
     def _adopt_restored_instance(
         self,
@@ -593,6 +607,8 @@ class Runtime:
         ctx.unchecked = 0
         injector = self._fault_injector
         resil = self._resilience
+        clock = self._execution_clock
+        start = time.perf_counter() if clock is not None else 0.0
         try:
             if resil is not None:
                 result = resil.execute(self, node, injector)
@@ -618,6 +634,8 @@ class Runtime:
                 # the origin preserved (the eager scheduler absorbs it
                 # instead, keeping the drain alive).
                 poison = self._poison(node, exc)
+                if clock is not None:
+                    self._clock_body(clock, node, start)
                 raise NodeExecutionError(node.label, poison) from exc
             # Non-containable (engine-control errors, KeyboardInterrupt,
             # containment off): leave no trustworthy cached value.
@@ -647,9 +665,24 @@ class Runtime:
             popped = ctx.stack.pop()
             assert popped is frame
         ctx.stats.executions += 1
+        if clock is not None:
+            self._clock_body(clock, node, start)
         if _EXECUTION in events.observed:
             events.emit(_EXECUTION, node, data=committed)
         return result
+
+    def _clock_body(
+        self, clock: Callable[[DepNode, float], None], node: DepNode, start: float
+    ) -> None:
+        """Hand the execution clock the body's wall time, under the bus
+        lock when the bus has one (parallel drains), as handlers run."""
+        seconds = time.perf_counter() - start
+        lock = self.events.lock
+        if lock is None:
+            clock(node, seconds)
+        else:
+            with lock:
+                clock(node, seconds)
 
     def _running_elsewhere(self, node: DepNode, ctx: _Ctx) -> bool:
         """Whether every running activation of ``node`` (one at least)
@@ -699,11 +732,14 @@ class Runtime:
         Partition-local by construction: only the worklist of ``node``'s
         own component is drained — pending changes in other partitions
         stay batched (§6.3).  The loop tolerates the partition growing
-        mid-drain (re-execution creating unions).
+        mid-drain (re-execution creating unions).  The dirty registry
+        lists every partition with pending work, so while it is empty
+        no union-find walk is needed.
         """
+        partitions = self.partitions
         forced = False
-        while True:
-            part = self.partitions.sched_of(node)
+        while partitions.dirty:
+            part = partitions.sched_of(node)
             if not part.incset:
                 break
             if not forced:

@@ -7,9 +7,9 @@ Two layers:
   and a Prometheus text exposition (:meth:`~MetricsRegistry.to_prometheus`);
 * a **runtime collector** (:class:`RuntimeMetrics`) wiring the standard
   engine metrics: the kernel's counters (``rt.stats``), read at scrape,
-  and the clocked histograms fed from the event bus (inconsistent-set
-  size and propagation steps per drain and per detected change, and
-  per-procedure execution wall time).
+  per-procedure execution wall time from the kernel's execution clock,
+  and the drain histograms fed from the event bus (inconsistent-set
+  size and propagation steps per drain and per detected change).
 
 Histogram buckets are *fixed at construction* (and the standard buckets
 are module constants), so bucket edges are identical across runs and
@@ -22,23 +22,25 @@ read surfaces (:meth:`MetricsRegistry.snapshot`,
 :meth:`MetricsRegistry.to_prometheus`) take the registry lock and copy
 each instrument's state before rendering, so a scrape landing mid-drain
 never sees a half-registered instrument or a torn histogram (bucket
-counts that disagree with the advertised total).  Event-fed updates
-stay lock-free: a ``+=`` race between two emitters can under-count
+counts that disagree with the advertised total).  Updates take no
+registry lock: one runtime's handlers and execution clock run one at a
+time (under its bus lock with ``parallel_drains``), but two runtimes
+feeding a shared registry can race a ``+=`` and under-count
 ``alphonse_executions_total`` or a histogram by a tick, which
-Prometheus-style monotonic scraping tolerates, but a read never tears.
+Prometheus-style monotonic scraping tolerates; a read never tears.
 
 Zero-subscriber cost: nothing here touches the engine until
 :meth:`RuntimeMetrics.attach`.  The kernel counts its own operations
-(``rt.stats``, exact under ``parallel_drains``) and does not emit a
-kind no handler observes, so an unattached runtime pays nothing here.
+(``rt.stats``, exact under ``parallel_drains``), does not emit a kind
+no handler observes, and reads no clock while no execution clock is
+installed, so an unattached runtime pays nothing here.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.events import EventKind
 
@@ -62,13 +64,6 @@ SIZE_BUCKETS: Tuple[float, ...] = (
 TIME_BUCKETS: Tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
 )
-
-# The hottest kinds as module globals: an Enum class attribute costs
-# more to look up than the comparison it feeds.
-_EXECUTION_STARTED = EventKind.EXECUTION_STARTED
-_EXECUTION = EventKind.EXECUTION
-_NODE_POISONED = EventKind.NODE_POISONED
-
 
 class Counter:
     """Monotonically increasing count."""
@@ -331,24 +326,20 @@ class RuntimeMetrics:
 
     The :data:`STATS_SERIES` counters read ``rt.stats``, so they count
     from the runtime's construction.  Per-procedure execution time is
-    kept in per-name histograms (``alphonse_execution_seconds::<proc>``),
-    paired from ``EXECUTION_STARTED``/``EXECUTION`` events; bodies that
-    raise are timed via their ``NODE_POISONED`` containment event.
+    kept in per-name histograms (``alphonse_execution_seconds::<proc>``)
+    fed by the execution clock :meth:`attach` installs on the runtime:
+    the kernel times each body that returned or whose failure was
+    contained into poison, and no event carries it.  The drain
+    histograms subscribe to the three drain kinds.
     """
 
-    #: Kinds this collector subscribes to: the clocked instruments'.
+    #: Kinds this collector subscribes to: the drain histograms'.
     KINDS = frozenset({
-        EventKind.EXECUTION_STARTED, EventKind.EXECUTION, EventKind.NODE_POISONED,
         EventKind.DRAIN_STARTED, EventKind.DRAIN, EventKind.DRAIN_ABORTED,
     })
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._clock = clock if clock is not None else time.perf_counter
         self._runtime: Any = None
         reg = self.registry
         self.drain_set_size = reg.histogram(
@@ -379,11 +370,6 @@ class RuntimeMetrics:
         self._folded: Tuple[Any, Dict[str, int]] = (None, {})
         #: ``changes_detected`` at the last drain, steps_per_change's base.
         self._changes_at_drain = 0
-        #: Per-thread stacks of (node_id, start_time) for in-flight
-        #: executions: concurrent partition drains run bodies on worker
-        #: threads, and pairing start/end events across threads would
-        #: misattribute time.
-        self._exec_stacks: Dict[int, List[Tuple[Any, float]]] = {}
         #: Per-procedure-name time histograms.
         self._per_proc: Dict[str, Histogram] = {}
         #: Per-partition drain counters (capped; see _PARTITION_SERIES).
@@ -392,6 +378,9 @@ class RuntimeMetrics:
     # -- subscription lifecycle -----------------------------------------
 
     def attach(self, runtime: Any) -> "RuntimeMetrics":
+        """Read ``runtime``'s counters, subscribe to the drain kinds and
+        install the execution clock (a runtime has one: the collector
+        attached last times its bodies)."""
         if self._runtime is not None:
             raise RuntimeError("RuntimeMetrics is already attached")
         stats = runtime.stats
@@ -401,6 +390,7 @@ class RuntimeMetrics:
         self._changes_at_drain = stats.changes_detected
         for kind in self.KINDS:
             runtime.events.subscribe(kind, self._handle)
+        runtime._execution_clock = self._time_execution
         self._runtime = runtime
         return self
 
@@ -410,31 +400,32 @@ class RuntimeMetrics:
             return
         for kind in self.KINDS:
             runtime.events.unsubscribe(kind, self._handle)
+        if runtime._execution_clock == self._time_execution:  # not another's
+            runtime._execution_clock = None
         self._runtime = None
         stats = runtime.stats
         self._folded = (stats, {
             field: c.fold(stats) for field, c in self.stats_counters.items()
         })
-        self._exec_stacks.clear()
 
     # -- event handling --------------------------------------------------
 
-    def _exec_stack(self) -> List[Tuple[Any, float]]:
-        """The calling thread's in-flight execution stack."""
-        ident = threading.get_ident()
-        stack = self._exec_stacks.get(ident)
-        if stack is None:
-            stack = self._exec_stacks[ident] = []
-        return stack
+    def _time_execution(self, node: Any, seconds: float) -> None:
+        """The execution clock: one body activation, ``seconds`` long."""
+        self.executions.inc()
+        name = node.ref.name
+        histogram = self._per_proc.get(name)
+        if histogram is None:
+            histogram = self.registry.histogram(
+                f"alphonse_execution_seconds::{name}",
+                f"body wall time of {name}",
+                TIME_BUCKETS,
+            )
+            self._per_proc[name] = histogram
+        histogram.observe(seconds)
 
     def _handle(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
-        if kind is _EXECUTION_STARTED:
-            self._exec_stack().append(
-                (getattr(node, "node_id", None), self._clock())
-            )
-        elif kind is _EXECUTION or kind is _NODE_POISONED:
-            self._finish_execution(node)
-        elif kind is EventKind.DRAIN_STARTED:
+        if kind is EventKind.DRAIN_STARTED:
             self.drain_set_size.observe(amount)
         else:  # DRAIN or DRAIN_ABORTED
             self.drain_steps.observe(amount)
@@ -446,33 +437,6 @@ class RuntimeMetrics:
                     amount / (changes - self._changes_at_drain)
                 )
             self._changes_at_drain = changes
-
-    def _finish_execution(self, node: Any) -> None:
-        stack = self._exec_stack()
-        node_id = getattr(node, "node_id", None)
-        # Ours is normally the top entry.  Entries above it belong to
-        # activations an exception unwound without their end events.
-        depth = len(stack) - 1
-        while depth >= 0 and stack[depth][0] != node_id:
-            depth -= 1
-        if depth < 0:
-            return  # attached mid-execution, or poison copied from an
-            # input with no body of this node in flight
-        start = stack[depth][1]
-        del stack[depth:]
-        elapsed = self._clock() - start
-        self.executions.inc()
-        label = getattr(node, "label", "") or ""
-        name = label.split("(", 1)[0] or "?"
-        histogram = self._per_proc.get(name)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                f"alphonse_execution_seconds::{name}",
-                f"body wall time of {name}",
-                TIME_BUCKETS,
-            )
-            self._per_proc[name] = histogram
-        histogram.observe(elapsed)
 
     def _count_partition_drain(self, pid: Any) -> None:
         counter = self._per_partition.get(pid)

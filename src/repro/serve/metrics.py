@@ -5,7 +5,7 @@ Every tenant session's :class:`~repro.obs.metrics.RuntimeMetrics`
 collector is constructed against it, so the engine-level series
 aggregate across tenants: a kernel counter reads each live runtime's
 ``rt.stats`` at scrape plus what closed sessions folded in, and the
-event-fed series (histograms, ``alphonse_executions_total``) are shared
+clocked series (histograms, ``alphonse_executions_total``) are shared
 instruments.  This module adds the serve layer's own series on top, and
 one ``/metrics`` scrape exposes both.
 """

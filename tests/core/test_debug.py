@@ -178,3 +178,91 @@ class TestExecutionLog:
         outer.detach()
         assert len(inner.records()) == 1
         assert len(outer.records()) == 1
+
+
+def _repr_cut(value, limit=24):
+    """A label argument as its whole ``repr`` renders it (the default
+    ``TrackedObject`` one written out in full), cut to ``limit``."""
+    from repro.core.cells import TrackedObject, _shallow
+
+    if type(value).__repr__ is TrackedObject.__repr__:
+        parts = ", ".join(
+            f"{name}={_shallow(cell.peek())}"
+            for name, cell in value._cells.items()
+        )
+        text = f"{type(value).__name__}@{id(value):x}({parts})"
+        assert repr(value) == text
+    else:
+        text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+class TestProcedureLabels:
+    """Labels render an argument's repr cut to 24 characters, and explain
+    chains, flight dumps and checkpoints carry them, so rendering only
+    the prefix the cut keeps must give the same bytes."""
+
+    @staticmethod
+    def _assert_labels_match(values):
+        from repro.core.node import procedure_instance_label
+
+        for value in values:
+            label = procedure_instance_label("value", (value,))
+            assert label == f"value({_repr_cut(value)})", value
+            pair = procedure_instance_label("p", (value, 7))
+            assert pair == f"p({_repr_cut(value)}, 7)"
+
+    def test_every_spreadsheet_production(self, rt):
+        from repro.ag import expr
+        from repro.spreadsheet.model import CellExp, RangeSumExp, Spreadsheet
+
+        sheet = Spreadsheet(3, 3)
+        sheet.set_formula(0, 0, "R1C1 + 1")
+        sheet.set_formula(0, 1, "SUM(R1C0:R2C2) + R0C0")
+        sheet.set_formula(
+            0, 2,
+            expr.root(expr.let("x" * 40, expr.num(10 ** 30),
+                               expr.plus(expr.ident("x" * 40), sheet.ref(2, 2)))),
+        )
+        assert sheet.cell_at(0, 2).value() == 10 ** 30
+        seen = []
+
+        def walk(node):
+            seen.append(node)
+            for name in type(node).all_fields():
+                child = node.field_cell(name).peek()
+                if isinstance(child, expr.Exp) and name != "parent":
+                    walk(child)
+
+        for col in range(3):
+            walk(sheet.cell_at(0, col).func)
+        productions = {
+            expr.RootExp, expr.PlusExp, expr.LetExp, expr.IdExp,
+            expr.IntExp, CellExp, RangeSumExp,
+        }
+        assert {type(node) for node in seen} == productions
+        self._assert_labels_match(seen)
+        self._assert_labels_match([sheet.cell_at(0, 0)])  # its own __repr__
+
+    def test_avl_node_and_tracked_fields_classes(self, rt):
+        from repro.core.cells import TrackedObject, tracked_fields
+        from repro.trees.avl import AvlTree
+
+        tree = AvlTree()
+        for key in (3, 1, 2):
+            tree.insert(key)
+        tree.rebalance()
+        short = type("A", (TrackedObject,), {"_fields_": ("x",)})(x=1)
+        assert len(repr(short)) <= 24  # rendered whole, not cut
+        self._assert_labels_match(
+            [tree.root, tree.leaf, tracked_fields()(), short]
+        )
+
+    def test_lang_interpreter_object(self):
+        from repro.lang.interp import Interpreter
+
+        interp = Interpreter(
+            "MODULE N;\nTYPE O = OBJECT v : INTEGER; END;\nEND N."
+        )
+        interp.run()
+        self._assert_labels_match([interp.new_object("O", v=4)])

@@ -65,6 +65,28 @@ class TestCachedDecorator:
         f(1)  # recomputes
         assert runs == [1, 2, 1]
 
+    def test_bounded_table_never_evicts_the_entry_being_added(self, rt):
+        """Each chooser pins the entry it called, so the entry a call
+        adds is the only one a full table could evict: it must survive
+        to run, whether a caller links it or, at top level, none does."""
+
+        @cached(policy=lambda: LRU(2))
+        def leaf(i):
+            return i * 10
+
+        @cached(strategy=EAGER)
+        def chooser(j):
+            return leaf(j)
+
+        assert [chooser(j) for j in range(8)] == [10 * j for j in range(8)]
+        assert rt.table_size(leaf) == 8
+        assert leaf(99) == 990
+        assert rt.stats.cache_evictions == 0
+        assert leaf(100) == 1000  # evicts leaf(99): nothing pins it
+        assert rt.stats.cache_evictions == 1
+        assert rt.node_for(leaf, (99,)) is None
+        assert rt.check_invariants() == []
+
     def test_per_runtime_isolation(self):
         runs = []
 

@@ -1,11 +1,23 @@
 """Metrics registry: instruments, registry semantics, runtime wiring,
 and the snapshot/JSON round-trip guarantees the bench harness relies on."""
 
+import collections
 import json
+import sys
+import threading
 
 import pytest
 
-from repro import Cell, Runtime, cached
+from repro import (
+    EAGER,
+    Cell,
+    Poisoned,
+    ResiliencePolicy,
+    RetryPolicy,
+    Runtime,
+    TransientFault,
+    cached,
+)
 from repro.core.events import EventKind
 from repro.obs import (
     SIZE_BUCKETS,
@@ -197,17 +209,44 @@ class TestRuntimeMetrics:
         assert json.loads(json.dumps(snap)) == snap
 
     def test_zero_cost_when_detached(self, rt):
-        """attach/detach leaves the bus's subscriber counts unchanged."""
+        """attach/detach leaves the bus's subscriber counts unchanged, and
+        the execution clock is installed only while attached."""
         before = {
             kind: rt.events.subscriber_count(kind)
             for kind in RuntimeMetrics.KINDS
         }
+        assert rt._execution_clock is None
         metrics = RuntimeMetrics().attach(rt)
         for kind in RuntimeMetrics.KINDS:
             assert rt.events.subscriber_count(kind) == before[kind] + 1
+        assert rt._execution_clock is not None
+        assert not {
+            EventKind.EXECUTION_STARTED, EventKind.EXECUTION,
+            EventKind.NODE_POISONED,
+        } & rt.events.observed
         metrics.detach()
         for kind in RuntimeMetrics.KINDS:
             assert rt.events.subscriber_count(kind) == before[kind]
+        assert rt._execution_clock is None
+
+    def test_the_collector_attached_last_times_bodies(self, rt):
+        """A runtime has one execution clock: the collector attached last
+        times its bodies, and another's detach leaves that clock alone."""
+        x = Cell(1, label="x")
+
+        @cached
+        def f():
+            return x.get()
+
+        first = RuntimeMetrics().attach(rt)
+        second = RuntimeMetrics().attach(rt)
+        f()
+        first.detach()
+        x.set(2)
+        f()
+        assert (first.executions.value, second.executions.value) == (0, 2)
+        second.detach()
+        assert rt._execution_clock is None
 
     def test_double_attach_rejected(self, rt):
         metrics = RuntimeMetrics().attach(rt)
@@ -216,9 +255,8 @@ class TestRuntimeMetrics:
         metrics.detach()
 
     def test_end_event_unwinds_activations_that_never_ended(self):
-        """Without containment a raising body sends no end event; the
-        enclosing activation's EXECUTION drops the stale entry and
-        records exactly one observation of its own."""
+        """Without containment a raising body unwinds without being
+        timed; the enclosing activation that returned is timed once."""
         runtime = Runtime(containment=False)
         metrics = RuntimeMetrics().attach(runtime)
         x = Cell(1, label="x")
@@ -241,27 +279,169 @@ class TestRuntimeMetrics:
         metrics.detach()
         assert metrics.executions.value == 1
         assert [row[:2] for row in metrics.procedure_table()] == [("outer", 1)]
-        assert metrics._exec_stack() == []
 
     def test_end_event_without_a_start_leaves_the_stack(self):
-        """Poison copied from an input has no body in flight: its end
-        event must not pop the activations that are running."""
-
-        class Node:
-            def __init__(self, node_id, label):
-                self.node_id = node_id
-                self.label = label
-
+        """Poison copied from an input runs no body, so it is not timed;
+        the source's contained failure is."""
         runtime = Runtime()
-        bus = runtime.events
         metrics = RuntimeMetrics().attach(runtime)
-        outer, copied = Node(1, "outer()"), Node(2, "copied()")
-        bus.emit(EventKind.EXECUTION_STARTED, outer)
-        bus.emit(EventKind.NODE_POISONED, copied)
-        assert [entry[0] for entry in metrics._exec_stack()] == [1]
-        bus.emit(EventKind.EXECUTION, outer)
-        assert metrics._exec_stack() == []
-        assert metrics.executions.value == 1
+        x = Cell(1, label="x")
+
+        @cached(strategy=EAGER)
+        def source():
+            if x.get() > 1:
+                raise ValueError("bad input")
+            return x.get()
+
+        @cached(strategy=EAGER)
+        def copied():
+            return source() + 1
+
+        with runtime.active():
+            assert copied() == 2
+            x.set(2)
+            runtime.flush()
+        metrics.detach()
+        assert runtime.stats.nodes_poisoned == 2
+        assert type(runtime.node_for(copied, ()).value) is Poisoned
+        assert runtime.stats.executions == 2  # bodies that returned
+        assert metrics.executions.value == 3
+        assert sorted(row[:2] for row in metrics.procedure_table()) == [
+            ("copied", 1), ("source", 2),
+        ]
+
+
+class _Tally:
+    """The activations the execution clock must time, tallied from the
+    events that once fed it: a body that returned (EXECUTION) or whose
+    failure was contained (NODE_POISONED while its body runs on this
+    thread).  Poison copied from an input has no body running."""
+
+    def __init__(self, bus):
+        self.running = {}
+        self.counts = collections.Counter()
+        self.superseded = self.copied = 0
+        for kind in (
+            EventKind.EXECUTION_STARTED, EventKind.EXECUTION,
+            EventKind.NODE_POISONED,
+        ):
+            bus.subscribe(kind, self)
+
+    def __call__(self, kind, node, amount, data):
+        stack = self.running.setdefault(threading.get_ident(), [])
+        if kind is EventKind.EXECUTION_STARTED:
+            stack.append(node)
+            return
+        if kind is EventKind.EXECUTION and data is False:
+            self.superseded += 1
+        for depth in range(len(stack) - 1, -1, -1):
+            if stack[depth] is node:
+                # Entries above belong to activations that unwound.
+                del stack[depth:]
+                self.counts[node.ref.name] += 1
+                return
+        self.copied += 1
+
+
+def _every_ending(runtime):
+    """Activations that end every way: returned, contained, retried,
+    re-entered and superseded (returning and raising), poison copied
+    from an input; six eager components drain in one flush."""
+    from repro.trees.avl import AvlTree
+
+    with runtime.active():
+        xs = [Cell(1, label=f"x{i}") for i in range(6)]
+        attempts = [0] * 6
+
+        @cached(strategy=EAGER)
+        def source(i):
+            if xs[i].get() % 2 == 0:
+                raise ValueError("even input")
+            return xs[i].get()
+
+        @cached(strategy=EAGER)
+        def copied(i):
+            return source(i) + 1
+
+        @cached(strategy=EAGER)
+        def wobbly(i):
+            attempts[i] += 1
+            if attempts[i] % 2 == 0:
+                raise TransientFault("blip")
+            return xs[i].get()
+
+        flag = Cell(0, label="flag")
+
+        @cached
+        def reenter():
+            if flag.get() == 1:
+                flag.set(2)  # re-marks this node: the call below re-enters
+                reenter()
+                raise ValueError("superseded")
+            return flag.get()
+
+        for i in range(6):
+            copied(i)
+            wobbly(i)
+        for i in range(6):
+            xs[i].set(2)
+        runtime.flush()
+        assert reenter() == 0
+        flag.set(1)
+        with pytest.raises(ValueError, match="superseded"):
+            reenter()
+        tree = AvlTree()
+        for key in range(24):
+            tree.insert(key)
+        tree.rebalance()
+        assert tree.check_avl()
+        for key in range(24, 36):
+            tree.insert(key)
+        tree.rebalance()
+        assert tree.check_avl()
+
+
+class TestExecutionClock:
+    @pytest.mark.parametrize("parallel", [None, 4], ids=["serial", "parallel4"])
+    def test_counts_equal_the_activations_that_returned_or_were_poisoned(
+        self, parallel
+    ):
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=3, sleep=lambda seconds: None)
+        )
+        runtime = Runtime(parallel_drains=parallel, resilience=policy)
+        tally = _Tally(runtime.events)
+        metrics = RuntimeMetrics().attach(runtime)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # a lost update would lose a count
+        try:
+            _every_ending(runtime)
+        finally:
+            sys.setswitchinterval(interval)
+        metrics.detach()
+        runtime.close()
+        timed = {name: calls for name, calls, _, _ in metrics.procedure_table()}
+        assert timed == dict(tally.counts)
+        assert metrics.executions.value == sum(tally.counts.values())
+        # Each ending happened: six contained failures and six copies,
+        # one retry per wobbly re-run, superseded activations that
+        # returned (AVL rotations) and one that raised (not timed).
+        assert runtime.stats.nodes_poisoned == 12 and tally.copied == 6
+        assert timed["source"] == 12 and timed["copied"] == 6
+        assert runtime.stats.retries == 6 and timed["wobbly"] == 12
+        assert tally.superseded > 0 and timed["Avl.balance"] > 0
+        assert timed["reenter"] == 2
+        if parallel:  # bodies ran on the drain pool's threads too
+            assert len(tally.running) > 1
+
+    def test_a_default_served_ring_does_not_watch_execution_starts(self, rt):
+        rt.obs.enable(spans=False, metrics=True, explain=True, flight=True)
+        assert EventKind.EXECUTION_STARTED not in rt.events.observed
+        assert rt._execution_clock is not None
+        rt.obs.enable(spans=True)  # span trees still get it
+        assert EventKind.EXECUTION_STARTED in rt.events.observed
+        rt.obs.disable()
+        assert rt._execution_clock is None
 
 
 class TestStatsJsonRoundTrip:

@@ -22,20 +22,21 @@ class TestHandlerCounts:
                 EventKind.NODE_POISONED,
             )
         }
-        # The ring plus the metrics collector where metrics count the
-        # kind; the ring alone for batch boundaries.
+        # The ring plus the metrics collector for drains; the ring alone
+        # for the rest (the kernel times bodies for metrics).
         assert counts == {
-            EventKind.EXECUTION: 2,
+            EventKind.EXECUTION: 1,
             EventKind.DRAIN: 2,
             EventKind.BATCH_COMMIT: 1,
             EventKind.ROLLBACK: 1,
-            EventKind.NODE_POISONED: 2,
+            EventKind.NODE_POISONED: 1,
         }
 
     def test_enable_is_idempotent_per_kind(self, rt):
         rt.obs.enable(flight=True)
         rt.obs.enable(flight=True)
-        assert rt.events.subscriber_count(EventKind.EXECUTION) == 2
+        assert rt.events.subscriber_count(EventKind.EXECUTION) == 1
+        assert rt.events.subscriber_count(EventKind.DRAIN) == 2
         rt.obs.disable()
         assert rt.events.subscriber_count(EventKind.EXECUTION) == 0
         assert not rt.events.observed

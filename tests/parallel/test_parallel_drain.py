@@ -460,6 +460,40 @@ class TestEdgeMapRace:
         runtime.close()
         assert len(held) == 32 and all(held)
 
+    def test_a_full_table_never_evicts_an_entry_before_its_caller_links_it(self):
+        """The table holds a quarter as many entries as there are
+        choosers.  Each wave's choosers call new leaves on the drain
+        threads, where one thread's add may evict any entry no caller
+        pins, such as a leaf a re-running chooser has not read again.
+        A new entry is linked to its caller in the partition-lock
+        section of its add, so none is evicted before its body runs."""
+        for _ in range(10):
+            runtime = Runtime(parallel_drains=4)
+            with runtime.active():
+                picks = [Cell(j, label=f"P{j}") for j in range(8)]
+
+                @cached(policy=lambda: LRU(2))
+                def leaf(i):
+                    return i * 10
+
+                @cached(strategy=EAGER)
+                def chooser(j):
+                    return leaf(picks[j].get())
+
+                for j in range(8):
+                    chooser(j)
+                for wave in range(1, 6):
+                    for j, pick in enumerate(picks):
+                        pick.set(j + 8 * wave)
+                    runtime.flush()
+                    assert [chooser(j) for j in range(8)] == [
+                        10 * (j + 8 * wave) for j in range(8)
+                    ]
+                    assert runtime.check_invariants() == []
+                assert runtime.stats.cache_evictions == 40
+                assert runtime.stats.nodes_poisoned == 0
+            runtime.close()
+
 
 class TestPoisonScanRace:
     """The eager containment shortcut scans a node's ``pred`` map for a
