@@ -46,7 +46,6 @@ def _config(root, **kw):
     kw.setdefault("rows", 8)
     kw.setdefault("cols", 8)
     kw.setdefault("watchdog_max_steps", None)
-    kw.setdefault("explain", False)
     return ServeConfig(**kw)
 
 

@@ -6,8 +6,8 @@ Two additions the layering makes first-class:
   served by a single propagation drain at commit, the paper's §3.4
   "changes to many pointers ... are batched" as an explicit API;
 * ``rt.events`` — every engine action is a typed event; the event ring
-  (``rt.obs.flight``) is a subscriber, and explain chains, span trees
-  and the JSONL trace are views of it.
+  (``rt.obs.flight``) is a subscriber, and span trees and the JSONL
+  trace are views of it.
 
 Run:  python examples/batch_and_events.py
 """

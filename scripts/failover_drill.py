@@ -82,7 +82,6 @@ def serve_child(role: str, root: str, replicas: tuple) -> int:
         replicas=replicas,
         wal_segment_records=8,
         watchdog_max_steps=None,
-        explain=False,
     )
 
     async def main() -> None:

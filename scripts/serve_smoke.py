@@ -126,9 +126,7 @@ async def _trace_scenario(root: str, artifact_dir: str) -> list:
     op, and the runtime drain — all under one ``trace_id``.
     """
     failures = []
-    config = ServeConfig(
-        root=root, rows=4, cols=4, workers=2, trace=True, explain=False
-    )
+    config = ServeConfig(root=root, rows=4, cols=4, workers=2, trace=True)
     server = await Server(config).start()
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
 

@@ -7,11 +7,12 @@ execution".  This module is the channel those benefits flow through: the
 storage/graph kernel, the scheduler, and the transaction layer announce
 what they do on an :class:`EventBus`, and every consumer — the event
 ring (:class:`repro.obs.flight.FlightRecorder`) whose views answer
-"why did this recompute" and "where did the time go", the metrics
-collector — is just a subscriber.  Operation counters are not: the
-kernel increments each
-:class:`~repro.core.stats.RuntimeStats` counter at the site that does
-the work, exactly even under ``parallel_drains``.
+"where did the time go" and "what happened before it broke", the
+metrics collector — is just a subscriber.  Operation counters and the
+causal stamps behind "why did this recompute" are not: the kernel
+increments each :class:`~repro.core.stats.RuntimeStats` counter, and
+writes each stamp on its node, at the site that does the work, exactly
+even under ``parallel_drains``.
 
 Design constraints:
 

@@ -136,6 +136,11 @@ class DepNode:
         "static_edges",
         "edges_frozen",
         "disposed",
+        "marked_by",
+        "marked_at",
+        "acted_at",
+        "cut_at",
+        "hit_at",
     )
 
     def __init__(
@@ -194,6 +199,21 @@ class DepNode:
         #: graph and out of every inconsistent set (audited by
         #: ``Runtime.check_invariants``).
         self.disposed: bool = False
+        #: Causal stamps, read by :mod:`repro.obs.explain`: sequence
+        #: numbers from the runtime's one counter, 0 for never.  A
+        #: procedure's ``marked_by`` is the node whose change or
+        #: re-execution put it in its inconsistent set (the first since
+        #: it was last consistent) and ``marked_at`` when; a storage
+        #: node's ``marked_at`` is its latest detected change.
+        self.marked_by: Optional[DepNode] = None
+        self.marked_at = 0
+        #: A storage node's latest tracked write; a procedure's latest
+        #: execution or poisoning, negated for an activation that was
+        #: superseded and did not commit.
+        self.acted_at = 0
+        #: A procedure's latest quiescence cut and cache hit.
+        self.cut_at = 0
+        self.hit_at = 0
 
     @property
     def is_storage(self) -> bool:

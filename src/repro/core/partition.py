@@ -39,7 +39,7 @@ import heapq
 import itertools
 import threading
 from contextlib import nullcontext
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .events import EventBus, EventKind
 from .node import DepNode
@@ -214,10 +214,13 @@ class PartitionManager:
         events: EventBus,
         enabled: bool = True,
         stats: Optional[RuntimeStats] = None,
+        tick: Optional[Callable[[], int]] = None,
     ) -> None:
         self._events = events
         self.stats = stats if stats is not None else RuntimeStats()
         self.enabled = enabled
+        #: The runtime's causal sequence (see ``DepNode.marked_at``).
+        self.tick = tick if tick is not None else itertools.count(1).__next__
         #: Per-manager sequences (never module-global: two Runtimes must
         #: not share mutable scheduling state).
         self._tiebreak = itertools.count()
@@ -372,11 +375,16 @@ class PartitionManager:
                 return self._mark(node)
         return self._mark(node)
 
-    def _mark(self, node: DepNode) -> bool:
+    def _mark(self, node: DepNode, by: Optional[DepNode] = None) -> bool:
         part = self._global if not self.enabled else self._sched(node)
         if part.incset.add(node):
             self.dirty[part.pid] = part
             self.stats.inconsistent_marks += 1
+            if by is not None and node.consistent:
+                # A node already invalid keeps the stamp of what first
+                # invalidated it.
+                node.marked_by = by
+                node.marked_at = self.tick()
             if _INCONSISTENT_MARKED in self._events.observed:
                 self._events.emit(_INCONSISTENT_MARKED, node)
             return True
@@ -389,6 +397,7 @@ class PartitionManager:
         A running successor whose stash still holds ``node`` is skipped
         (:meth:`DepNode.depends_on`): its body has not read ``node``
         again yet, so under Algorithm 5 the edge would already be gone.
+        Each newly marked successor is stamped ``marked_by`` ``node``.
 
         In parallel mode the walk holds the manager lock, under which
         every edge insertion, re-link and removal also runs, so a drain
@@ -397,7 +406,7 @@ class PartitionManager:
         with self.guard():
             for succ in node.succ:
                 if succ.depends_on(node):
-                    self._mark(succ)
+                    self._mark(succ, node)
 
     def discard(self, node: DepNode) -> None:
         """Drop ``node`` from its partition's worklist (disposal path)."""

@@ -210,8 +210,14 @@ class Runtime:
         self.events = events if events is not None else EventBus()
         #: Operation counters, incremented by the kernel as it works.
         self.stats = RuntimeStats()
+        #: Sequence numbers for the causal stamps the kernel writes on
+        #: nodes (``DepNode.marked_at`` and its siblings), read by
+        #: :mod:`repro.obs.explain`.
+        self._tick: Callable[[], int] = itertools.count(1).__next__
         self.order = TopologicalOrder()
-        self.partitions = PartitionManager(self.events, partitioning, self.stats)
+        self.partitions = PartitionManager(
+            self.events, partitioning, self.stats, self._tick
+        )
         self.graph = DependencyGraph(
             self.events, self.order, self.partitions, keep_registry, self.stats
         )
@@ -353,8 +359,11 @@ class Runtime:
         stats = self._local.ctx.stats
         stats.modifies += 1
         events = self.events
+        node = location._node
+        if node is not None:
+            node.acted_at = self._tick()
         if _MODIFY in events.observed:
-            events.emit(_MODIFY, location._node)
+            events.emit(_MODIFY, node)
         transaction = self._transaction
         if transaction is not None:
             # Record first: the transaction captures the pre-write stored
@@ -363,10 +372,10 @@ class Runtime:
             location._value = value
             return
         location._value = value
-        node = location._node
         if node is not None:
             if not values_equal(node.value, value):
                 node.value = value
+                node.marked_at = node.acted_at  # changed by this write
                 stats.changes_detected += 1
                 if _CHANGE_DETECTED in events.observed:
                     events.emit(_CHANGE_DETECTED, node)
@@ -499,6 +508,7 @@ class Runtime:
                     node.consistent = False
                 else:
                     stats.cache_hits += 1
+                    node.hit_at = self._tick()
                     if _CACHE_HIT in self.events.observed:
                         self.events.emit(_CACHE_HIT, node)
                     raise NodeExecutionError(node.label, value)
@@ -509,6 +519,7 @@ class Runtime:
                 raise CycleError(node.label)
             else:
                 stats.cache_hits += 1
+                node.hit_at = self._tick()
                 if _CACHE_HIT in self.events.observed:
                     self.events.emit(_CACHE_HIT, node)
                 return node.value
@@ -665,6 +676,7 @@ class Runtime:
             popped = ctx.stack.pop()
             assert popped is frame
         ctx.stats.executions += 1
+        node.acted_at = self._tick() if committed else -self._tick()
         if clock is not None:
             self._clock_body(clock, node, start)
         if _EXECUTION in events.observed:
@@ -721,6 +733,7 @@ class Runtime:
             self._poison_live += 1
         _retain_stale(poison, node.value)
         node.value = poison
+        node.acted_at = self._tick()
         self._context.stats.nodes_poisoned += 1
         if EventKind.NODE_POISONED in self.events.observed:
             data = {"error": type(poison.error).__name__, "origin": poison.origin}
@@ -868,10 +881,9 @@ class Runtime:
         ``target`` is a graph node, a tracked location, or a label
         substring.  Returns an :class:`~repro.obs.explain.Explanation` —
         a typed causal chain (write → change-detected → marked →
-        re-executed → quiescence-cut) built from the recorded event
-        trace plus the live graph.  Requires ``rt.obs.enable()`` before
-        the actions of interest for a full chain; without a recording it
-        falls back to a dependency-only explanation.
+        re-executed → quiescence-cut) built from the causal stamps the
+        kernel keeps on nodes plus the live graph, so nothing needs to
+        be recording beforehand.
         """
         return self.obs.explain(target)
 

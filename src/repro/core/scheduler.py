@@ -367,6 +367,7 @@ class Scheduler:
                 rt.events.emit(_EAGER_REEXECUTION, node)
             if had_value and values_equal(old, node.value):
                 stats.quiescent_stops += 1
+                node.cut_at = rt._tick()
                 if _QUIESCENCE_CUT in observed:
                     rt.events.emit(_QUIESCENCE_CUT, node)
             else:

@@ -200,6 +200,7 @@ class Transaction:
             node.value = final
             if baseline is _NO_NODE or not values_equal(baseline, final):
                 changed += 1
+                node.marked_at = rt._tick()
                 stats.changes_detected += 1
                 if EventKind.CHANGE_DETECTED in events.observed:
                     events.emit(EventKind.CHANGE_DETECTED, node)

@@ -217,7 +217,7 @@ def main(argv=None) -> int:
                     runtime = Runtime()
                 if args.trace is not None:
                     # Every kind is this ring's own, so its flight view
-                    # is the event trace; --spans and --explain read it.
+                    # is the event trace; --spans reads it too.
                     from ..obs import WIDE_CAPACITY, FlightRecorder
 
                     ring = FlightRecorder(WIDE_CAPACITY, kinds=frozenset(EventKind))

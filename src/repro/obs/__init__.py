@@ -6,20 +6,22 @@ handler observes, so an unobserved runtime pays no emit at all.
 
 One facade (``rt.obs``, built lazily on first access) owns two bus
 consumers.  :class:`~repro.obs.flight.FlightRecorder` is the one event
-ring, and the other tools are views that read it when asked: the flight
-view (incidents and notes), :class:`~repro.obs.spans.SpanTracer` (span
+ring, and two tools are views that read it when asked: the flight view
+(incidents and notes) and :class:`~repro.obs.spans.SpanTracer` (span
 trees batch → drain → execute → force, as JSONL or Chrome
-``trace_event``) and :func:`~repro.obs.explain.explain` (why a node
-recomputed: write → change-detected → marked → re-executed →
-quiescence-cut).  :class:`~repro.obs.metrics.RuntimeMetrics` keeps
+``trace_event``).  :class:`~repro.obs.metrics.RuntimeMetrics` keeps
 counters, gauges and fixed-bucket histograms with JSON snapshots and
-Prometheus text.  :class:`~repro.obs.inspect.GraphSnapshot` reads the
-graph itself (DOT / JSON, before/after diffing).
+Prometheus text.  Two tools read the graph itself:
+:func:`~repro.obs.explain.explain` (why a node recomputed: write →
+change-detected → marked → re-executed → quiescence-cut, from the causal
+stamps the kernel keeps on nodes, so it needs no recording) and
+:class:`~repro.obs.inspect.GraphSnapshot` (DOT / JSON, before/after
+diffing).
 
 Typical use::
 
     rt = Runtime()
-    rt.obs.enable()            # record spans and explain kinds, count metrics
+    rt.obs.enable()            # record spans, count metrics
     ... workload ...
     print(rt.explain("total"))         # causal chain
     print(rt.obs.metrics.registry.to_prometheus())
@@ -32,7 +34,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict
 
-from . import explain as _explain
 from . import spans as _spans
 from .explain import CausalLink, Explanation, explain
 from .flight import WIDE_CAPACITY, FlightRecorder
@@ -89,6 +90,8 @@ class Observability:
         #: to choose its capacity or own kinds.
         self.flight = FlightRecorder()
         self._enabled = False
+        #: Explain ignores causal stamps older than this (see :meth:`clear`).
+        self._since = 1
 
     @property
     def enabled(self) -> bool:
@@ -104,17 +107,16 @@ class Observability:
         *,
         spans: bool = True,
         metrics: bool = True,
-        explain: bool = True,
         flight: bool = False,
     ) -> "Observability":
         """Attach the metrics collector and widen what the ring watches.
 
-        ``spans`` and ``explain`` add the kinds those views fold and
-        walk (which widens the ring to
-        :data:`~repro.obs.flight.WIDE_CAPACITY` records); ``flight``
+        ``spans`` adds the kinds span trees fold (which widens the ring
+        to :data:`~repro.obs.flight.WIDE_CAPACITY` records); ``flight``
         adds the ring's own incident kinds — opt-in here, always on for
-        serve-layer sessions.  Idempotent: a kind already watched is
-        not subscribed twice.
+        serve-layer sessions.  Explain needs neither: it reads the
+        stamps the kernel keeps on nodes.  Idempotent: a kind already
+        watched is not subscribed twice.
         """
         bus = self._runtime.events
         if metrics and self.metrics._runtime is None:
@@ -122,8 +124,6 @@ class Observability:
         kinds = set()
         if spans:
             kinds |= _spans.KINDS
-        if explain:
-            kinds |= _explain.KINDS
         if flight:
             kinds |= self.flight.kinds
         if kinds:
@@ -138,9 +138,11 @@ class Observability:
         self._enabled = False
 
     def clear(self) -> None:
-        """Drop the ring's records (metrics keep counting from their
-        current values — counters are monotonic)."""
+        """Drop the ring's records and make explain forget every causal
+        stamp written so far (metrics keep counting from their current
+        values — counters are monotonic)."""
         self.flight.clear()
+        self._since = self._runtime._tick()
 
     @contextmanager
     def profile(self):
@@ -163,7 +165,7 @@ class Observability:
     def explain(self, target: Any) -> Explanation:
         """Causal chain for a node / tracked location / label; see
         :func:`repro.obs.explain.explain`."""
-        return explain(self._runtime, target, self.flight)
+        return explain(self._runtime, target, self._since)
 
     def inspect(self) -> GraphSnapshot:
         """Snapshot the dependency graph (no events emitted)."""

@@ -1,47 +1,47 @@
 """Causal "explain" view: why did this recompute / why this value?
 
 The paper's introduction promises that the maintained dependency
-information "enables ... sophisticated debugging".  This module makes
-that concrete: :func:`explain` reads the records of an event ring
-(:class:`~repro.obs.flight.FlightRecorder` watching :data:`KINDS`)
-about any node, tracked location, or label — it walks the recorded
-events *plus* the live dependency graph and returns a typed causal
-chain::
+information "enables ... sophisticated debugging".  :func:`explain`
+answers from that information alone: the live dependency graph and the
+causal stamps the kernel writes on the nodes it already touches
+(``DepNode.marked_by`` and the sequence numbers beside it), so nothing
+has to be recording beforehand and a cause is found however long ago it
+happened.  It returns a typed causal chain::
 
     write R2C2.func  →  change-detected  →  marked R2C2.value()
       →  marked total.value()  →  re-executed total.value()
 
+The chain follows ``marked_by`` from the target back to the write: the
+path propagation took, each hop the node whose change or re-execution
+invalidated the next.
+
 Chain link kinds (the ``kind`` of each :class:`CausalLink`):
 
-* ``write`` — the tracked write that triggered everything (MODIFY);
+* ``write`` — the tracked write that triggered everything;
 * ``change-detected`` — the write's new value differed from the cache;
 * ``marked`` — a node entered its partition's inconsistent set, either
   directly (the written storage) or transitively during propagation;
 * ``re-executed`` — a procedure body ran (the target's own execution is
   the chain's last such link);
 * ``quiescence-cut`` — an eager re-execution reproduced the cached
-  value, cutting propagation (reported when it is the reason the target
-  did *not* recompute);
+  value, cutting propagation;
 * ``poisoned`` — the body's failure was contained into the cached value.
 
-The ring must watch these kinds *before* the actions of interest
-(``rt.obs.enable()`` does this).  Without any records, :func:`explain`
-degrades to a dependency-only explanation from the live graph.  Reading
-never touches the runtime: partitions are compared by a read-only
-union-find walk, so an explanation leaves every counter as it was.
+A node keeps only its latest stamp of each kind, so a chain shows the
+latest write, mark and execution on its path.  Stamps older than
+``since`` (``rt.obs.clear()`` moves it to now) are ignored, as if
+forgotten.  Reading never touches the runtime: an explanation leaves
+every counter as it was.
 """
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..core.events import EventKind
 from ..core.node import DepNode, Poisoned
-from .inspect import _partition_root
 
-__all__ = ["CausalLink", "Explanation", "KINDS", "explain"]
+__all__ = ["CausalLink", "Explanation", "explain"]
 
 
 @dataclass
@@ -64,10 +64,10 @@ class Explanation:
     """A typed causal chain answering "why?" about one node.
 
     ``verdict`` summarizes the outcome: ``recomputed``,
-    ``first-execution``, ``cached``, ``quiescent``, ``poisoned``,
-    ``quarantined`` (poisoned by an open circuit breaker without the
-    body running — see :mod:`repro.resil`), ``pending``, or
-    ``never-demanded``.
+    ``first-execution``, ``cached``, ``quiescent`` (a write that changed
+    nothing), ``poisoned``, ``quarantined`` (poisoned by an open circuit
+    breaker without the body running — see :mod:`repro.resil`),
+    ``pending`` (invalidated since it last ran), or ``never-demanded``.
     """
 
     target: str
@@ -108,28 +108,6 @@ class Explanation:
         return self.render()
 
 
-#: One recorded event: (seq, kind, node, data).
-_Record = Tuple[int, EventKind, Any, Any]
-
-#: The kinds a ring must watch for explain chains (also read by the
-#: observability coverage test).
-KINDS = frozenset(
-    {
-        EventKind.MODIFY,
-        EventKind.CHANGE_DETECTED,
-        EventKind.INCONSISTENT_MARKED,
-        EventKind.EXECUTION,
-        EventKind.EAGER_REEXECUTION,
-        EventKind.QUIESCENCE_CUT,
-        EventKind.CACHE_HIT,
-        EventKind.FORCED_EVALUATION,
-        EventKind.NODE_POISONED,
-        EventKind.BATCH_COMMIT,
-        EventKind.ROLLBACK,
-    }
-)
-
-
 def resolve_target(runtime: Any, target: Any) -> Optional[DepNode]:
     """Map a node / tracked location / label fragment to a graph node."""
     if isinstance(target, DepNode):
@@ -148,11 +126,7 @@ def resolve_target(runtime: Any, target: Any) -> Optional[DepNode]:
     return None
 
 
-def explain(
-    runtime: Any,
-    target: Any,
-    ring: Any = None,
-) -> Explanation:
+def explain(runtime: Any, target: Any, since: int = 1) -> Explanation:
     """Build the causal chain for ``target``; see the module docstring."""
     node = resolve_target(runtime, target)
     if node is None:
@@ -170,130 +144,72 @@ def explain(
                 )
             ],
         )
-    records: List[_Record] = []
-    if ring is not None:
-        records = [
-            (seq, kind, subject, data)
-            for seq, (_, kind, subject, _, data, _, _) in ring.entries()
-            if type(kind) is not str
-        ]
-    return _explain_node(node, records)
+    if node.is_storage:
+        return _explain_storage(node, since)
+    return _explain_procedure(node, since)
 
 
-def _explain_node(node: DepNode, records: List[_Record]) -> Explanation:
+def _explain_procedure(node: DepNode, since: int) -> Explanation:
     computed_from = sorted(p.label for p in node.pred)
-    mine = [r for r in records if r[2] is node]
+    value = node.value
+    poisoned = type(value) is Poisoned
+    ran = abs(node.acted_at)
+    if (not node.consistent or node.in_inconsistent_set) and (
+        ran < since or node.marked_at > ran
+    ):
+        links = _chain(node, node.marked_at + 1, since) or [
+            CausalLink("marked", node.label, seq=_seen(node.marked_at, since))
+        ]
+        links[-1].detail = "invalidated but not yet re-demanded"
+        return Explanation(node.label, "pending", links, computed_from)
+    if ran < since:
+        # Not run since the horizon: the cached value is the evidence.
+        if not node.has_value():
+            return Explanation(node.label, "never-demanded", [], computed_from)
+        hit = _seen(node.hit_at, since)
+        link = CausalLink(
+            "cache-hit" if hit else "cached",
+            node.label,
+            seq=hit,
+            detail="no change reached this node",
+        )
+        verdict = _poison_verdict(value) if poisoned else "cached"
+        return Explanation(node.label, verdict, [link], computed_from)
 
     links: List[CausalLink] = []
-    verdict = "cached"
-
-    # The most recent execution of the target, if any was recorded.
-    last_exec = _last(mine, EventKind.EXECUTION)
-    last_poison = _last(mine, EventKind.NODE_POISONED)
-    last_cut = _last(mine, EventKind.QUIESCENCE_CUT)
-
-    if last_exec is None and last_poison is None:
-        # Never (re)ran inside the recorded window.
-        if not node.is_procedure:
-            return _explain_storage(node, mine, records)
-        if last_cut is not None:
-            verdict = "quiescent"
-            links.extend(_upstream_chain(node, records, last_cut[0]))
-            links.append(
-                CausalLink(
-                    "quiescence-cut",
-                    node.label,
-                    seq=last_cut[0],
-                    detail="re-execution reproduced the cached value; "
-                    "propagation stopped here",
-                )
-            )
-        elif not node.consistent or node.in_inconsistent_set:
-            verdict = "pending"
-            links.append(
-                CausalLink(
-                    "marked",
-                    node.label,
-                    seq=_seq_of(_last(mine, EventKind.INCONSISTENT_MARKED)),
-                    detail="invalidated but not yet re-demanded",
-                )
-            )
-        elif not node.has_value():
-            verdict = "never-demanded"
-        else:
-            hit = _last(mine, EventKind.CACHE_HIT)
-            links.append(
-                CausalLink(
-                    "cache-hit" if hit is not None else "cached",
-                    node.label,
-                    seq=_seq_of(hit),
-                    detail="no recorded change reached this node",
-                )
-            )
-        if verdict == "cached" and type(node.value) is Poisoned:
-            # Poisoned outside the recorded window (or with no recorder
-            # running): the cached value itself is the evidence.
-            verdict = "poisoned"
-            if getattr(node.value.error, "quarantine", False):
-                verdict = "quarantined"
-        return Explanation(node.label, verdict, links, computed_from)
-
-    # It ran.  Anchor on the later of execution / containment.
-    anchor_seq = max(
-        _seq_of(last_exec, -1), _seq_of(last_poison, -1)
-    )
-    first_run = (
-        _last(mine, EventKind.INCONSISTENT_MARKED, before=anchor_seq) is None
-        and _last(mine, EventKind.EXECUTION, before=anchor_seq) is None
-    )
+    first_run = not since <= node.marked_at < ran
     if first_run:
         verdict = "first-execution"
     else:
         verdict = "recomputed"
-        links.extend(_upstream_chain(node, records, anchor_seq))
-
-    if last_exec is not None and _seq_of(last_exec) == anchor_seq:
-        committed = last_exec[3]
-        links.append(
-            CausalLink(
-                "re-executed" if not first_run else "executed",
-                node.label,
-                seq=anchor_seq,
-                detail="" if committed is not False
-                else "superseded re-entrant activation (result not cached)",
-            )
-        )
-    if last_poison is not None and _seq_of(last_poison) >= _seq_of(
-        last_exec, -1
-    ):
-        verdict = "poisoned"
-        data = last_poison[3] or {}
+        links.extend(_chain(node, ran, since))
+    if node.acted_at > 0 and poisoned:
         links.append(
             CausalLink(
                 "poisoned",
                 node.label,
-                seq=last_poison[0],
-                detail=(
-                    f"{data.get('error', '?')} at {data.get('origin', '?')}"
-                    if isinstance(data, dict)
-                    else ""
-                ),
+                seq=ran,
+                detail=f"{type(value.error).__name__} at {value.origin}",
             )
         )
-    elif type(node.value) is Poisoned:
-        verdict = "poisoned"
-    if verdict == "poisoned" and type(node.value) is Poisoned:
-        # Duck-typed so obs never imports the resil package: a poison
-        # whose error carries the ``quarantine`` marker was applied by
-        # an open circuit breaker — the body never ran.
-        if getattr(node.value.error, "quarantine", False):
-            verdict = "quarantined"
-    if last_cut is not None and last_cut[0] > anchor_seq:
+    else:
+        links.append(
+            CausalLink(
+                "executed" if first_run else "re-executed",
+                node.label,
+                seq=ran,
+                detail="" if node.acted_at > 0
+                else "superseded re-entrant activation (result not cached)",
+            )
+        )
+    if poisoned:
+        verdict = _poison_verdict(value)
+    if node.cut_at > ran:
         links.append(
             CausalLink(
                 "quiescence-cut",
                 node.label,
-                seq=last_cut[0],
+                seq=node.cut_at,
                 detail="the re-execution reproduced the cached value; "
                 "dependents were not woken",
             )
@@ -301,34 +217,31 @@ def _explain_node(node: DepNode, records: List[_Record]) -> Explanation:
     return Explanation(node.label, verdict, links, computed_from)
 
 
-def _explain_storage(
-    node: DepNode, mine: List[_Record], records: List[_Record]
-) -> Explanation:
-    """Explain a storage node: last write, change, who it woke."""
+def _explain_storage(node: DepNode, since: int) -> Explanation:
+    """Explain a storage node: last write, change, whom it marked."""
     links: List[CausalLink] = []
     verdict = "cached"
-    write = _last(mine, EventKind.MODIFY)
-    if write is not None:
-        links.append(CausalLink("write", node.label, seq=write[0]))
-        change = _last(mine, EventKind.CHANGE_DETECTED)
-        if change is not None and change[0] > write[0]:
+    wrote = node.acted_at
+    if wrote >= since:
+        links.append(CausalLink("write", node.label, seq=wrote))
+        changed = node.marked_at
+        if changed >= wrote:
             verdict = "recomputed"
-            links.append(
-                CausalLink("change-detected", node.label, seq=change[0])
+            links.append(CausalLink("change-detected", node.label, seq=changed))
+            woke = sorted(
+                (
+                    succ
+                    for succ in node.succ
+                    if succ.marked_by is node and succ.marked_at > changed
+                ),
+                key=lambda succ: succ.marked_at,
             )
-            woke = [
-                r
-                for r in records
-                if r[1] is EventKind.INCONSISTENT_MARKED
-                and r[0] > change[0]
-                and r[2] is not node
-            ][:5]
-            for rec in woke:
+            for succ in woke[:5]:
                 links.append(
                     CausalLink(
                         "marked",
-                        rec[2].label,
-                        seq=rec[0],
+                        succ.label,
+                        seq=succ.marked_at,
                         detail="invalidated by this change",
                     )
                 )
@@ -345,119 +258,63 @@ def _explain_storage(
     return Explanation(node.label, verdict, links, dependents)
 
 
-def _upstream_chain(
-    node: DepNode, records: List[_Record], before: int
-) -> List[CausalLink]:
-    """The write → change → marked… prefix that led to ``node`` rerunning.
+def _chain(node: DepNode, before: int, since: int) -> List[CausalLink]:
+    """The write → change-detected → marked… links that led to
+    ``node``'s mark, or none when no write is found.
 
-    Finds the latest recorded CHANGE_DETECTED before ``before`` whose
-    node can reach ``node`` in the live graph, then lays out the path's
-    recorded marks in propagation order.
+    Follows ``marked_by`` from ``node`` back to the storage node whose
+    change started the propagation, through hops stamped inside
+    ``[since, before)``.
     """
-    links: List[CausalLink] = []
-    cause: Optional[_Record] = None
-    # A cause must live in the target's partition: causal chains never
-    # cross partitions (disjoint components share no edges).  The
-    # reachability check below already guarantees this; comparing
-    # union-find roots is a cheap pre-filter that skips whole
-    # foreign-partition drains.
-    same_part = _partition_root(node)
-    for rec in reversed(records):
-        if rec[0] >= before:
-            continue
-        if rec[1] is not EventKind.CHANGE_DETECTED:
-            continue
-        if same_part is not None and _partition_root(rec[2]) is not same_part:
-            continue
-        if rec[2] is node or _reaches(rec[2], node):
-            cause = rec
-            break
-    if cause is None:
-        return links
-    cause_node = cause[2]
-    write = _last(
-        [r for r in records if r[2] is cause_node],
-        EventKind.MODIFY,
-        before=cause[0] + 1,
-    )
-    if write is not None:
-        links.append(CausalLink("write", cause_node.label, seq=write[0]))
-    path = _path_between(cause_node, node)
-    # Name the reader the change flowed through: a field label such as
-    # ``SheetCell.func`` does not say whose field was written.
-    links.append(
+    path = [node]
+    hop = node
+    while hop.is_procedure:
+        hop = hop.marked_by
+        if hop is None or hop in path or not since <= path[-1].marked_at < before:
+            return []
+        path.append(hop)
+    changed = hop.marked_at
+    if not since <= changed < before:
+        return []
+    path.reverse()
+    wrote = hop.acted_at
+    links = [
+        CausalLink(
+            "write", hop.label, seq=wrote if since <= wrote <= changed else None
+        ),
+        # Name the reader the change flowed through: a field label such
+        # as ``SheetCell.func`` does not say whose field was written.
         CausalLink(
             "change-detected",
-            cause_node.label,
-            seq=cause[0],
-            detail=f"read by {path[1].label}" if len(path) > 1 else "",
-        )
-    )
+            hop.label,
+            seq=changed,
+            detail=f"read by {path[1].label}",
+        ),
+    ]
     for hop in path:
-        hop_records = [
-            r
-            for r in records
-            if r[2] is hop and cause[0] <= r[0] < before
-        ]
-        mark = _last(hop_records, EventKind.INCONSISTENT_MARKED)
-        if mark is not None:
-            links.append(CausalLink("marked", hop.label, seq=mark[0]))
-        ran = _last(hop_records, EventKind.EXECUTION)
-        if ran is not None and hop is not node:
-            links.append(CausalLink("re-executed", hop.label, seq=ran[0]))
+        links.append(CausalLink("marked", hop.label, seq=hop.marked_at))
+        if hop is not node and hop.is_procedure:
+            ran = _executed_at(hop)
+            if changed <= ran < before:
+                links.append(CausalLink("re-executed", hop.label, seq=ran))
     return links
 
 
-def _reaches(src: DepNode, dst: DepNode, limit: int = 100_000) -> bool:
-    """True if ``dst`` is reachable from ``src`` along succ edges."""
-    seen = {id(src)}
-    stack = [src]
-    while stack and len(seen) < limit:
-        for succ in stack.pop().succ:
-            if succ is dst:
-                return True
-            if id(succ) not in seen:
-                seen.add(id(succ))
-                stack.append(succ)
-    return False
+def _executed_at(node: DepNode) -> int:
+    """A procedure's latest execution, 0 if its latest act poisoned it."""
+    acted = node.acted_at
+    if acted > 0 and type(node.value) is Poisoned:
+        return 0
+    return abs(acted)
 
 
-def _path_between(src: DepNode, dst: DepNode) -> List[DepNode]:
-    """Shortest succ-path src → dst, endpoints included (BFS)."""
-    if src is dst:
-        return [src]
-    parents: Dict[int, DepNode] = {}
-    seen = {id(src)}
-    queue: Deque[DepNode] = collections.deque([src])
-    while queue:
-        current = queue.popleft()
-        for succ in current.succ:
-            if id(succ) in seen:
-                continue
-            seen.add(id(succ))
-            parents[id(succ)] = current
-            if succ is dst:
-                path = [dst]
-                while path[-1] is not src:
-                    path.append(parents[id(path[-1])])
-                path.reverse()
-                return path
-            queue.append(succ)
-    return [src, dst]  # disconnected now (edges rebuilt); keep endpoints
+def _poison_verdict(value: Poisoned) -> str:
+    # Duck-typed so obs never imports the resil package: a poison whose
+    # error carries the ``quarantine`` marker was applied by an open
+    # circuit breaker — the body never ran.
+    return "quarantined" if getattr(value.error, "quarantine", False) else "poisoned"
 
 
-def _last(
-    records: List[_Record],
-    kind: EventKind,
-    before: Optional[int] = None,
-) -> Optional[_Record]:
-    for rec in reversed(records):
-        if before is not None and rec[0] >= before:
-            continue
-        if rec[1] is kind:
-            return rec
-    return None
-
-
-def _seq_of(record: Optional[_Record], default: Optional[int] = None):
-    return record[0] if record is not None else default
+def _seen(seq: int, since: int) -> Optional[int]:
+    """``seq`` if it is a stamp at or after the horizon, else None."""
+    return seq if seq >= since else None

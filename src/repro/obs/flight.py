@@ -4,30 +4,27 @@
 one tuple per event to a bounded deque.  Every consumer is a *view*
 that reads the ring when asked: the flight view (:meth:`records`,
 :meth:`dump`, :meth:`chrome_events`: the ring's own kinds and the
-notes), span trees (:class:`~repro.obs.spans.SpanTracer`), explain
-chains (:func:`~repro.obs.explain.explain`) and the lang CLI's
-``--trace`` (the flight view of a ring whose own kinds are every kind).
+notes), span trees (:class:`~repro.obs.spans.SpanTracer`) and the lang
+CLI's ``--trace`` (the flight view of a ring whose own kinds are every
+kind).  Explain chains read no ring: the kernel stamps causes on the
+nodes themselves (see :mod:`repro.obs.explain`).
 
 The default own kinds (:data:`FlightRecorder.DEFAULT_KINDS`) are
 low-rate incidents — drains, aborts, watchdog trips, poisonings, batch
 boundaries, resilience events, checkpoints — never the per-read hot
 kinds, so a ring watching only them costs the hot path nothing (the
-engine does not emit a kind no handler observes).  Once the ring also
-watches other kinds (for explain or spans) it holds
-:data:`WIDE_CAPACITY` records; the flight view still shows at most the
-newest ``capacity`` of its own records and notes.
+engine does not emit a kind no handler observes) and holds
+``capacity`` records.  Only span kinds widen it: once it also watches
+them it holds :data:`WIDE_CAPACITY` records, and the flight view still
+shows at most the newest ``capacity`` of its own records and notes.
 
 A record is a 7-tuple ``(ts, kind, subject, amount, data, trace,
 extra)``: clock reading, :class:`~repro.core.events.EventKind` (a
 note's string kind), the node by reference (a note's label), amount and
 payload as emitted, the ambient :class:`~repro.obs.trace.TraceContext`
-by reference, and the emitting thread's id (a note's duration).  Kinds
-no view places in time — the ones only explain chains read, such as
-cache hits and marks, and the span kinds while no span is folded —
-leave ``ts``, ``trace`` and ``extra`` None, which skips three calls and
-the float on the busiest kinds.  The sequence
-number is the ring position plus the records dropped before it.
-Labels, ids and JSON are rendered only when a view reads the ring;
+by reference, and the emitting thread's id (a note's duration).  The
+sequence number is the ring position plus the records dropped before
+it.  Labels, ids and JSON are rendered only when a view reads the ring;
 appends take no lock (the GIL makes deque appends atomic, and a bus in
 parallel-drain mode already serializes emits).  Layers without an
 event bus record through :meth:`FlightRecorder.note`.
@@ -44,12 +41,11 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tu
 
 from ..core.events import EventBus, EventKind
 from .spans import KINDS as SPAN_KINDS
-from .spans import OPEN_KINDS as SPAN_OPEN_KINDS
 from .trace import _CURRENT
 
 __all__ = ["FlightRecorder", "WIDE_CAPACITY", "render_data"]
 
-#: Records a ring holds once it watches kinds beyond its own.
+#: Records a ring holds once it watches span kinds beyond its own.
 WIDE_CAPACITY = 100_000
 
 #: The ambient trace context, read without a Python-level call.
@@ -116,9 +112,6 @@ class FlightRecorder:
         self._recorded = 0
         self._tid: Optional[int] = None
         self._watched: Set[EventKind] = set()
-        #: Kinds whose records carry clock, trace and thread: the ones a
-        #: view places in time (see :meth:`watch`).
-        self._timed = self.kinds
         self._bus: Optional[EventBus] = None
 
     # -- subscription lifecycle -----------------------------------------
@@ -132,10 +125,8 @@ class FlightRecorder:
     def watch(self, bus: EventBus, kinds: Any) -> "FlightRecorder":
         """Also record ``kinds`` from ``bus`` (attaching to it if needed).
 
-        Idempotent per kind.  Watching any kind beyond the ring's own
-        widens the ring to :data:`WIDE_CAPACITY` records.  Records are
-        timed for the ring's own kinds (the flight view) and, once a
-        span-open kind is watched, for every span kind (span trees).
+        Idempotent per kind.  Watching a span kind beyond the ring's own
+        widens the ring to :data:`WIDE_CAPACITY` records.
         """
         if self._bus is None:
             self._bus = bus
@@ -145,10 +136,11 @@ class FlightRecorder:
             if kind not in self._watched:
                 self._watched.add(kind)
                 bus.subscribe(kind, self._handle)
-        if not self._watched <= self.kinds and self._ring.maxlen < WIDE_CAPACITY:
+        if (
+            not SPAN_KINDS.isdisjoint(self._watched - self.kinds)
+            and self._ring.maxlen < WIDE_CAPACITY
+        ):
             self._ring = deque(self._ring, maxlen=WIDE_CAPACITY)
-        if not self._watched.isdisjoint(SPAN_OPEN_KINDS):
-            self._timed = self.kinds | SPAN_KINDS
         return self
 
     def detach(self) -> None:
@@ -158,7 +150,6 @@ class FlightRecorder:
         for kind in self._watched:
             self._bus.unsubscribe(kind, self._handle)
         self._watched.clear()
-        self._timed = self.kinds
         self._bus = None
 
     @property
@@ -170,9 +161,6 @@ class FlightRecorder:
 
     def _handle(self, kind: EventKind, node: Any, amount: int, data: Any) -> None:
         self._recorded += 1
-        if kind not in self._timed:
-            self._ring.append((None, kind, node, amount, data, None, None))
-            return
         # Keep one int per thread instead of a fresh one per record.
         tid = get_ident()
         last = self._tid

@@ -145,8 +145,8 @@ def fold(ring: Any) -> List[Span]:
     stacks: Dict[Any, List[Span]] = {}
     last_ts = 0.0
     for seq, (ts, kind, node, amount, data, trace, tid) in ring.entries():
-        if ts is None or type(kind) is str:
-            continue  # untimed, or a note (its last slot is a duration)
+        if type(kind) is str:
+            continue  # a note (its last slot is a duration)
         last_ts = ts
         role = _OPEN_ROLES.get(kind)
         if role is not None:

@@ -49,18 +49,17 @@ class ServeConfig:
     deadline_seconds: Optional[float] = None
     #: Per-session ``parallel_drains`` for the tenant runtime.
     parallel_drains: Optional[int] = None
-    #: Record explain kinds in each session's ring, which then holds
-    #: 100,000 records (bounded, so safe for long-lived tenants).
-    explain: bool = True
 
     # -- observability -------------------------------------------------
-    #: Record span boundaries in each session's ring too (widening it
-    #: as ``explain`` does), so per-request drain/execute spans carry
-    #: the request's trace ids into one stitched Chrome timeline.
+    #: Record span boundaries in each session's ring too, widening it
+    #: to 100,000 records, so per-request drain/execute spans carry the
+    #: request's trace ids into one stitched Chrome timeline.  The
+    #: ``explain`` op needs no recording: it reads the causal stamps
+    #: the kernel keeps on every tenant's graph.
     trace: bool = False
-    #: Size of the server's ring, of each session ring without explain
-    #: or trace, and of every flight view (``debug`` op, dumps).  Always
-    #: on: its own kinds are low-rate incidents, so idle cost is ~zero.
+    #: Size of the server's ring, of each session ring without trace,
+    #: and of every flight view (``debug`` op, dumps).  Always on: its
+    #: own kinds are low-rate incidents, so idle cost is ~zero.
     flight_capacity: int = 512
 
     # -- SLOs ----------------------------------------------------------

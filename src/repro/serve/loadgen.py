@@ -389,7 +389,6 @@ def run_counter_scenario(root: str) -> Dict[str, float]:
         mailbox_limit=2,
         workers=2,
         watchdog_max_steps=None,
-        explain=False,
     )
 
     async def main() -> Dict[str, float]:

@@ -145,15 +145,10 @@ class Session:
                 sheet = Spreadsheet(config.rows, config.cols)
         if registry is not None:
             rt.obs.metrics = RuntimeMetrics(registry=registry)
-        # One ring per tenant; explain or trace widens it, while its
-        # flight view stays flight_capacity records.
+        # One ring per tenant; trace widens it, while its flight view
+        # stays flight_capacity records.
         rt.obs.flight = FlightRecorder(config.flight_capacity)
-        rt.obs.enable(
-            spans=config.trace,
-            metrics=True,
-            explain=config.explain,
-            flight=True,
-        )
+        rt.obs.enable(spans=config.trace, metrics=True, flight=True)
         with rt.active():
             manager = rt.persist_to(path, codec="json")
             if report is None or report.mode != "clean" or manager.wal.last_lsn:

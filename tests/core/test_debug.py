@@ -2,8 +2,13 @@
 
 from repro import Cell, cached
 from repro.core import debug
-from repro.obs.explain import KINDS as explain_kinds
+from repro.core.events import EventKind
 from repro.obs.flight import FlightRecorder
+
+#: What the removed execution log recorded: executions, hits, changes.
+LOG_KINDS = frozenset(
+    {EventKind.EXECUTION, EventKind.CACHE_HIT, EventKind.CHANGE_DETECTED}
+)
 
 
 class TestGraphInspection:
@@ -92,9 +97,9 @@ class TestExecutionLog:
 
     @staticmethod
     def _record(rt):
-        # A ring whose own kinds are the explain kinds shows them in its
+        # A ring whose own kinds are the log's kinds shows them in its
         # flight view.
-        rt.obs.flight = FlightRecorder(kinds=explain_kinds)
+        rt.obs.flight = FlightRecorder(kinds=LOG_KINDS)
         return rt.obs.enable(spans=False, metrics=False, flight=True)
 
     def test_records_executions_and_hits(self, rt):
@@ -153,8 +158,6 @@ class TestExecutionLog:
         assert rt.explain("missing").verdict == "never-demanded"
 
     def test_listener_restored_after_block(self, rt):
-        from repro.core.events import EventKind
-
         before = rt.events.subscriber_count(EventKind.EXECUTION)
         self._record(rt)
         assert rt.events.subscriber_count(EventKind.EXECUTION) == before + 1
@@ -162,8 +165,6 @@ class TestExecutionLog:
         assert rt.events.subscriber_count(EventKind.EXECUTION) == before
 
     def test_nested_recording_chains(self, rt):
-        from repro.core.events import EventKind
-
         a = Cell(1, label="a")
 
         @cached

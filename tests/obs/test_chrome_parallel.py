@@ -79,7 +79,7 @@ class TestRealParallelDrains:
         runtime = Runtime(parallel_drains=2)
         try:
             with runtime.active():
-                runtime.obs.enable(spans=True, metrics=False, explain=False)
+                runtime.obs.enable(spans=True, metrics=False)
                 a = Cell(1, label="a")
                 b = Cell(2, label="b")
 

@@ -3,14 +3,14 @@
 Every event the engine can emit must either announce a stats counter
 (the kind→counter table in ``tests/counting.py``) or be consumed by at
 least one observability layer — a view of the event ring (span trees,
-explain chains, the flight view) or the metrics collector — or be
-explicitly exempted below with a reason.  Adding an EventKind without wiring it (or exempting it)
-fails this test: that is the point.
+the flight view) or the metrics collector — or be explicitly exempted
+below with a reason.  Explain chains consume no event: they read the
+causal stamps the kernel writes on nodes.  Adding an EventKind without
+wiring it (or exempting it) fails this test: that is the point.
 """
 
 from repro.core.events import EventKind
 from repro.obs import FlightRecorder, RuntimeMetrics
-from repro.obs.explain import KINDS as EXPLAIN_KINDS
 from repro.obs.spans import KINDS as SPAN_KINDS
 
 from ..counting import COUNTED_KINDS, SPAN_OPEN_KINDS
@@ -26,7 +26,6 @@ def test_every_event_kind_is_observed():
     covered = (
         COUNTED_KINDS
         | SPAN_KINDS
-        | EXPLAIN_KINDS
         | FlightRecorder.DEFAULT_KINDS
         | RuntimeMetrics.KINDS
         | frozenset(EXEMPT)
@@ -35,7 +34,7 @@ def test_every_event_kind_is_observed():
     assert not missing, (
         f"EventKind(s) with no observability wiring: {missing}. "
         f"Count them (tests/counting.py), consume them in a view of the "
-        f"ring (spans/explain/flight) or in the metrics collector, or "
+        f"ring (spans/flight) or in the metrics collector, or "
         f"add them to EXEMPT in {__file__} with a reason."
     )
 

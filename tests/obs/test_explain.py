@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import Cell, cached
+from repro import EAGER, Cell, cached
 from repro.spreadsheet import Spreadsheet
 
 
@@ -143,8 +143,8 @@ class TestExplainBasics:
         assert json.loads(json.dumps(d)) == d
         assert d["verdict"] == exp.verdict
 
-    def test_without_recording_degrades_gracefully(self, rt):
-        # no rt.obs.enable(): explain still answers from the live graph
+    def test_answers_without_any_recording(self, rt):
+        # no rt.obs.enable(): the kernel stamps causes on nodes anyway
         x = Cell(1, label="x")
 
         @cached
@@ -153,8 +153,147 @@ class TestExplainBasics:
 
         f()
         exp = rt.explain("f")
-        assert exp.verdict in ("cached", "first-execution")
+        assert exp.verdict == "first-execution"
+        assert exp.kinds() == ["executed"]
         assert exp.computed_from == ["x"]
+        x.set(2)
+        f()
+        exp = rt.explain("f")
+        assert exp.verdict == "recomputed"
+        assert [(l.kind, l.label) for l in exp.links] == [
+            ("write", "x"),
+            ("change-detected", "x"),
+            ("marked", "x"),
+            ("marked", "f()"),
+            ("re-executed", "f()"),
+        ]
+
+    def test_storage_lists_only_the_marks_it_caused(self, rt):
+        rt.obs.enable()
+        x = Cell(1, label="x")
+        y = Cell(1, label="y")
+
+        @cached
+        def gx():
+            return x.get()
+
+        @cached
+        def gy():
+            return y.get()
+
+        gx()
+        gy()
+        x.set(2)
+        rt.flush()
+        y.set(3)
+        rt.flush()
+        exp = rt.explain("x")
+        assert exp.verdict == "recomputed"
+        assert [(l.kind, l.label) for l in exp.links] == [
+            ("write", "x"),
+            ("change-detected", "x"),
+            ("marked", "gx()"),
+        ]
+
+    def test_pending_names_what_invalidated_it(self, rt):
+        rt.obs.enable()
+        x = Cell(1, label="x")
+
+        @cached
+        def f():
+            return x.get()
+
+        f()
+        x.set(2)
+        rt.flush()  # marks f; nothing re-demands it
+        exp = rt.explain("f")
+        assert exp.verdict == "pending"
+        assert [(l.kind, l.label) for l in exp.links] == [
+            ("write", "x"),
+            ("change-detected", "x"),
+            ("marked", "x"),
+            ("marked", "f()"),
+        ]
+        assert exp.links[-1].detail == "invalidated but not yet re-demanded"
+
+    def test_chain_follows_the_path_propagation_took(self, rt):
+        # Two routes from x to total.  The short one is cut by
+        # quiescence, so the chain names the long one: the path the
+        # marks took, not a shortest path in the graph.
+        rt.obs.enable()
+        x = Cell(1, label="x")
+
+        @cached(strategy=EAGER)
+        def short():
+            return x.get() * 0
+
+        @cached(strategy=EAGER)
+        def long():
+            return x.get() + 1
+
+        @cached(strategy=EAGER)
+        def longer():
+            return long() * 2
+
+        @cached
+        def total():
+            return short() + longer()
+
+        total()
+        x.set(5)
+        total()
+        exp = rt.explain("total")
+        assert exp.verdict == "recomputed"
+        assert [(l.kind, l.label) for l in exp.links] == [
+            ("write", "x"),
+            ("change-detected", "x"),
+            ("marked", "x"),
+            ("marked", "long()"),
+            ("re-executed", "long()"),
+            ("marked", "longer()"),
+            ("re-executed", "longer()"),
+            ("marked", "total()"),
+            ("re-executed", "total()"),
+        ]
+
+    def test_cause_older_than_any_ring(self, rt):
+        """A cause is found however many events followed it (the
+        100,000-record ring explain once read would have wrapped)."""
+        rt.obs.enable()
+        events = []
+        rt.events.subscribe_all(lambda *event: events.append(None))
+        x = Cell(1, label="x")
+        noise = Cell(0, label="noise")
+
+        @cached
+        def f():
+            return x.get() * 2
+
+        @cached
+        def g():
+            return noise.get()
+
+        f()
+        g()
+        x.set(5)
+        assert f() == 10
+        written = len(events)
+        i = 0
+        while len(events) - written <= 100_000:  # unrelated traffic
+            i += 1
+            noise.set(i)
+            g()
+        exp = rt.explain("f")
+        assert exp.verdict == "recomputed"
+        assert exp.kinds()[:2] == ["write", "change-detected"]
+        assert exp.links[0].label == "x"
+        assert exp.links[-1].kind == "re-executed"
+        storage = rt.explain("x")
+        assert [(l.kind, l.label) for l in storage.links] == [
+            ("write", "x"),
+            ("change-detected", "x"),
+            ("marked", "f()"),
+        ]
 
 
 class TestSpreadsheetAcceptance:

@@ -45,7 +45,7 @@ class TestFacadeLifecycle:
         assert len(executes) == 1
 
     def test_selective_enable(self, rt):
-        rt.obs.enable(spans=False, explain=False)
+        rt.obs.enable(spans=False)
         x = Cell(1, label="x")
 
         @cached

@@ -435,7 +435,7 @@ class TestExecutionClock:
             assert len(tally.running) > 1
 
     def test_a_default_served_ring_does_not_watch_execution_starts(self, rt):
-        rt.obs.enable(spans=False, metrics=True, explain=True, flight=True)
+        rt.obs.enable(spans=False, metrics=True, flight=True)
         assert EventKind.EXECUTION_STARTED not in rt.events.observed
         assert rt._execution_clock is not None
         rt.obs.enable(spans=True)  # span trees still get it

@@ -1,12 +1,12 @@
-"""The one event ring: what it subscribes, what it holds, and that the
-explain view reads it without touching the runtime."""
+"""The one event ring: what it subscribes and what it holds; and that
+explain, which reads node stamps instead, touches nothing."""
 
 import pytest
 
 from repro import Cell, Runtime, cached
 from repro.core.events import EventBus, EventKind
 from repro.obs import WIDE_CAPACITY, FlightRecorder
-from repro.obs.explain import KINDS as EXPLAIN_KINDS
+from repro.obs.spans import KINDS as SPAN_KINDS
 
 
 class TestHandlerCounts:
@@ -54,9 +54,9 @@ class TestCapacityRule:
     def test_watching_hot_kinds_widens_but_the_flight_view_does_not(self):
         bus = EventBus()
         ring = FlightRecorder(8).attach(bus)
-        ring.watch(bus, EXPLAIN_KINDS)
+        ring.watch(bus, SPAN_KINDS)
         for _ in range(30):
-            bus.emit(EventKind.CACHE_HIT, None)
+            bus.emit(EventKind.EXECUTION, None)
             bus.emit(EventKind.DRAIN, None, 1)
         ring.note("session-op", "read a")
         assert len(ring) == 61  # nothing dropped: the ring widened
@@ -68,14 +68,17 @@ class TestCapacityRule:
         assert [r["seq"] for r in records] == [47, 49, 51, 53, 55, 57, 59, 60]
 
     def test_wide_capacity_is_the_old_explain_limit(self):
+        # Only span kinds widen the ring now; explain records nothing.
         bus = EventBus()
-        ring = FlightRecorder(8).watch(bus, EXPLAIN_KINDS)
+        ring = FlightRecorder(8).watch(bus, {EventKind.CACHE_HIT})
+        assert ring._ring.maxlen == 8
+        ring.watch(bus, SPAN_KINDS)
         assert ring._ring.maxlen == WIDE_CAPACITY == 100_000
 
     def test_watch_refuses_a_second_bus(self):
         ring = FlightRecorder().attach(EventBus())
         with pytest.raises(RuntimeError):
-            ring.watch(EventBus(), EXPLAIN_KINDS)
+            ring.watch(EventBus(), SPAN_KINDS)
 
 
 class TestRecordLayout:
@@ -114,7 +117,7 @@ class TestRecordLayout:
         assert len(tids) >= 6
         assert all(tid is tids[0] for tid in tids)
 
-    def test_only_kinds_a_view_places_in_time_are_timed(self, rt):
+    def test_every_record_is_timed(self, rt):
         rt.obs.enable(spans=False, metrics=False, flight=True)
         x = Cell(1, label="x")
 
@@ -122,33 +125,28 @@ class TestRecordLayout:
         def f():
             return x.get()
 
-        def timed_kinds():
-            timed = {}
-            for _, r in rt.obs.flight.entries():
-                timed[r[1]] = r[0] is not None
-            return timed
-
         f()
         x.set(2)
         f()
         f()  # a cache hit
-        timed = timed_kinds()
-        assert timed[EventKind.DRAIN]  # the flight view shows it
-        assert not timed[EventKind.EXECUTION]  # no span is folded yet
-        assert not timed[EventKind.CHANGE_DETECTED]  # only explain reads it
-        assert not timed[EventKind.CACHE_HIT]
-        rt.obs.enable(explain=False, metrics=False)  # now fold spans too
+        kinds = {r[1] for _, r in rt.obs.flight.entries()}
+        assert EventKind.DRAIN in kinds  # the flight view shows it
+        # Nothing records executions, changes or hits: explain reads the
+        # stamps on the nodes instead.
+        assert not kinds & {
+            EventKind.EXECUTION,
+            EventKind.CHANGE_DETECTED,
+            EventKind.CACHE_HIT,
+        }
+        rt.obs.enable(metrics=False)  # now fold spans too
         assert rt.events.subscriber_count(EventKind.EXECUTION) == 1
         x.set(3)
         f()
-        timed = timed_kinds()
-        assert timed[EventKind.EXECUTION] and timed[EventKind.EXECUTION_STARTED]
-        assert not timed[EventKind.CHANGE_DETECTED]
-        rt.obs.disable()
-        rt.obs.enable(spans=False, metrics=False)
-        x.set(4)
-        f()
-        assert not timed_kinds()[EventKind.EXECUTION]  # detach reset it
+        records = [r for _, r in rt.obs.flight.entries()]
+        assert {EventKind.EXECUTION, EventKind.EXECUTION_STARTED} <= {
+            r[1] for r in records
+        }
+        assert all(r[0] is not None and r[6] is not None for r in records)
 
 
 class TestExplainReadsWithoutSideEffects:

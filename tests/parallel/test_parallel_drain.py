@@ -153,6 +153,59 @@ class TestObservability:
         writes = [l for l in explanation.links if l.kind == "write"]
         assert all("src2" in l.label for l in writes)
 
+    def test_chain_stamped_on_pool_threads_matches_the_serial_one(self):
+        def run(runtime):
+            ran_on = set()
+            with runtime.active():
+                cells = []
+                for i in range(4):
+                    cell = Cell(1, label=f"src{i}")
+
+                    def first(cell=cell):
+                        ran_on.add(threading.get_ident())
+                        return cell.get() + 1
+
+                    first.__name__ = f"first{i}"
+                    first = cached(strategy=EAGER)(first)
+
+                    def second(first=first):
+                        ran_on.add(threading.get_ident())
+                        return first() * 2
+
+                    second.__name__ = f"second{i}"
+                    cached(strategy=EAGER)(second)()
+                    cells.append(cell)
+                ran_on.clear()
+                for cell in cells:
+                    cell.set(5)
+                runtime.flush()  # marks and re-executions happen here
+                explanation = runtime.explain("second2()")
+            links = [(link.kind, link.label) for link in explanation.links]
+            return ran_on, explanation.verdict, links
+
+        serial, parallel = Runtime(), Runtime(parallel_drains=4)
+        try:
+            serial_threads, *serial_answer = run(serial)
+            pool_threads, *pool_answer = run(parallel)
+        finally:
+            serial.close()
+            parallel.close()
+        assert serial_threads == {threading.get_ident()}
+        assert pool_threads - {threading.get_ident()}  # the pool ran bodies
+        assert pool_answer == serial_answer
+        assert serial_answer == [
+            "recomputed",
+            [
+                ("write", "src2"),
+                ("change-detected", "src2"),
+                ("marked", "src2"),
+                ("marked", "first2()"),
+                ("re-executed", "first2()"),
+                ("marked", "second2()"),
+                ("re-executed", "second2()"),
+            ],
+        ]
+
 
 class TestTransactions:
     def test_commit_fans_out_across_partitions(self, prt):

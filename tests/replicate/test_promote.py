@@ -21,7 +21,6 @@ def make_config(tmp_path, **kw):
     kw.setdefault("cols", 4)
     kw.setdefault("workers", 2)
     kw.setdefault("watchdog_max_steps", None)
-    kw.setdefault("explain", False)
     return ServeConfig(**kw)
 
 

@@ -230,7 +230,16 @@ class TestBreakerDiagnostics:
             base.set(999)
             with pytest.raises(NodeExecutionError):
                 risky()  # short-circuited: poison carries the marker
-            assert rt.explain("risky").verdict == "quarantined"
+            explanation = rt.explain("risky")
+            assert explanation.verdict == "quarantined"
+            # No recording: the chain comes from the stamps on the graph.
+            assert [(l.kind, l.label) for l in explanation.links] == [
+                ("write", "base"),
+                ("change-detected", "base"),
+                ("marked", "base"),
+                ("marked", "risky()"),
+                ("poisoned", "risky()"),
+            ]
 
     def test_watchdog_trip_reports_quarantined_procedures(self):
         rt = Runtime(watchdog=Watchdog(max_steps=3))

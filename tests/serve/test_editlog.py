@@ -24,7 +24,6 @@ def make_config(tmp_path, **kw):
     kw.setdefault("rows", 4)
     kw.setdefault("cols", 4)
     kw.setdefault("watchdog_max_steps", None)
-    kw.setdefault("explain", False)
     return ServeConfig(**kw)
 
 

@@ -22,7 +22,6 @@ def make_config(tmp_path, name, **kw):
     kw.setdefault("cols", 4)
     kw.setdefault("workers", 2)
     kw.setdefault("watchdog_max_steps", None)
-    kw.setdefault("explain", False)
     return ServeConfig(**kw)
 
 

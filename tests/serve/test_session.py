@@ -144,7 +144,7 @@ class TestFreshSession:
                 {"op": "write", "session": "t1", "cells": [[0, 0, 7]]}
             )
             hot_before = session.flight.recorded
-            for _ in range(3 * capacity):  # cache hits: explain kinds
+            for _ in range(3 * capacity):  # each read notes a session-op
                 session.apply(
                     {"op": "read", "session": "t1", "row": 1, "col": 1}
                 )
@@ -158,7 +158,10 @@ class TestFreshSession:
                 assert {r["kind"] for r in records} <= flight_kinds | {
                     "session-op"
                 }
-            assert debug["dropped"] == 0  # the ring itself is wide
+            # The ring itself stays flight-sized: explain reads the
+            # stamps on the graph, not records.
+            assert session.flight._ring.maxlen == capacity
+            assert debug["dropped"] > 0
             explanation = session.runtime.explain("(R1C1)")
             assert explanation.verdict == "recomputed"
             assert explanation.kinds()[:2] == ["write", "change-detected"]
