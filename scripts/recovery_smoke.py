@@ -70,7 +70,7 @@ def child(path: str) -> None:
             return value
 
         observer()
-        rt.persist_to(path, codec="json")
+        rt.persist_to(path)
         sheet.save(path)
         build_sheet(sheet, TAIL_EDITS)
         rt.flush()

@@ -37,7 +37,6 @@ from .core import (
     CycleError,
     EventBus,
     EventKind,
-    HeightOrderedScheduler,
     IntegrityError,
     NodeExecutionError,
     Poisoned,
@@ -45,7 +44,6 @@ from .core import (
     Runtime,
     RuntimeStats,
     Scheduler,
-    TopologicalScheduler,
     TrackedArray,
     TrackedDict,
     TrackedList,
@@ -98,7 +96,6 @@ __all__ = [
     "FIFO",
     "FRESH",
     "GraphSnapshot",
-    "HeightOrderedScheduler",
     "IntegrityError",
     "LRU",
     "MetricsRegistry",
@@ -114,7 +111,6 @@ __all__ = [
     "Scheduler",
     "SpanTracer",
     "StalenessInfo",
-    "TopologicalScheduler",
     "Transaction",
     "TrackedArray",
     "TrackedDict",

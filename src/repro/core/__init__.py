@@ -5,8 +5,8 @@ A layered engine (see ``docs/architecture.md``):
 * **kernel** — tracked storage and the dependency graph
   (:class:`Cell`, :class:`TrackedObject`, :class:`DepNode`, edges,
   topological order, partitions);
-* **scheduler** — pluggable propagation policy (:class:`Scheduler`,
-  :class:`TopologicalScheduler`, :class:`HeightOrderedScheduler`);
+* **scheduler** — the §4.5 drain loop (:class:`Scheduler`), popping
+  each partition's inconsistent set in topological order;
 * **transaction** — batched writes (:class:`Transaction`,
   ``with rt.batch():``);
 * **events** — typed observability (:class:`EventBus`,
@@ -45,7 +45,6 @@ from .decorators import MaintainedMethod, cached, maintained, unchecked
 from .errors import (
     AlphonseError,
     CycleError,
-    EvaluationLimitError,
     IntegrityError,
     NodeExecutionError,
     NotTrackedError,
@@ -62,13 +61,7 @@ from .runtime import (
     get_runtime,
     reset_default_runtime,
 )
-from .scheduler import (
-    SCHEDULERS,
-    HeightOrderedScheduler,
-    Scheduler,
-    TopologicalScheduler,
-    make_scheduler,
-)
+from .scheduler import Scheduler
 from .stats import RuntimeStats
 from .strategy import DEMAND, EAGER, parse_strategy
 from .transaction import Transaction
@@ -83,11 +76,9 @@ __all__ = [
     "DEMAND",
     "DepNode",
     "EAGER",
-    "EvaluationLimitError",
     "EventBus",
     "EventKind",
     "FIFO",
-    "HeightOrderedScheduler",
     "IncrementalProcedure",
     "IntegrityError",
     "LRU",
@@ -103,9 +94,7 @@ __all__ = [
     "Runtime",
     "RuntimeStateError",
     "RuntimeStats",
-    "SCHEDULERS",
     "Scheduler",
-    "TopologicalScheduler",
     "TrackedArray",
     "TrackedDict",
     "TrackedList",
@@ -118,7 +107,6 @@ __all__ = [
     "cached",
     "get_runtime",
     "maintained",
-    "make_scheduler",
     "parse_strategy",
     "reset_default_runtime",
     "tracked_fields",

@@ -45,8 +45,9 @@ class Unbounded(CachePolicy):
     """Keep every entry forever (the paper's default behaviour)."""
 
 
-class FIFO(CachePolicy):
-    """Evict the oldest-inserted evictable entry when over capacity."""
+class _Bounded(CachePolicy):
+    """Evict the evictable entries earliest in table order when over
+    capacity; a subclass decides what table order means."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -58,7 +59,7 @@ class FIFO(CachePolicy):
         over = len(table) - self.capacity
         if over <= 0:
             return victims
-        for key, node in table.items():  # insertion order
+        for key, node in table.items():
             if over <= 0:
                 break
             if table.evictable(node):
@@ -67,29 +68,16 @@ class FIFO(CachePolicy):
         return victims
 
 
-class LRU(CachePolicy):
-    """Evict the least-recently-used evictable entry when over capacity."""
+class FIFO(_Bounded):
+    """Evict the oldest-inserted evictable entry when over capacity."""
 
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+
+class LRU(_Bounded):
+    """Evict the least-recently-used evictable entry when over capacity:
+    a hit moves its entry to the end of table order."""
 
     def on_hit(self, table: "ArgumentTable", key: ArgKey) -> None:
         table.touch(key)
-
-    def select_victims(self, table: "ArgumentTable") -> List[ArgKey]:
-        victims: List[ArgKey] = []
-        over = len(table) - self.capacity
-        if over <= 0:
-            return victims
-        for key, node in table.items():  # least-recently-touched first
-            if over <= 0:
-                break
-            if table.evictable(node):
-                victims.append(key)
-                over -= 1
-        return victims
 
 
 class ArgumentTable:

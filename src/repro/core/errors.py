@@ -168,19 +168,3 @@ class IntegrityError(AlphonseError):
             f"({len(violations)} finding(s)):\n  - {lines}"
         )
         self.violations = list(violations)
-
-
-class EvaluationLimitError(AlphonseError):
-    """Propagation exceeded the configured step limit.
-
-    A safety valve: quiescence propagation over a well-formed Alphonse
-    program always terminates, but a DET violation (a procedure returning
-    different values on identical inputs) can make propagation oscillate.
-    """
-
-    def __init__(self, limit: int) -> None:
-        super().__init__(
-            f"quiescence propagation exceeded {limit} steps; this usually "
-            f"means a maintained procedure violates the DET restriction "
-            f"(returns different values for identical inputs)"
-        )

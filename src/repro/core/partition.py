@@ -364,18 +364,21 @@ class PartitionManager:
         ra.payload = keeper
         rb.payload = None
 
-    def mark(self, node: DepNode) -> bool:
+    def mark(self, node: DepNode) -> PartitionScheduler:
         """Add ``node`` to its partition's worklist.
 
-        Returns True if it was newly added.  Keeps the dirty registry
-        up to date so :meth:`pending_parts` sees this partition.
+        Returns that partition, whether or not ``node`` was already
+        pending in it.  Keeps the dirty registry up to date so
+        :meth:`pending_parts` sees this partition.
         """
         if self.locking:
             with self._lock:
                 return self._mark(node)
         return self._mark(node)
 
-    def _mark(self, node: DepNode, by: Optional[DepNode] = None) -> bool:
+    def _mark(
+        self, node: DepNode, by: Optional[DepNode] = None
+    ) -> PartitionScheduler:
         part = self._global if not self.enabled else self._sched(node)
         if part.incset.add(node):
             self.dirty[part.pid] = part
@@ -387,8 +390,7 @@ class PartitionManager:
                 node.marked_at = self.tick()
             if _INCONSISTENT_MARKED in self._events.observed:
                 self._events.emit(_INCONSISTENT_MARKED, node)
-            return True
-        return False
+        return part
 
     def mark_successors(self, node: DepNode) -> None:
         """Mark every successor of ``node`` (the paper's "all elements
@@ -412,11 +414,6 @@ class PartitionManager:
         """Drop ``node`` from its partition's worklist (disposal path)."""
         with self.guard():
             self.set_of(node).discard(node)
-
-    def note_drained(self, drained: PartitionScheduler) -> None:
-        """Drop an emptied partition from the dirty registry."""
-        if not drained.incset:
-            self.dirty.pop(drained.pid, None)
 
     def pending_parts(self) -> List[PartitionScheduler]:
         """Every partition that may hold pending work, for a full flush."""

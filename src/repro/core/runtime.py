@@ -27,8 +27,8 @@ The Runtime is the thin waist of a layered engine:
 * **storage/graph kernel** — :mod:`cells`, :mod:`node`, :mod:`graph`,
   :mod:`order`, :mod:`partition`: data structures with no knowledge of
   scheduling or instrumentation;
-* **scheduler** — :mod:`scheduler`: pluggable propagation policy
-  (``Runtime(scheduler="topological" | "height" | <class>)``);
+* **scheduler** — :mod:`scheduler`: the §4.5 drain loop, popping each
+  partition's inconsistent set in topological (height-label) order;
 * **transaction** — :mod:`transaction`: ``with rt.batch():`` coalesces
   writes and defers propagation to commit;
 * **events** — :mod:`events`: every layer announces its work on
@@ -40,6 +40,7 @@ The Runtime is the thin waist of a layered engine:
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import threading
 import time
@@ -60,7 +61,7 @@ from .node import (
 from .order import TopologicalOrder
 from ..persist.ids import next_location_sid
 from .partition import PartitionManager
-from .scheduler import Scheduler, make_scheduler
+from .scheduler import Scheduler
 from .stats import RuntimeStats
 from .transaction import Transaction
 from .watchdog import Watchdog
@@ -150,15 +151,11 @@ class Runtime:
         If True, a re-entrant call to an already-executing procedure
         instance raises :class:`CycleError` instead of silently returning
         the stale cached value (the paper's Algorithm 5 behaviour).
-    eval_limit:
-        Optional ceiling on propagation steps per drain; guards against
-        DET violations that make propagation oscillate.
     keep_registry:
         Keep a list of every dependency-graph node for diagnostics.
-    scheduler:
-        Propagation policy: a registry name (``"topological"`` —
-        the default, ``"height"``), a :class:`Scheduler` subclass, or a
-        factory callable taking the runtime.
+    max_reentry:
+        Ceiling on nested activations of one procedure instance; a DET
+        violation that re-enters without end raises :class:`CycleError`.
     events:
         An existing :class:`EventBus` to announce on (one is created if
         omitted).  Useful for attaching subscribers before the kernel
@@ -175,7 +172,8 @@ class Runtime:
         node is simply left inconsistent.
     watchdog:
         Optional :class:`~repro.core.watchdog.Watchdog` enforcing
-        per-drain step/wall-time budgets and livelock detection.
+        per-drain step/wall-time budgets and livelock detection — the
+        guard against DET violations that make propagation oscillate.
     resilience:
         Optional :class:`~repro.resil.ResiliencePolicy` deciding what to
         do with a failing body *before* containment poisons it: retry
@@ -197,10 +195,8 @@ class Runtime:
         *,
         partitioning: bool = True,
         strict_cycles: bool = False,
-        eval_limit: Optional[int] = None,
         keep_registry: bool = True,
         max_reentry: int = 10_000,
-        scheduler: Any = "topological",
         events: Optional[EventBus] = None,
         containment: bool = True,
         watchdog: Optional[Watchdog] = None,
@@ -221,7 +217,7 @@ class Runtime:
         self.graph = DependencyGraph(
             self.events, self.order, self.partitions, keep_registry, self.stats
         )
-        self.scheduler: Scheduler = make_scheduler(scheduler, self)
+        self.scheduler = Scheduler(self)
         #: Per-thread execution contexts (call stack, unchecked depth,
         #: drain depth), created lazily per thread; the creating
         #: thread's context exists from the start.
@@ -241,7 +237,6 @@ class Runtime:
             self.partitions.enable_locking()
             self.events.use_lock()
         self.strict_cycles = strict_cycles
-        self.eval_limit = eval_limit
         self.max_reentry = max_reentry
         self.containment = containment
         self.watchdog = watchdog
@@ -459,7 +454,7 @@ class Runtime:
             node = self.graph.new_procedure_node(
                 proc.strategy, label, ref=proc, stats=stats
             )
-            node.thunk = _make_thunk(proc, args, node)
+            node.thunk = functools.partial(proc.fn, *args)
             node.static_edges = proc.static_deps
             # consistent is already False for fresh procedure nodes.
             # Linked to its caller before the table's policy runs, and
@@ -560,7 +555,7 @@ class Runtime:
             self._restored = None
         if node is None:
             return None
-        node.thunk = _make_thunk(proc, args, node)
+        node.thunk = functools.partial(proc.fn, *args)
         node.ref = proc
         node.static_edges = proc.static_deps
         node.edges_frozen = node.edges_frozen and proc.static_deps
@@ -901,11 +896,7 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def persist_to(
-        self,
-        path: str,
-        *,
-        codec: str = "pickle",
-        segment_records: Optional[int] = None,
+        self, path: str, *, segment_records: Optional[int] = None
     ) -> Any:
         """Attach a :class:`~repro.persist.wal.PersistenceManager`.
 
@@ -922,18 +913,12 @@ class Runtime:
             )
         from ..persist.wal import PersistenceManager
 
-        manager = PersistenceManager(
-            self, path, codec=codec, segment_records=segment_records
-        )
+        manager = PersistenceManager(self, path, segment_records=segment_records)
         self._persist = manager
         return manager
 
     def checkpoint(
-        self,
-        path: Optional[str] = None,
-        *,
-        codec: Optional[str] = None,
-        app_state: Any = None,
+        self, path: Optional[str] = None, *, app_state: Any = None
     ) -> str:
         """Write an atomic snapshot of the dependency graph.
 
@@ -953,9 +938,7 @@ class Runtime:
             )
         from ..persist.snapshot import write_checkpoint
 
-        count = write_checkpoint(
-            self, path, codec=codec or "pickle", app_state=app_state
-        )
+        count = write_checkpoint(self, path, app_state=app_state)
         self._context.stats.checkpoints += 1
         if EventKind.CHECKPOINT in self.events.observed:
             data = {"path": path, "nodes": count}
@@ -1185,15 +1168,6 @@ class IncrementalProcedure:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<IncrementalProcedure {self.name} [{self.strategy.value}]>"
-
-
-def _make_thunk(
-    proc: IncrementalProcedure, args: Tuple[Any, ...], node: DepNode
-) -> Callable[[], Any]:
-    def thunk() -> Any:
-        return proc.fn(*args)
-
-    return thunk
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Propagation scheduling (paper Section 4.5) behind one interface.
+"""Propagation scheduling (paper Section 4.5): one drain loop, one order.
 
 The evaluation routine drains an inconsistent set:
 
@@ -14,33 +14,24 @@ The evaluation routine drains an inconsistent set:
 The third rule is the quiescence cut: propagation stops along paths
 where recomputation reproduced the cached value (Section 2).
 
-*What* happens per node is fixed by the paper; *which pending node goes
-next* is a policy.  The paper itself observes that "the amount of
-computation is minimized when done in a topological order with respect
-to the graph, and much research has been directed at algorithms to
-compute this order" — i.e. the order is a pluggable heuristic, not a
-correctness requirement.  :class:`Scheduler` fixes the processing rules
-and the drain lifecycles (full drain, budgeted drain, global flush) and
-leaves node selection to subclasses:
-
-* :class:`TopologicalScheduler` — the default and the pre-refactor
-  ``Evaluator``: pops the inconsistent set's min-heap, which is keyed by
-  the incrementally maintained height labels of :mod:`repro.core.order`.
-* :class:`HeightOrderedScheduler` — processes pending nodes in
-  ascending *exact* dependency height (longest path from storage), the
-  priority used by Hoover's earlier aggregate-update work and by
-  Incremental-style engines.  Heights are recomputed per refill, so it
-  trades scheduling bookkeeping for immunity to stale heap keys.
+*What* happens per node is fixed by the paper, and so is *which
+pending node goes next*: "the amount of computation is minimized when
+done in a topological order with respect to the graph".  Each
+partition's inconsistent set is a min-heap keyed by the incrementally
+maintained height labels of :mod:`repro.core.order`, so popping it is
+the priority evaluation — O(log n) per step.  Labels only rise, so a
+stale key can only pop a node early (degrading schedule quality, never
+correctness).  :class:`Scheduler` applies the processing rules over
+three drain lifecycles: full drain, budgeted drain, global flush.
 
 The unit of draining is a partition (:class:`PartitionScheduler`), not
 the runtime: :meth:`Scheduler.drain` claims one partition, processes it
-to empty, and releases it.  Policy state (e.g. the height policy's
-refill buffer) is allocated per drain, never on the scheduler instance,
-so disjoint partitions can drain concurrently on a thread pool (see
-:mod:`repro.core.parallel`) through one shared Scheduler.
+to empty, and releases it.  The scheduler itself holds no per-drain
+state, so disjoint partitions can drain concurrently on a thread pool
+(see :mod:`repro.core.parallel`) through one shared Scheduler.
 
-Schedulers count their work into the draining thread's stats (so the
-counts stay exact under ``parallel_drains``) and announce it on the
+The scheduler counts its work into the draining thread's stats (so the
+counts stay exact under ``parallel_drains``) and announces it on the
 runtime's event bus (``PROPAGATION_STEP``, ``EAGER_REEXECUTION``,
 ``QUIESCENCE_CUT``, ``DRAIN``) only for kinds some handler observes;
 drain boundary events carry their partition id in ``data``.
@@ -48,25 +39,18 @@ drain boundary events carry their partition id in ``data``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Type, Union
+from typing import TYPE_CHECKING, Any, Optional
 
-from .errors import EvaluationLimitError, NodeExecutionError
+from .errors import NodeExecutionError
 from .events import EventKind
 from .node import DepNode, NodeKind, Poisoned, values_equal
-from .order import exact_height
 from .partition import PartitionScheduler
 from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
 
-__all__ = [
-    "Scheduler",
-    "TopologicalScheduler",
-    "HeightOrderedScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
-]
+__all__ = ["Scheduler"]
 
 # Per-node kinds as module globals: cheaper to look up than Enum
 # attributes.
@@ -87,13 +71,10 @@ class Scheduler:
     ``begin_drain`` claims ownership, so two threads drain a partition
     never, and disjoint partitions freely in parallel.
 
-    Subclasses override :meth:`_next` (node selection) and optionally
-    :meth:`_begin_drain` / :meth:`_abort_drain` (per-drain state — a
-    fresh state object per drain keeps concurrent drains independent).
+    The per-drain step budget is ``max_steps`` of the runtime's
+    :class:`~repro.core.watchdog.Watchdog`, which covers :meth:`drain`
+    and :meth:`drain_budget` alike.
     """
-
-    #: Registry key; subclasses set a unique one.
-    name = "abstract"
 
     def __init__(self, runtime: "Runtime") -> None:
         self.runtime = runtime
@@ -102,21 +83,6 @@ class Scheduler:
     def active(self) -> bool:
         """True while *this thread* is inside a drain."""
         return self.runtime._context.drain_depth > 0
-
-    # -- selection policy (subclass interface) ---------------------------
-
-    def _begin_drain(self):
-        """Allocate per-drain selection state (None for stateless)."""
-        return None
-
-    def _next(
-        self, part: PartitionScheduler, state
-    ) -> Optional[DepNode]:
-        """Choose and remove the next pending node, or None when done."""
-        raise NotImplementedError
-
-    def _abort_drain(self, part: PartitionScheduler, state) -> None:
-        """Return privately buffered nodes to the partition's worklist."""
 
     # -- drain lifecycles ------------------------------------------------
 
@@ -129,8 +95,7 @@ class Scheduler:
 
         Abort safety: if anything escapes — a watchdog trip, a strict-
         mode cycle, a KeyboardInterrupt — the node in flight is returned
-        to its partition's inconsistent set along with any privately
-        buffered nodes (:meth:`_abort_drain`), so no pending work is
+        to its partition's inconsistent set, so no pending work is
         stranded and the next flush resumes exactly where this drain
         stopped.
         """
@@ -144,33 +109,30 @@ class Scheduler:
         stats = ctx.stats
         events = rt.events
         observed = events.observed
-        limit = rt.eval_limit
         watchdog = rt.watchdog
         budget = None
         if watchdog is not None and watchdog.enabled:
             budget = watchdog.begin(stats)
         steps = 0
         current: Optional[DepNode] = None
-        state = self._begin_drain()
+        incset = part.incset
         guard = partitions.guard()
         ctx.drain_depth += 1
-        if len(part.incset) and EventKind.DRAIN_STARTED in observed:
+        if incset and EventKind.DRAIN_STARTED in observed:
             # A non-empty set always yields >= 1 step, so the paired
             # DRAIN / DRAIN_ABORTED end event is guaranteed to follow.
-            size = len(part.incset)
+            size = len(incset)
             events.emit(EventKind.DRAIN_STARTED, None, size, {"partition": part.pid})
         try:
             while not part.superseded:
                 with guard:
-                    current = self._next(part, state)
+                    current = incset.pop()
                 if current is None:
                     break
                 steps += 1
                 stats.propagation_steps += 1
                 if _PROPAGATION_STEP in observed:
                     events.emit(_PROPAGATION_STEP, current)
-                if limit is not None and steps > limit:
-                    raise EvaluationLimitError(limit)
                 if budget is not None:
                     budget.step(current)
                 self._process(current)
@@ -178,7 +140,6 @@ class Scheduler:
         except BaseException as exc:
             if current is not None:
                 partitions.mark(current)
-            self._abort_drain(part, state)
             self._aborted(stats, current, steps, exc)
             raise
         finally:
@@ -223,12 +184,11 @@ class Scheduler:
                 for part in pending:
                     if not partitions.begin_drain(part):
                         continue
-                    state = self._begin_drain()
                     node: Optional[DepNode] = None
                     try:
                         while done < max_steps and not part.superseded:
                             with guard:
-                                node = self._next(part, state)
+                                node = part.incset.pop()
                             if node is None:
                                 break
                             done += 1
@@ -242,14 +202,9 @@ class Scheduler:
                     except BaseException as exc:
                         if node is not None:
                             partitions.mark(node)
-                        self._abort_drain(part, state)
                         self._aborted(stats, node, done, exc)
                         raise
                     finally:
-                        # Budget exhaustion must not orphan privately
-                        # buffered nodes: hand them back before moving on.
-                        if node is None:
-                            self._abort_drain(part, state)
                         partitions.end_drain(part)
                     if done >= max_steps:
                         break
@@ -384,102 +339,3 @@ class Scheduler:
                 if type(value) is Poisoned:
                     return value
         return None
-
-
-class TopologicalScheduler(Scheduler):
-    """The default policy and the pre-refactor ``Evaluator``.
-
-    The inconsistent set is a min-heap keyed by each node's height label
-    (:mod:`repro.core.order`) at insertion time, ties broken FIFO, so
-    popping it *is* the selection policy — O(log n) per step.  Labels
-    only rise, so a stale key can only pop a node early (degrading
-    schedule quality, never correctness).
-    """
-
-    name = "topological"
-
-    def _next(
-        self, part: PartitionScheduler, state
-    ) -> Optional[DepNode]:
-        return part.incset.pop()
-
-
-class HeightOrderedScheduler(Scheduler):
-    """Processes pending nodes in ascending dependency height.
-
-    Height of a node is the longest pred-path to a storage node (storage
-    itself is height 0).  Each refill drains the whole inconsistent set
-    into a private per-drain buffer, computes heights once, and serves
-    the buffer smallest-height first; nodes marked *during* processing
-    are picked up by the next refill.  The topological policy's heap
-    keys are height labels read at insertion time: labels only rise, so
-    a key can overstate a node's height or go stale in the queue.  This
-    priority is exact and always fresh, at the cost of an O(affected
-    subgraph) height computation per refill — the classic
-    throughput-vs-overhead scheduling trade the Scheduler interface
-    exists to let callers make.
-    """
-
-    name = "height"
-
-    def _begin_drain(self) -> List[DepNode]:
-        return []
-
-    def _next(
-        self, part: PartitionScheduler, state: List[DepNode]
-    ) -> Optional[DepNode]:
-        if not state:
-            batch: List[DepNode] = []
-            while True:
-                node = part.incset.pop()
-                if node is None:
-                    break
-                batch.append(node)
-            if not batch:
-                return None
-            memo: Dict[int, int] = {}
-            batch.sort(key=lambda n: exact_height(n, memo), reverse=True)
-            state.extend(batch)  # tail = smallest height
-        return state.pop()
-
-    def _abort_drain(
-        self, part: PartitionScheduler, state: List[DepNode]
-    ) -> None:
-        for node in state:
-            self.runtime.partitions.mark(node)
-        state.clear()
-
-
-#: Scheduler registry for ``Runtime(scheduler="...")``.
-SCHEDULERS: Dict[str, Type[Scheduler]] = {
-    "topological": TopologicalScheduler,
-    "topo": TopologicalScheduler,
-    "height": HeightOrderedScheduler,
-}
-
-SchedulerSpec = Union[str, Type[Scheduler], Callable[["Runtime"], Scheduler]]
-
-
-def make_scheduler(spec: SchedulerSpec, runtime: "Runtime") -> Scheduler:
-    """Resolve a scheduler spec: registry name, Scheduler subclass, or a
-    factory callable taking the runtime."""
-    if isinstance(spec, str):
-        try:
-            cls: Callable[["Runtime"], Scheduler] = SCHEDULERS[spec]
-        except KeyError:
-            known = ", ".join(sorted(set(SCHEDULERS)))
-            raise ValueError(
-                f"unknown scheduler {spec!r} (known: {known})"
-            ) from None
-        return cls(runtime)
-    if isinstance(spec, type) and issubclass(spec, Scheduler):
-        return spec(runtime)
-    if callable(spec):
-        scheduler = spec(runtime)
-        if not isinstance(scheduler, Scheduler):
-            raise TypeError(
-                f"scheduler factory returned {type(scheduler).__name__}, "
-                "expected a Scheduler"
-            )
-        return scheduler
-    raise TypeError(f"cannot interpret scheduler spec {spec!r}")

@@ -204,8 +204,7 @@ class Transaction:
                 stats.changes_detected += 1
                 if EventKind.CHANGE_DETECTED in events.observed:
                     events.emit(EventKind.CHANGE_DETECTED, node)
-                rt.partitions.mark(node)
-                part = rt.partitions.sched_of(node)
+                part = rt.partitions.mark(node)
                 touched[part.pid] = part
         stats.batch_commits += 1
         stats.batch_writes += len(self._writes)
@@ -264,8 +263,7 @@ class Transaction:
             if leaked:
                 node.value = prior
                 marked += 1
-                rt.partitions.mark(node)
-                part = rt.partitions.sched_of(node)
+                part = rt.partitions.mark(node)
                 touched[part.pid] = part
         rt._context.stats.rollbacks += 1
         rt.events.emit(

@@ -12,8 +12,8 @@ the offending procedure.
 
 Three independent budgets, any subset may be set:
 
-* ``max_steps`` — total propagation steps in one drain (a stricter,
-  per-drain sibling of ``Runtime(eval_limit=...)``);
+* ``max_steps`` — total propagation steps in one drain, full or
+  budgeted (``rt.idle_tick``);
 * ``max_seconds`` — wall-clock time for one drain, checked per step;
 * ``livelock_threshold`` — the same node processed more than K times in
   one drain, the classic signature of an oscillating eager result.

@@ -100,8 +100,9 @@ def build_argparser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="FILE",
         default=None,
-        help="after the run, snapshot the dependency graph to FILE "
-        "(JSON codec; alphonse mode only)",
+        help="after the run, snapshot the dependency graph to FILE as "
+        "JSON; a value that would not read back as it was is left out and "
+        "recomputed on --resume (alphonse mode only)",
     )
     parser.add_argument(
         "--resume",
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
 
     if runtime is not None and args.checkpoint is not None:
         try:
-            runtime.checkpoint(args.checkpoint, codec="json")
+            runtime.checkpoint(args.checkpoint)
         except (OSError, AlphonseError) as exc:
             print(f"error: cannot write checkpoint: {exc}", file=sys.stderr)
             trace_failed = True

@@ -5,8 +5,8 @@ representation:
 
 * :mod:`repro.persist.ids` — stable identities for locations and
   procedure instances (the naming layer everything else builds on).
-* :mod:`repro.persist.codec` — pluggable value codecs (pickle default,
-  JSON-safe subset for spreadsheet/lang values).
+* :mod:`repro.persist.codec` — the value codec: JSON, accepting only
+  values that decode back equal and of the same type.
 * :mod:`repro.persist.snapshot` — versioned, atomically written
   checkpoint snapshots of the full graph.
 * :mod:`repro.persist.wal` — CRC-guarded write-ahead log of committed
@@ -29,8 +29,6 @@ _LAZY = {
     "next_location_sid": "ids",
     "CodecError": "codec",
     "JsonCodec": "codec",
-    "PickleCodec": "codec",
-    "get_codec": "codec",
     "CheckpointCorrupt": "snapshot",
     "read_checkpoint": "snapshot",
     "write_checkpoint": "snapshot",

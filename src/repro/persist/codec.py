@@ -1,96 +1,81 @@
-"""Value codecs for checkpoint snapshots and WAL records.
+"""The value codec for checkpoint snapshots and WAL records: JSON.
 
-A codec turns a cached value into a text payload and back.  Two are
-built in:
+A codec turns a cached value into a text payload and back.  There is
+one, :class:`JsonCodec` (name ``"json"``, recorded in every checkpoint
+payload), and its round trip is strict: it encodes only values that
+decode back equal and of the same type —
 
-* :class:`PickleCodec` (name ``"pickle"``) — the default.  Handles
-  arbitrary picklable Python values, but *refuses* to serialize live
-  runtime objects (locations, tracked objects, dependency nodes,
-  poison wrappers): persisting those by value would smuggle stale
-  graph state past the stable-id layer.  Refusal raises
-  :class:`CodecError`, which the snapshot/WAL layers treat as "value
-  not persistable" (drop the node / fingerprint-only record) — never
-  as a hard failure.
+* ``None``, ``bool``, ``int``, ``str``, and ``float`` other than NaN,
+  each of exactly that type (a subclass would decode as its base);
+* ``list`` of such values;
+* ``dict`` with ``str`` keys and such values.
 
-* :class:`JsonCodec` (name ``"json"``) — the JSON-safe subset used by
-  the spreadsheet and lang layers, whose observable values are
-  numbers/strings/None.  Caveat: JSON has no tuple, so tuples decode
-  as lists; layers choosing this codec must not depend on tuple-ness
-  of restored values.
-
-Checkpoint files record the codec name in their header, so a reader
-never guesses.
+Anything else — tuples and sets (JSON would hand back a list or
+nothing), non-``str`` dict keys (they would come back as strings),
+live runtime objects (locations, tracked objects, dependency nodes,
+poison wrappers) — raises :class:`CodecError`, which the snapshot and
+WAL layers treat as "value not persistable": drop the node, or write a
+fingerprint-only record, so the value is recomputed rather than
+restored in a different shape.  Decoding never runs code: a payload is
+parsed as JSON and nothing else.
 """
 
 from __future__ import annotations
 
-import base64
-import io
 import json
-import pickle
 from typing import Any
 
-__all__ = ["CodecError", "JsonCodec", "PickleCodec", "get_codec"]
+__all__ = ["CODEC", "CodecError", "JsonCodec"]
 
 
 class CodecError(Exception):
-    """A value cannot be encoded (or decoded) by the chosen codec.
+    """A value cannot be encoded (or decoded) by the codec.
 
     Persistence layers treat this as "value not persistable", never as
     a fatal error.
     """
 
 
-class _StrictPickler(pickle.Pickler):
-    """Pickler that refuses live runtime objects.
-
-    ``persistent_id`` is called for every object the pickler visits, so
-    this vetoes runtime state anywhere inside a value, not just at the
-    top level.
-    """
-
-    def persistent_id(self, obj: Any):
-        from repro.core.cells import TrackedObject
-        from repro.core.node import DepNode, Poisoned
-        from repro.core.runtime import Location
-
-        if isinstance(obj, (TrackedObject, Location, DepNode, Poisoned)):
-            raise CodecError(
-                f"refusing to pickle live runtime object {type(obj).__name__}; "
-                "persist stable ids, not object graphs"
-            )
-        return None
-
-
-class PickleCodec:
-    name = "pickle"
-
-    def encode(self, value: Any) -> str:
-        buffer = io.BytesIO()
-        try:
-            _StrictPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(f"unpicklable value: {exc}") from exc
-        return base64.b64encode(buffer.getvalue()).decode("ascii")
-
-    def decode(self, text: str) -> Any:
-        try:
-            return pickle.loads(base64.b64decode(text.encode("ascii")))
-        except Exception as exc:
-            raise CodecError(f"undecodable pickle payload: {exc}") from exc
-
-
 #: Built once: ``json.dumps`` with keyword arguments constructs a new
 #: encoder on every call.
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+
+_SCALARS = frozenset((type(None), bool, int, str))
+
+
+def _check(value: Any, depth: int = 0) -> None:
+    """Raise :class:`CodecError` unless ``value`` round-trips exactly."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return
+    if kind is float:
+        if value != value:
+            raise CodecError("NaN does not decode back equal")
+        return
+    if depth > 200:
+        # Bounded so a value that contains itself raises CodecError,
+        # which callers handle, rather than RecursionError.
+        raise CodecError("value nests too deeply to encode")
+    if kind is list:
+        for item in value:
+            _check(item, depth + 1)
+        return
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                raise CodecError(
+                    f"dict key {key!r} would decode as a string"
+                )
+            _check(item, depth + 1)
+        return
+    raise CodecError(f"{kind.__name__} value does not round-trip through JSON")
 
 
 class JsonCodec:
     name = "json"
 
     def encode(self, value: Any) -> str:
+        _check(value)
         try:
             return _JSON_ENCODER.encode(value)
         except (TypeError, ValueError) as exc:
@@ -103,14 +88,6 @@ class JsonCodec:
             raise CodecError(f"undecodable JSON payload: {exc}") from exc
 
 
-_CODECS = {cls.name: cls for cls in (PickleCodec, JsonCodec)}
-
-
-def get_codec(name: str):
-    """Instantiate the codec registered under ``name``."""
-    try:
-        return _CODECS[name]()
-    except KeyError:
-        raise CodecError(
-            f"unknown codec {name!r}; available: {sorted(_CODECS)}"
-        ) from None
+#: The instance the snapshot, WAL and recovery layers share; its name
+#: is recorded in every checkpoint.
+CODEC = JsonCodec()

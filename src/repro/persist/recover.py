@@ -12,7 +12,10 @@ never wrong.  The typed outcome is a :class:`RecoveryReport`:
 * ``mode == "degraded"`` — something was corrupt (``reason`` says
   what); the runtime starts empty.  Application redo records salvaged
   from the readable WAL prefix are still surfaced so app layers can
-  replay semantic operations.
+  replay semantic operations.  A checkpoint whose payload names a codec
+  other than ``"json"`` (or none) degrades the same way, without
+  decoding a single value, but keeps its ``app_state``: the
+  application rebuilds from it exhaustively.
 
 **The reconstruction contract.**  Recovery restores *graph* state; the
 reconstructed program must re-create its tracked locations and
@@ -42,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.events import EventKind
 from ..core.node import NO_VALUE, DepNode, NodeKind, Poisoned
 from ..core.runtime import Runtime
-from .codec import CodecError, get_codec
+from .codec import CODEC, CodecError
 from .snapshot import CheckpointCorrupt, read_checkpoint
 from .wal import WriteAheadLog
 
@@ -160,10 +163,19 @@ def recover(
 
     try:
         payload = read_checkpoint(path)
-        codec = get_codec(payload.get("codec", "pickle"))
-    except (CheckpointCorrupt, CodecError) as exc:
+    except CheckpointCorrupt as exc:
         return _degraded(
             path, f"checkpoint: {exc}", restore_values, runtime_kwargs
+        )
+    if payload.get("codec") != CODEC.name:
+        # Values encoded by anything but the JSON codec are never
+        # decoded; the application state beside them is plain JSON.
+        return _degraded(
+            path,
+            f"checkpoint: unsupported codec {payload.get('codec')!r}",
+            restore_values,
+            runtime_kwargs,
+            app_state=payload.get("app_state"),
         )
 
     report = RecoveryReport(
@@ -171,9 +183,7 @@ def recover(
     )
     rt = Runtime(**runtime_kwargs)
     try:
-        locations, instances = _materialize(
-            rt, payload, codec, restore_values, report
-        )
+        locations, instances = _materialize(rt, payload, restore_values, report)
     except Exception as exc:
         return _degraded(
             path,
@@ -199,7 +209,7 @@ def recover(
         )
     try:
         for record in records:
-            report.replayed += _replay(rt, locations, record, codec, report)
+            report.replayed += _replay(rt, locations, record, report)
         # Drain the re-marks to quiescence now: restored nodes carry no
         # thunks, so this only flips consistency flags along the
         # affected region (eager re-execution happens at adoption).
@@ -280,7 +290,6 @@ def _degraded(
 def _materialize(
     rt: Runtime,
     payload: Dict[str, Any],
-    codec: Any,
     restore_values: bool,
     report: RecoveryReport,
 ) -> Tuple[Dict[str, Tuple[DepNode, Optional[str]]], Dict[str, DepNode]]:
@@ -313,7 +322,7 @@ def _materialize(
             rt._poison_live += 1
         elif spec.get("has_value") and spec.get("value") is not None:
             if node.kind is not NodeKind.STORAGE or restore_values:
-                node.value = codec.decode(spec["value"])
+                node.value = CODEC.decode(spec["value"])
             # Warm start leaves storage at NO_VALUE: the live value is
             # authoritative and any first write must detect a change.
         sid = spec["sid"]
@@ -333,7 +342,6 @@ def _replay(
     rt: Runtime,
     locations: Dict[str, Tuple[DepNode, Optional[str]]],
     record: Dict[str, Any],
-    codec: Any,
     report: RecoveryReport,
 ) -> int:
     """Re-apply one WAL record; returns the writes replayed."""
@@ -359,7 +367,7 @@ def _replay(
         encoded = write.get("v")
         if encoded is not None:
             try:
-                node.value = codec.decode(encoded)
+                node.value = CODEC.decode(encoded)
             except CodecError:
                 node.value = NO_VALUE
         else:

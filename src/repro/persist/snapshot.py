@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import RuntimeStateError
 from ..core.node import DepNode, NodeKind, Poisoned
-from .codec import CodecError, get_codec
+from .codec import CODEC, CodecError
 from .ids import fingerprint, instance_sid
 
 __all__ = [
@@ -61,7 +61,6 @@ def write_checkpoint(
     rt: Any,
     path: str,
     *,
-    codec: str = "pickle",
     app_state: Any = None,
     crash_hook: Optional[Callable[[str], None]] = None,
 ) -> int:
@@ -89,7 +88,6 @@ def write_checkpoint(
             "checkpointing requires Runtime(keep_registry=True)"
         )
     nodes = [n for n in rt.graph.nodes if not n.disposed]
-    codec_obj = get_codec(codec)
 
     # Stable ids for procedure nodes come from the argument tables (the
     # node itself does not know its args).
@@ -104,7 +102,7 @@ def write_checkpoint(
     unkeepable: List[DepNode] = []
     holders: Dict[str, DepNode] = {}
     for node in nodes:
-        record = _record_for(node, proc_sids, codec_obj)
+        record = _record_for(node, proc_sids)
         if record is None:
             unkeepable.append(node)
             continue
@@ -146,7 +144,7 @@ def write_checkpoint(
 
     payload = {
         "version": CHECKPOINT_VERSION,
-        "codec": codec_obj.name,
+        "codec": CODEC.name,
         "app_state": app_state,
         "nodes": [records[id(n)] for n in kept],
         "edges": sorted(edges),
@@ -158,7 +156,6 @@ def write_checkpoint(
 def _record_for(
     node: DepNode,
     proc_sids: Dict[int, Optional[str]],
-    codec_obj: Any,
 ) -> Optional[Dict[str, Any]]:
     """The node's snapshot record, or None if it cannot be kept."""
     value = node.value
@@ -174,7 +171,7 @@ def _record_for(
         live = getattr(location, "_value", None)
         fp = fingerprint(live)
         try:
-            encoded = codec_obj.encode(live)
+            encoded = CODEC.encode(live)
             has_value = True
         except CodecError:
             encoded = None
@@ -191,7 +188,7 @@ def _record_for(
             }
         elif has_value:
             try:
-                encoded = codec_obj.encode(value)
+                encoded = CODEC.encode(value)
             except CodecError:
                 if node.consistent:
                     # A consistent procedure node must carry its value

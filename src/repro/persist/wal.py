@@ -59,7 +59,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.events import EventKind
-from .codec import CodecError, get_codec
+from .codec import CODEC, CodecError
 from .ids import fingerprint
 from .snapshot import write_checkpoint
 
@@ -394,12 +394,10 @@ class PersistenceManager:
         rt: Any,
         path: str,
         *,
-        codec: str = "pickle",
         segment_records: Optional[int] = None,
     ) -> None:
         self.runtime = rt
         self.path = path
-        self.codec = get_codec(codec)
         self.wal = WriteAheadLog(
             path + ".wal", segment_records=segment_records
         )
@@ -492,7 +490,7 @@ class PersistenceManager:
             return None
         value = node.value
         try:
-            encoded = self.codec.encode(value)
+            encoded = CODEC.encode(value)
         except CodecError:
             encoded = None  # replay falls back to the fingerprint
         return {"sid": sid, "v": encoded, "fp": fingerprint(value)}
@@ -522,7 +520,6 @@ class PersistenceManager:
         count = write_checkpoint(
             self.runtime,
             self.path,
-            codec=self.codec.name,
             app_state=app_state,
             crash_hook=self._checkpoint_crash_hook,
         )

@@ -60,6 +60,24 @@ class PromotionReport:
         data["ok"] = self.ok
         return data
 
+    def note_opened(self, sid: str, runtime: Any) -> None:
+        """Record how session ``sid`` came up: its recovery mode and the
+        WAL-tail records it replayed."""
+        recovery = getattr(runtime, "last_recovery", None)
+        if recovery is None:
+            self.modes[sid] = "fresh"
+            self.replayed[sid] = 0
+            return
+        # Graph-write records land in ``recovery.replayed``; the
+        # spreadsheet's semantic redo records ride ``app_records`` and
+        # are replayed by ``Spreadsheet.load`` — both are WAL tail that
+        # the standby carried past the last checkpoint.
+        tail = recovery.replayed + len(recovery.app_records)
+        self.modes[sid] = (
+            "replayed" if tail and recovery.mode == "clean" else recovery.mode
+        )
+        self.replayed[sid] = tail
+
 
 def session_ids(root: str) -> List[str]:
     """Session directories under a serve-state root (sorted)."""
@@ -107,21 +125,7 @@ def promote_root(
         except Exception as exc:  # noqa: BLE001 - report, promote the rest
             report.errors[sid] = f"{type(exc).__name__}: {exc}"
             continue
-        recovery = getattr(session.runtime, "last_recovery", None)
-        if recovery is not None:
-            # Graph-write records land in ``recovery.replayed``; the
-            # spreadsheet's semantic redo records ride ``app_records``
-            # and are replayed by ``Spreadsheet.load`` — both are WAL
-            # tail that the standby carried past the last checkpoint.
-            tail = recovery.replayed + len(recovery.app_records)
-            report.modes[sid] = (
-                "replayed" if tail and recovery.mode == "clean"
-                else recovery.mode
-            )
-            report.replayed[sid] = tail
-        else:
-            report.modes[sid] = "fresh"
-            report.replayed[sid] = 0
+        report.note_opened(sid, session.runtime)
         with session.runtime.active():
             report.violations[sid] = audit(
                 session.runtime, raise_on_violation=False

@@ -326,6 +326,10 @@ class Server:
                 except ServeError as exc:
                     report.errors[sid] = exc.message
                     continue
+                except Exception as exc:  # noqa: BLE001 - report, promote the rest
+                    report.errors[sid] = f"{type(exc).__name__}: {exc}"
+                    continue
+                report.note_opened(sid, session.runtime)
 
                 def audit_job(session=session):
                     from ..core.integrity import audit
@@ -333,19 +337,6 @@ class Server:
                     with session.runtime.active():
                         return audit(session.runtime, raise_on_violation=False)
 
-                recovery = getattr(session.runtime, "last_recovery", None)
-                if recovery is not None:
-                    # WAL tail = graph-write records plus the semantic
-                    # redo records Spreadsheet.load replays.
-                    tail = recovery.replayed + len(recovery.app_records)
-                    report.modes[sid] = (
-                        "replayed" if tail and recovery.mode == "clean"
-                        else recovery.mode
-                    )
-                    report.replayed[sid] = tail
-                else:
-                    report.modes[sid] = "fresh"
-                    report.replayed[sid] = 0
                 report.violations[sid] = await asyncio.wrap_future(
                     self.pool.submit(sid, audit_job)
                 )

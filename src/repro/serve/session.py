@@ -150,7 +150,7 @@ class Session:
         rt.obs.flight = FlightRecorder(config.flight_capacity)
         rt.obs.enable(spans=config.trace, metrics=True, flight=True)
         with rt.active():
-            manager = rt.persist_to(path, codec="json")
+            manager = rt.persist_to(path)
             if report is None or report.mode != "clean" or manager.wal.last_lsn:
                 # A fresh session becomes durable before its first edit,
                 # and a resurrected one folds whatever its WAL held back

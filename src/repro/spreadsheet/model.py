@@ -406,19 +406,19 @@ class Spreadsheet:
         """Checkpoint the sheet — dependency graph, formula sources and
         edit history.
 
-        Attaches a persistence manager (JSON codec — checkpoints stay
-        inspectable text) when the runtime has none, so every later
+        Attaches a persistence manager (checkpoints are inspectable JSON
+        text) when the runtime has none, so every later
         :meth:`set_formula` is WAL-logged and survives a crash before
         the next ``save``.  Returns ``path``.
         """
         rt = get_runtime()
         manager = rt._persist
         if manager is None:
-            manager = rt.persist_to(path, codec="json")
+            manager = rt.persist_to(path)
         if manager.path == path:
             manager.checkpoint(app_state=self._app_state())
         else:
-            rt.checkpoint(path, codec="json", app_state=self._app_state())
+            rt.checkpoint(path, app_state=self._app_state())
         return path
 
     @classmethod

@@ -1,5 +1,5 @@
 """Fault containment: poison capture, propagation, demand surfacing,
-and healing — across both schedulers and both evaluation strategies."""
+and healing — across both evaluation strategies."""
 
 import pytest
 
@@ -15,19 +15,20 @@ from repro import (
 from repro.core.node import values_equal
 
 
-SCHEDULERS = ["topological", "height"]
 STRATEGIES = [None, EAGER]  # None = DEMAND (the decorator default)
+# Case ids name the strategy and the propagation order the case drains
+# in: topological (Section 4.5), the runtime's only order.
+STRATEGY_IDS = ["demand-topological", "eager-topological"]
 
 
 def _strategy_kw(strategy):
     return {} if strategy is None else {"strategy": strategy}
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=["demand", "eager"])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
 class TestPoisonPropagation:
-    def test_failure_poisons_and_read_raises(self, scheduler, strategy):
-        rt = Runtime(scheduler=scheduler)
+    def test_failure_poisons_and_read_raises(self, strategy):
+        rt = Runtime()
         with rt.active():
             source = Cell(1, label="source")
 
@@ -51,8 +52,8 @@ class TestPoisonPropagation:
             assert excinfo.value.origin == "mid()"
             rt.check_invariants()
 
-    def test_healing_write_recovers_results(self, scheduler, strategy):
-        rt = Runtime(scheduler=scheduler)
+    def test_healing_write_recovers_results(self, strategy):
+        rt = Runtime()
         with rt.active():
             source = Cell(1, label="source")
 
@@ -79,9 +80,9 @@ class TestPoisonPropagation:
             assert rt._poison_live == 0
             rt.check_invariants()
 
-    def test_poison_chains_with_root_origin(self, scheduler, strategy):
+    def test_poison_chains_with_root_origin(self, strategy):
         """The origin reported at any depth is the node whose body raised."""
-        rt = Runtime(scheduler=scheduler)
+        rt = Runtime()
         with rt.active():
             source = Cell(1, label="source")
 

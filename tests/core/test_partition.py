@@ -134,14 +134,17 @@ class TestPartitionManager:
         a = _node("a")
         mgr.register(a)
         assert not mgr.has_pending()
-        assert mgr.mark(a) is True
+        part = mgr.mark(a)
+        assert part is mgr.sched_of(a)
         assert mgr.has_pending()
-        assert mgr.mark(a) is False  # already pending
-        parts = mgr.pending_parts()
-        assert len(parts) == 1
-        assert parts[0].incset.pop() is a
-        mgr.note_drained(parts[0])
+        assert mgr.mark(a) is part  # already pending: same partition
+        assert len(part.incset) == 1
+        assert mgr.pending_parts() == [part]
+        assert part.incset.pop() is a
         assert not mgr.has_pending()
+        assert mgr.begin_drain(part)
+        mgr.end_drain(part)  # an emptied partition leaves the registry
+        assert not mgr.dirty
 
     def test_disabled_manager_uses_single_global_set(self):
         mgr = _mgr(enabled=False)

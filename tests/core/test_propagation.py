@@ -3,8 +3,7 @@ quiescence cuts, evaluation limits."""
 
 import pytest
 
-from repro import Cell, EAGER, Runtime, cached
-from repro.core.errors import EvaluationLimitError
+from repro import Cell, EAGER, PropagationBudgetError, Runtime, Watchdog, cached
 
 
 class TestDemandPropagation:
@@ -196,7 +195,11 @@ class TestTopologicalScheduling:
 
 class TestEvaluationLimit:
     def test_limit_raises_on_runaway_propagation(self):
-        runtime = Runtime(eval_limit=10)
+        """The per-drain step cap is the watchdog's ``max_steps``; there
+        is no second one."""
+        with pytest.raises(TypeError, match="eval_limit"):
+            Runtime(eval_limit=10)
+        runtime = Runtime(watchdog=Watchdog(max_steps=10))
         with runtime.active():
             cells = [Cell(i, label=f"c{i}") for i in range(50)]
 
@@ -207,8 +210,10 @@ class TestEvaluationLimit:
             total()
             for c in cells:
                 c.set(c.peek() + 1)
-            with pytest.raises(EvaluationLimitError):
+            with pytest.raises(PropagationBudgetError) as excinfo:
                 runtime.flush()
+        assert excinfo.value.kind == "steps"
+        assert runtime.stats.watchdog_trips == 1
 
     def test_no_limit_by_default(self, rt):
         cells = [Cell(i, label=f"c{i}") for i in range(50)]

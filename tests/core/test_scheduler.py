@@ -1,11 +1,11 @@
-"""The Scheduler abstraction: pluggable drain policies and golden-stats
-parity between implementations."""
+"""The Scheduler: §4.5 propagation in topological (height-label) order,
+with golden stats on the E2 eager workload."""
 
 import math
 
 import pytest
 
-from repro import EAGER, HeightOrderedScheduler, Runtime, TopologicalScheduler
+from repro import EAGER, Runtime, Scheduler
 from repro.trees import Tree, TreeNil
 
 
@@ -51,13 +51,13 @@ def _build_eager(n, leaf):
     return build(0, n)
 
 
-def _e2_eager_workload(scheduler_spec, n=2**8 - 1):
+def _e2_eager_workload(n=2**8 - 1):
     """E2 with eager heights: one leaf relink, fully propagated.
 
-    Returns the stats delta for the change + propagation, plus the final
-    root height (the semantic answer both schedulers must agree on).
+    Returns the initial and final root heights and the stats delta for
+    the change + propagation.
     """
-    rt = Runtime(keep_registry=False, scheduler=scheduler_spec)
+    rt = Runtime(keep_registry=False)
     with rt.active():
         leaf = EagerNil()
         root = _build_eager(n, leaf)
@@ -82,29 +82,33 @@ GOLDEN_KEYS = [
 
 class TestSchedulerParity:
     def test_eager_e2_golden_stats_match_old_evaluator(self):
-        """The height scheduler must reproduce the old Evaluator's
-        quiescence behavior exactly on the E2 workload: same cuts, same
-        re-executions, same answer."""
+        """The drain reproduces the old Evaluator's quiescence behaviour
+        exactly on the E2 workload: the counts below are the ones the
+        pre-refactor evaluator recorded, and an exact-height ordering
+        recorded the same."""
         n = 2**8 - 1
         height = int(math.log2(n + 1))
-        init_topo, final_topo, topo = _e2_eager_workload(TopologicalScheduler, n)
-        init_h, final_h, by_height = _e2_eager_workload("height", n)
+        initial, final, delta = _e2_eager_workload(n)
 
-        assert init_topo == init_h == height
+        assert initial == height == 8
         # the relink hangs a height-1 subtree under the deepest interior
         # node on the leftmost path, lengthening it by one
-        assert final_topo == final_h == height + 1
-        for key in GOLDEN_KEYS:
-            assert topo[key] == by_height[key], key
+        assert final == height + 1
         # every ancestor's height grew by one: the wave reaches the root
-        # with no quiescence cut, but still costs only the path
-        assert topo["eager_reexecutions"] <= height + 4
-        assert topo["quiescent_stops"] == 0
+        # with no quiescence cut, and costs only the path (8 ancestors
+        # plus the new subtree's first run)
+        assert {key: delta[key] for key in GOLDEN_KEYS} == {
+            "executions": 9,
+            "eager_reexecutions": 8,
+            "quiescent_stops": 0,
+            "changes_detected": 1,
+            "inconsistent_marks": 9,
+        }
 
     def test_eager_quiescent_change_cuts_everywhere(self):
         """Replacing a leaf with an equal-height subtree is pure
         quiescence: re-execution stops at the first unchanged height."""
-        _, _, delta = _e2_eager_workload("topological")
+        _, _, delta = _e2_eager_workload()
         n = 2**8 - 1
         rt = Runtime(keep_registry=False)
         with rt.active():
@@ -125,36 +129,22 @@ class TestSchedulerParity:
 class TestSchedulerPlumbing:
     def test_default_scheduler_is_topological(self):
         rt = Runtime()
-        assert isinstance(rt.scheduler, TopologicalScheduler)
-        assert rt.scheduler.name == "topological"
-
-    def test_scheduler_by_name(self):
-        rt = Runtime(scheduler="height")
-        assert isinstance(rt.scheduler, HeightOrderedScheduler)
-
-    def test_scheduler_by_class_and_factory(self):
-        assert isinstance(
-            Runtime(scheduler=HeightOrderedScheduler).scheduler,
-            HeightOrderedScheduler,
-        )
-        rt = Runtime(scheduler=lambda r: TopologicalScheduler(r))
-        assert isinstance(rt.scheduler, TopologicalScheduler)
+        assert type(rt.scheduler) is Scheduler
         assert rt.scheduler.runtime is rt
 
     def test_unknown_scheduler_name_rejected(self):
-        with pytest.raises(ValueError, match="height"):
-            Runtime(scheduler="bogus")
-
-    def test_bad_factory_result_rejected(self):
-        with pytest.raises(TypeError):
-            Runtime(scheduler=lambda r: object())
+        """There is one drain order, so no scheduler is selectable."""
+        for name in ("bogus", "height", "topological"):
+            with pytest.raises(TypeError, match="scheduler"):
+                Runtime(scheduler=name)
 
     def test_height_scheduler_orders_low_before_high(self):
-        """On a linear eager chain the height scheduler must process the
-        lowest node first — one pass, no wasted re-executions."""
+        """The inconsistent set pops by height label, so on a linear
+        eager chain the lowest node goes first — one pass, no wasted
+        re-executions."""
         from repro import Cell, cached
 
-        rt = Runtime(scheduler="height")
+        rt = Runtime()
         with rt.active():
             base = Cell(1, label="base")
 

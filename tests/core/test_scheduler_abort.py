@@ -2,21 +2,26 @@
 
 Before the fix, the node popped from the inconsistent set and in flight
 when ``_process`` raised was simply lost — the next flush would settle
-everything except it.  ``drain`` now re-marks the in-flight node, hands
-privately buffered nodes back (``_abort_drain``), and emits
-``DRAIN_ABORTED``.
+everything except it.  ``drain`` now re-marks the in-flight node and
+emits ``DRAIN_ABORTED``.
 """
 
 import pytest
 
-from repro import Cell, EAGER, EventKind, Runtime, cached
-from repro.core.errors import EvaluationLimitError
+from repro import (
+    Cell,
+    EAGER,
+    EventKind,
+    PropagationBudgetError,
+    Runtime,
+    Watchdog,
+    cached,
+)
 
 
-@pytest.mark.parametrize("scheduler", ["topological", "height"])
 class TestDrainAbortRecovery:
-    def test_uncontained_error_leaves_incset_redrainable(self, scheduler):
-        rt = Runtime(scheduler=scheduler, containment=False)
+    def test_uncontained_error_leaves_incset_redrainable(self):
+        rt = Runtime(containment=False)
         with rt.active():
             cells = [Cell(i, label=f"c{i}") for i in range(6)]
             allow_failure = [True]
@@ -51,8 +56,8 @@ class TestDrainAbortRecovery:
             assert not rt.pending_changes()
             rt.check_invariants()
 
-    def test_eval_limit_abort_remarks_inflight_node(self, scheduler):
-        rt = Runtime(scheduler=scheduler, eval_limit=2)
+    def test_step_budget_abort_remarks_inflight_node(self):
+        rt = Runtime(watchdog=Watchdog(max_steps=2))
         with rt.active():
             cells = [Cell(i, label=f"c{i}") for i in range(8)]
 
@@ -63,17 +68,20 @@ class TestDrainAbortRecovery:
             total()
             for c in cells:
                 c.set(c.get() + 1)
-            with pytest.raises(EvaluationLimitError):
+            with pytest.raises(PropagationBudgetError):
                 rt.flush()
-            # the node popped at the limit check must not be lost
-            rt.eval_limit = None
+            # the node popped at the budget check must not be lost
+            rt.watchdog.max_steps = None
             rt.flush()
             assert total() == sum(i + 1 for i in range(8))
             assert not rt.pending_changes()
             rt.check_invariants()
 
-    def test_drain_aborted_event_emitted(self, scheduler):
-        rt = Runtime(scheduler=scheduler, eval_limit=1)
+    # The id names the order the aborted drain ran in: topological
+    # (Section 4.5), the runtime's only order.
+    @pytest.mark.parametrize("max_steps", [1], ids=["topological"])
+    def test_drain_aborted_event_emitted(self, max_steps):
+        rt = Runtime(watchdog=Watchdog(max_steps=max_steps))
         aborts = []
         rt.events.subscribe(
             EventKind.DRAIN_ABORTED,
@@ -89,9 +97,9 @@ class TestDrainAbortRecovery:
             total()
             for c in cells:
                 c.set(c.get() + 1)
-            with pytest.raises(EvaluationLimitError):
+            with pytest.raises(PropagationBudgetError):
                 rt.flush()
-        assert aborts and aborts[0][1] == "EvaluationLimitError"
+        assert aborts and aborts[0][1] == "PropagationBudgetError"
 
 
 class TestStrictCycleRecovery:

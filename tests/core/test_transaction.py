@@ -96,6 +96,37 @@ class TestBatchBasics:
         assert delta["eager_reexecutions"] == 1
         assert total() == sum(range(5)) + 500
 
+    def test_commit_walks_the_union_find_once_per_mark(self, rt):
+        """Marking a changed location yields the partition the commit
+        drains, so no second union-find walk looks it up again."""
+        cells = [Cell(i, label=f"c{i}") for i in range(3)]
+
+        @cached
+        def total():
+            return sum(c.get() for c in cells)
+
+        total()
+        before = rt.stats.snapshot()
+        with rt.batch():
+            cells[0].set(10)
+            cells[1].set(20)
+            cells[2].set(2)  # unchanged: not marked
+        delta = rt.stats.delta(before)
+        assert delta["changes_detected"] == 2
+        # two marks at commit, then each drained cell marks total()
+        assert delta["partition_finds"] == 4
+
+        before = rt.stats.snapshot()
+        with pytest.raises(KeyError):
+            with rt.batch(rollback_on_error=True):
+                cells[0].set(11)
+                assert total() == 33  # re-runs and reads the mid-batch value
+                raise KeyError
+        delta = rt.stats.delta(before)
+        # one leaked location re-marked, and its drain marks total()
+        assert delta["partition_finds"] == 2
+        assert total() == 32
+
     def test_unread_cell_commit_is_noop(self, rt):
         cell = Cell(1, label="never-read")
         with rt.batch():

@@ -2,6 +2,7 @@
 (repro.persist.recover)."""
 
 import json
+import zlib
 
 import pytest
 
@@ -24,6 +25,22 @@ def _program(values):
         return cells[i].get() * 2
 
     return cells, total, double
+
+
+def _rewrite_checkpoint(path, **changes):
+    """Rewrite the checkpoint at ``path`` with ``changes`` applied to its
+    payload (a ``None`` value deletes the key), under a valid header."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    payload = json.loads(body)
+    for key, value in changes.items():
+        if value is None:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    magic, version = header.decode("ascii").split()[:2]
+    crc = zlib.crc32(body) & 0xFFFFFFFF
+    path.write_bytes(f"{magic} {version} {crc:08x} {len(body)}\n".encode() + body)
 
 
 class TestCleanRecovery:
@@ -208,6 +225,30 @@ class TestDegradedRecovery:
         assert report.mode == "degraded"
         assert report.app_records == [{"op": "before-damage"}]
         assert rt2.last_recovery is report
+
+    @pytest.mark.parametrize("codec", ["pickle", "msgpack", None])
+    def test_other_codec_degrades_but_keeps_app_state(self, tmp_path, codec):
+        """Only JSON payloads are decoded: a checkpoint naming any other
+        codec, or none, is restored from nothing but its app_state."""
+        path = tmp_path / "state"
+        fresh_id_space()
+        rt = Runtime(keep_registry=True)
+        with rt.active():
+            cells, total, _double = _program([1, 2, 3])
+            assert total() == 6
+            rt.checkpoint(str(path), app_state={"rows": 2})
+        _rewrite_checkpoint(path, codec=codec)
+
+        fresh_id_space()
+        rt2, report = recover(str(path))
+        assert report.mode == "degraded"
+        assert f"unsupported codec {codec!r}" in report.reason
+        assert report.app_state == {"rows": 2}
+        assert report.restored_nodes == 0
+        with rt2.active():
+            cells, total, _double = _program([1, 2, 3])
+            assert total() == 6
+        assert rt2.stats.executions == 1
 
     def test_torn_wal_tail_is_not_degraded(self, tmp_path):
         path = str(tmp_path / "state")

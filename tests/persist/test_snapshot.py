@@ -39,7 +39,7 @@ class TestWriteCheckpoint:
         count = write_checkpoint(rt, path)
         payload = read_checkpoint(path)
         assert payload["version"] == 1
-        assert payload["codec"] == "pickle"
+        assert payload["codec"] == "json"
         assert count == len(payload["nodes"]) == 3
         assert {n["sid"] for n in payload["nodes"]} == {"a#0", "b#0", "total()"}
         assert len(payload["edges"]) == 2
@@ -74,7 +74,7 @@ class TestWriteCheckpoint:
 
             everything()
         path = str(tmp_path / "ckpt")
-        write_checkpoint(rt, path, codec="json", app_state={"b": 1, "a": 2})
+        write_checkpoint(rt, path, app_state={"b": 1, "a": 2})
         payload = read_checkpoint(path)
         stored = {n["sid"]: n["value"] for n in payload["nodes"]}
         for i, value in enumerate(values):

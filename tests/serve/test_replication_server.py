@@ -7,11 +7,16 @@ runs across two real processes.
 """
 
 import asyncio
+import base64
 import json
+import pickle
+import zlib
 
+from repro import Runtime
 from repro.replicate.stream import make_record
 from repro.serve import ServeConfig, Server
 from repro.serve.loadgen import _replay_serially
+from repro.spreadsheet import Spreadsheet
 
 from ..replicate.test_shipper_standby import _wal_line
 
@@ -27,6 +32,51 @@ def make_config(tmp_path, name, **kw):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+EDITS = [[0, 0, "5"], [1, 0, "R0C0 + 2"]]
+
+
+def sheet_checkpoint(tmp_path, name, edits=EDITS):
+    """The text of a 4x4 sheet's checkpoint after ``edits`` — what a
+    primary ships in a resync frame."""
+    path = tmp_path / name
+    rt = Runtime()
+    with rt.active():
+        sheet = Spreadsheet(4, 4)
+        for row, col, formula in edits:
+            sheet.set_formula(row, col, formula)
+            sheet.value(row, col)
+        sheet.save(str(path))
+    rt.close()
+    return path.read_text(encoding="utf-8")
+
+
+def reframe(text, **changes):
+    """``text``'s checkpoint payload with ``changes`` applied, under a
+    header whose CRC matches."""
+    payload = json.loads(text.split("\n", 1)[1])
+    payload.update(changes)
+    body = json.dumps(payload, sort_keys=True)
+    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    return f"ALPHONSE-CKPT v1 {crc:08x} {len(body.encode('utf-8'))}\n{body}"
+
+
+def resync(sid, ckpt):
+    return {
+        "op": "ship",
+        "frame": {"kind": "resync", "sid": sid, "lsn": 1, "ckpt": ckpt, "wal": ""},
+    }
+
+
+class _CreatesFile:
+    """Unpickling this creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestStandbyRole:
@@ -86,6 +136,67 @@ class TestStandbyRole:
             assert promoted["error"]["code"] == 400
             status = await server.handle({"op": "replication"})
             assert status["result"]["role"] == "none"
+            await server.shutdown()
+
+        run(main())
+
+
+class TestPromotingShippedState:
+    def test_shipped_pickle_checkpoint_is_never_unpickled(self, tmp_path):
+        """A resync frame's checkpoint decodes as JSON or not at all: one
+        naming codec "pickle" degrades the session to a rebuild from its
+        formulas instead of running what the sender put in its values."""
+        marker = tmp_path / "unpickled"
+        text = sheet_checkpoint(tmp_path, "source")
+        nodes = json.loads(text.split("\n", 1)[1])["nodes"]
+        planted = base64.b64encode(pickle.dumps(_CreatesFile(str(marker))))
+        for node in nodes:
+            if node["has_value"]:
+                node["value"] = planted.decode("ascii")
+        shipped_ckpt = reframe(text, codec="pickle", nodes=nodes)
+
+        async def main():
+            server = Server(make_config(tmp_path, "standby", standby=True))
+            shipped = await server.handle(resync("a", shipped_ckpt))
+            assert shipped["result"]["applied"] is True
+            promoted = await server.handle({"op": "promote"})
+            assert not marker.exists()
+            assert promoted["ok"] is True, promoted
+            assert promoted["result"]["modes"] == {"a": "degraded"}
+            assert promoted["result"]["errors"] == {}
+            read = await server.handle(
+                {"op": "read", "session": "a", "row": 1, "col": 0}
+            )
+            assert read["result"]["value"] == 7
+            await server.shutdown()
+
+        run(main())
+
+    def test_unreadable_session_does_not_block_promotion(self, tmp_path):
+        """A session whose checkpoint fails its CRC is reported in
+        ``errors``; every other session is promoted and serves."""
+        text = sheet_checkpoint(tmp_path, "source")
+        header, body = text.split("\n", 1)
+        damaged = header + "\n" + body.replace("R0C0 + 2", "R0C0 + 3")
+
+        async def main():
+            server = Server(make_config(tmp_path, "standby", standby=True))
+            for sid, ckpt in (("bad", damaged), ("good", text)):
+                shipped = await server.handle(resync(sid, ckpt))
+                assert shipped["result"]["applied"] is True
+            promoted = await server.handle({"op": "promote"})
+            assert promoted["ok"] is True, promoted
+            report = promoted["result"]
+            assert report["promoted"] is True
+            assert report["ok"] is False
+            assert list(report["errors"]) == ["bad"]
+            assert "CRC" in report["errors"]["bad"]
+            assert report["modes"] == {"good": "clean"}
+            assert server.health()["role"] == "promoted"
+            read = await server.handle(
+                {"op": "read", "session": "good", "row": 1, "col": 0}
+            )
+            assert read["result"]["value"] == 7
             await server.shutdown()
 
         run(main())

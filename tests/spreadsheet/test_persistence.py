@@ -1,6 +1,9 @@
 """Spreadsheet durability: save/load across a simulated process death,
 WAL-tail formula edits, and degraded rebuilds (docs/persistence.md)."""
 
+import json
+import zlib
+
 import pytest
 
 from repro import Runtime
@@ -244,3 +247,32 @@ class TestDegradedLoad:
             assert loaded.values() == expected
         assert loaded.runtime.stats.executions > 0
         assert loaded.runtime.check_invariants(raise_on_violation=False) == []
+
+    def test_checkpoint_naming_another_codec_rebuilds_from_formulas(
+        self, tmp_path
+    ):
+        """Values under any codec but JSON are never decoded, yet the
+        formula sources beside them still rebuild the sheet (an unknown
+        codec used to drop them, and the load raised)."""
+        path = tmp_path / "sheet.ckpt"
+        fresh_id_space()
+        rt = Runtime(keep_registry=True)
+        with rt.active():
+            sheet = _build_sheet()
+            expected = sheet.values()
+            sheet.save(str(path))
+        rt._discarded = True
+        header, body = path.read_bytes().split(b"\n", 1)
+        payload = json.loads(body)
+        payload["codec"] = "msgpack"
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        crc = zlib.crc32(body) & 0xFFFFFFFF
+        path.write_bytes(b"ALPHONSE-CKPT v1 %08x %d\n" % (crc, len(body)) + body)
+
+        fresh_id_space()
+        loaded, report = Spreadsheet.load(str(path))
+        assert report.mode == "degraded"
+        assert "unsupported codec 'msgpack'" in report.reason
+        with loaded.runtime.active():
+            assert loaded.values() == expected
+        assert loaded.runtime.stats.executions > 0

@@ -151,10 +151,9 @@ class _LastReads:
     seed=st.integers(min_value=0, max_value=10_000),
     n_cells=st.integers(min_value=2, max_value=6),
     n_ops=st.integers(min_value=1, max_value=15),
-    scheduler=st.sampled_from(["topological", "height"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_cached_dag_keeps_exactly_the_last_read_set(seed, n_cells, n_ops, scheduler):
+def test_cached_dag_keeps_exactly_the_last_read_set(seed, n_cells, n_ops):
     """Random cached DAGs, demand and eager, whose bodies pick what they
     read from a selector cell's value.  A re-execution re-links the
     in-edges it reads again and drops the rest when it ends, so after
@@ -162,7 +161,7 @@ def test_cached_dag_keeps_exactly_the_last_read_set(seed, n_cells, n_ops, schedu
     procedure node's in-edges are exactly what its last completed
     execution read, no node keeps a stash, and the audit is clean."""
     rng = random.Random(seed)
-    runtime = Runtime(scheduler=scheduler)
+    runtime = Runtime()
     reads = _LastReads(runtime.events)
     with runtime.active():
         cells = [Cell(rng.randrange(10), label=f"c{i}") for i in range(n_cells)]
