@@ -127,6 +127,7 @@ class AttributeGrammar:
         """Check structural well-formedness; raises GrammarError.
 
         Ensures every production's lhs and child nonterminals exist,
+        no child or terminal is named like an attribute its class binds,
         every synthesized attribute of the lhs has an equation, and every
         inherited attribute of every child's nonterminal has an equation
         in the parent production.
@@ -139,7 +140,7 @@ class AttributeGrammar:
                 raise GrammarError(
                     f"production {prod.name}: unknown lhs {prod.lhs!r}"
                 )
-            self._check_field_names(prod)
+            self._check_field_names(prod, lhs)
             for attr in lhs.synthesized:
                 if attr not in prod.synthesized:
                     raise GrammarError(
@@ -175,7 +176,7 @@ class AttributeGrammar:
                     )
 
     @staticmethod
-    def _check_field_names(prod: Production) -> None:
+    def _check_field_names(prod: Production, lhs: Nonterminal) -> None:
         names: List[str] = list(prod.children) + list(prod.terminals)
         if len(names) != len(set(names)):
             raise GrammarError(
@@ -186,6 +187,15 @@ class AttributeGrammar:
                 raise GrammarError(
                     f"production {prod.name}: field name {reserved!r} is "
                     f"reserved"
+                )
+        # The compiled class binds these names as maintained methods, so
+        # a field named like one could never be read.
+        methods = {*lhs.synthesized, *lhs.inherited, *prod.inherited}
+        for name in names:
+            if name in methods:
+                raise GrammarError(
+                    f"production {prod.name}: field {name!r} is named like "
+                    f"the attribute {name!r} its class binds"
                 )
 
     def productions_of(self, lhs: str) -> List[Production]:

@@ -8,9 +8,13 @@ containers below build on cells:
 
 * :class:`TrackedObject` — the paper's OBJECT types: declared data and
   pointer fields, read/written as ordinary attributes, each backed by a
-  cell.  Methods (including maintained methods) are ordinary class
-  attributes, mirroring "procedures and data associated in an object
-  oriented style".
+  cell.  Each declared field becomes a data descriptor on its class when
+  the class is created — the §5 transformation's ``access``/``modify``
+  inserted once per field rather than rediscovered on every read — and
+  a field whose name the class already binds to anything else is
+  refused with ``TypeError``.  Methods (including maintained methods)
+  are ordinary class attributes, mirroring "procedures and data
+  associated in an object oriented style".
 * :class:`TrackedArray` — a fixed-length array of cells (the paper's
   arrays, e.g. the spreadsheet's ``cells : ARRAY [1..100],[1..100]``).
 * :class:`TrackedDict` — a keyed map where *absence* of a key is tracked
@@ -19,9 +23,11 @@ containers below build on cells:
 
 All reads route through ``Runtime.on_read`` (Algorithm 3) and all writes
 through ``Runtime.on_modify`` (Algorithm 4) of the currently active
-runtime.  A tracked container should be used under a single runtime for
-its lifetime; mixing runtimes over one container is unsupported (the
-cell's dependency node belongs to the runtime that created it).
+runtime, which :func:`~repro.core.runtime.get_runtime` resolves at each
+read or write.  A tracked container should be used under a single
+runtime for its lifetime; mixing runtimes over one container is
+unsupported (the cell's dependency node belongs to the runtime that
+created it).
 """
 
 from __future__ import annotations
@@ -70,13 +76,36 @@ class Cell(Location):
         return f"Cell({self._label}={self._value!r})"
 
 
+class _Field:
+    """The data descriptor of one declared field: a read is ``access``
+    (Algorithm 3) and a write ``modify`` (Algorithm 4) on the instance's
+    cell, under the runtime active at that moment."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: Any = None) -> Any:
+        if obj is None:
+            return self
+        return get_runtime().on_read(obj._cells[self.name])
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        get_runtime().on_modify(obj._cells[self.name], value)
+
+
 class TrackedObject:
     """Base class for Alphonse OBJECT types.
 
     Subclasses declare their data/pointer fields in ``_fields_`` (a tuple
     of names, inherited cumulatively through the MRO) and may pass
-    initial values as keyword arguments.  Field reads and writes are
-    tracked; non-field attributes behave normally.
+    initial values as keyword arguments.  Class creation installs one
+    data descriptor per declared field, so field reads and writes are
+    tracked and non-field attributes behave normally.  A field whose
+    name the class (or a base) already binds to something else — a
+    method, property, slot or constant — would be unreadable, so class
+    creation raises ``TypeError`` naming the class and the field.
 
     Example (the paper's Algorithm 1 Tree type)::
 
@@ -108,6 +137,17 @@ class TrackedObject:
                 if name not in seen:
                     seen.append(name)
         cls._all_fields_ = tuple(seen)
+        for name in seen:
+            owner = next((k for k in cls.__mro__ if name in vars(k)), None)
+            if owner is None:
+                setattr(cls, name, _Field(name))
+                continue
+            bound = vars(owner)[name]
+            if type(bound) is not _Field:
+                raise TypeError(
+                    f"{cls.__name__}: tracked field {name!r} is shadowed by "
+                    f"{owner.__name__}.{name} ({type(bound).__name__})"
+                )
 
     def __init__(self, **field_values: Any) -> None:
         fields = type(self)._all_fields_
@@ -119,7 +159,7 @@ class TrackedObject:
         if field_values:
             unknown = ", ".join(sorted(field_values))
             raise TypeError(f"{cls_name} has no tracked field(s): {unknown}")
-        object.__setattr__(self, "_cells", cells)
+        self._cells = cells
 
     @classmethod
     def all_fields(cls) -> Tuple[str, ...]:
@@ -135,22 +175,6 @@ class TrackedObject:
             raise NotTrackedError(
                 f"{type(self).__name__} has no tracked field {name!r}"
             ) from None
-
-    def __getattr__(self, name: str) -> Any:
-        # Only called when normal lookup fails, i.e. for tracked fields.
-        cells = object.__getattribute__(self, "_cells")
-        if name in cells:
-            return cells[name].get()
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        cells = object.__getattribute__(self, "_cells")
-        if name in cells:
-            cells[name].set(value)
-        else:
-            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return _repr_prefix(self)

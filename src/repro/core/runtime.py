@@ -137,6 +137,16 @@ class _Ctx:
         self.stats = stats
 
 
+class _ThreadContexts(threading.local):
+    """One runtime's :class:`_Ctx` per thread, made on the thread's first
+    touch (the creating thread's at once) and registered on ``contexts``
+    so the integrity audit sees every thread."""
+
+    def __init__(self, stats: RuntimeStats, contexts: List[_Ctx]) -> None:
+        self.ctx = _Ctx(stats)
+        contexts.append(self.ctx)
+
+
 class Runtime:
     """One independent Alphonse universe.
 
@@ -221,9 +231,8 @@ class Runtime:
         #: Per-thread execution contexts (call stack, unchecked depth,
         #: drain depth), created lazily per thread; the creating
         #: thread's context exists from the start.
-        self._local = threading.local()
         self._contexts: List[_Ctx] = []
-        self._context  # materialize the owning thread's context
+        self._local = _ThreadContexts(self.stats, self._contexts)
         self._parallel: Optional[Any] = None
         self.parallel_drains = parallel_drains
         if parallel_drains is not None and parallel_drains > 1:
@@ -290,13 +299,7 @@ class Runtime:
     @property
     def _context(self) -> _Ctx:
         """This thread's execution context (created lazily)."""
-        try:
-            return self._local.ctx
-        except AttributeError:
-            ctx = _Ctx(self.stats)
-            self._local.ctx = ctx
-            self._contexts.append(ctx)
-            return ctx
+        return self._local.ctx
 
     @property
     def call_stack(self) -> List[_Frame]:
@@ -314,7 +317,7 @@ class Runtime:
         storage node (``Runtime.recover`` with ``restore_values``) may
         push the checkpointed value into the location.
         """
-        ctx = self._context
+        ctx = self._local.ctx
         ctx.stats.accesses += 1
         events = self.events
         if _ACCESS in events.observed:
@@ -350,7 +353,6 @@ class Runtime:
             # validation: a write that reconstructs the checkpointed
             # value adopts silently and keeps dependents warm.
             self._bind_restored_location(location, incoming=value)
-        # on_read above created this thread's context.
         stats = self._local.ctx.stats
         stats.modifies += 1
         events = self.events
@@ -443,7 +445,7 @@ class Runtime:
 
     def call(self, proc: "IncrementalProcedure", args: Tuple[Any, ...]) -> Any:
         """Invoke incremental procedure ``proc`` with ``args``."""
-        ctx = self._context
+        ctx = self._local.ctx
         stats = ctx.stats
         table = self._table_for(proc)
         node = table.find(args)
@@ -589,7 +591,7 @@ class Runtime:
         :class:`CycleError`; ``max_reentry`` bounds runaway recursion
         from DET violations.
         """
-        ctx = self._context
+        ctx = self._local.ctx
         if node.executing and not self._running_elsewhere(node, ctx):
             if self.strict_cycles:
                 raise CycleError(node.label)
@@ -1188,27 +1190,26 @@ class IncrementalProcedure:
 #   ``itertools.count`` increments atomically under the GIL).
 # ----------------------------------------------------------------------
 
-_tls = threading.local()
+class _Activations(threading.local):
+    """This thread's stack of runtimes made active by ``rt.active()``."""
+
+    def __init__(self) -> None:
+        self.stack: List[Runtime] = []
+
+
+_tls = _Activations()
 _default_runtime: Optional[Runtime] = None
 _default_lock = threading.Lock()
 
 
-def _stack() -> List[Runtime]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
 def _push_runtime(rt: Runtime) -> int:
-    stack = _stack()
+    stack = _tls.stack
     stack.append(rt)
     return len(stack)
 
 
 def _pop_runtime(token: int) -> None:
-    stack = _stack()
+    stack = _tls.stack
     if len(stack) != token or not stack:
         raise RuntimeStateError("runtime activation stack corrupted")
     stack.pop()
@@ -1216,7 +1217,7 @@ def _pop_runtime(token: int) -> None:
 
 def get_runtime() -> Runtime:
     """The innermost active runtime, or the shared process default."""
-    stack = _stack()
+    stack = _tls.stack
     if stack:
         return stack[-1]
     global _default_runtime

@@ -112,12 +112,15 @@ class SessionManager:
                 )
             )
         except BaseException as exc:
-            future.set_exception(
-                SessionOpError(f"opening session {sid!r} failed: {exc}")
-            )
+            error = SessionOpError(f"opening session {sid!r} failed: {exc}")
+            future.set_exception(error)
             # Nobody may be awaiting the duplicate-open future; don't
             # let its exception count as unretrieved.
             future.exception()
+            if isinstance(exc, Exception):
+                # The opener answers like its waiters (422 naming the
+                # session); cancellation and exits pass through as-is.
+                raise error from exc
             raise
         finally:
             self._opening.pop(sid, None)

@@ -123,6 +123,9 @@ class Server:
         #: Background loop tasks (shrink sweeps, remote-initiated
         #: shutdown) awaited before shutdown tears anything down.
         self._bg_tasks: set = set()
+        #: Open TCP connections, each writer with its handler task:
+        #: shutdown closes them and awaits the handlers.
+        self._connections: Dict[asyncio.StreamWriter, "asyncio.Task[Any]"] = {}
 
     # -- core dispatch (transport-free) --------------------------------
 
@@ -323,11 +326,8 @@ class Server:
                 report.sessions += 1
                 try:
                     session = await self.sessions.acquire(sid)
-                except ServeError as exc:
+                except ServeError as exc:  # report it, promote the rest
                     report.errors[sid] = exc.message
-                    continue
-                except Exception as exc:  # noqa: BLE001 - report, promote the rest
-                    report.errors[sid] = f"{type(exc).__name__}: {exc}"
                     continue
                 report.note_opened(sid, session.runtime)
 
@@ -481,6 +481,10 @@ class Server:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        self._connections[writer] = handler
+        # Forgotten once the handler has finished, its close included.
+        handler.add_done_callback(lambda _: self._connections.pop(writer, None))
         try:
             first = await reader.readline()
             if not first:
@@ -530,13 +534,24 @@ class Server:
     def closed(self) -> bool:
         return self._closed
 
+    async def _close_connections(self) -> None:
+        """Close every open connection and wait, bounded by
+        ``drain_timeout``, for its handler to see end-of-stream and
+        return, so none is left parked for the event loop to cancel."""
+        handlers = list(self._connections.values())
+        for writer in self._connections:
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=self.config.drain_timeout)
+
     async def shutdown(self) -> Dict[str, Any]:
         """Drain-then-checkpoint graceful shutdown.
 
         Stops admitting session work, waits (bounded) for in-flight
         requests, checkpoints and closes every session, closes the
-        listener, and joins the worker threads.  Idempotent; returns a
-        small report.
+        listener and every open connection (awaiting their handlers),
+        and joins the worker threads.  Idempotent; returns a small
+        report.
         """
         if self._closed:
             return {"closed": True, "sessions_closed": 0, "drained": True}
@@ -563,6 +578,7 @@ class Server:
             self.applier.close()
         if self._tcp is not None:
             self._tcp.close()
+            await self._close_connections()
             await self._tcp.wait_closed()
             self._tcp = None
         self.pool.close()

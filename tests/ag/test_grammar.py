@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ag import AttributeGrammar
+from repro.ag import AttributeGrammar, compile_grammar
 from repro.ag.grammar import GrammarError
 
 
@@ -135,6 +135,33 @@ class TestValidation:
         )
         with pytest.raises(GrammarError, match="reserved"):
             ag.validate()
+
+    @pytest.mark.parametrize("field", ["value", "env", "scope"])
+    def test_field_named_like_an_attribute(self, field):
+        """The compiled class binds the lhs's synthesized and inherited
+        attributes and the production's inherited equations as maintained
+        methods, so a field of the same name could never be read."""
+        ag = AttributeGrammar("g")
+        ag.add_nonterminal("E", synthesized=("value",), inherited=("env",))
+        ag.add_nonterminal("B", synthesized=("value",), inherited=("scope",))
+        ag.production(
+            name="Lit",
+            lhs="B",
+            terminals=("n",),
+            synthesized={"value": lambda o: o.n},
+        )
+        ag.production(
+            name="Wrap",
+            lhs="E",
+            children={"inner": "B"},
+            terminals=(field,),
+            synthesized={"value": lambda o: o.inner.value()},
+            inherited={"scope": lambda o, c: None},
+        )
+        with pytest.raises(GrammarError, match=f"Wrap: field '{field}'"):
+            ag.validate()
+        with pytest.raises(GrammarError, match=f"Wrap: field '{field}'"):
+            compile_grammar(ag)
 
     def test_productions_of(self):
         ag = _minimal()

@@ -1,6 +1,8 @@
 """Tracked storage containers: Cell, TrackedObject, TrackedArray,
 TrackedDict."""
 
+import inspect
+
 import pytest
 
 from repro import Cell, TrackedArray, TrackedDict, TrackedObject, cached, maintained
@@ -129,6 +131,78 @@ class TestTrackedObject:
         b.next = a  # cycle
         text = repr(a)
         assert "Anon" in text  # did not recurse forever
+
+
+def _classes_with_fields():
+    """The TrackedObject classes of the spreadsheet, of ``ag.expr``, of
+    a compiled attribute grammar and of ``tracked_fields``."""
+    from repro.ag import AttributeGrammar, compile_grammar
+    from repro.ag import expr
+    from repro.spreadsheet.model import CellExp, RangeSumExp, SheetCell
+
+    grammar = AttributeGrammar("g")
+    grammar.add_nonterminal("E", synthesized=("value",))
+    grammar.production(
+        name="Num", lhs="E", terminals=("n",), synthesized={"value": lambda o: o.n}
+    )
+    productions = [
+        cls
+        for cls in vars(expr).values()
+        if isinstance(cls, type) and issubclass(cls, expr.Exp)
+    ]
+    return [
+        SheetCell,
+        CellExp,
+        RangeSumExp,
+        *productions,
+        compile_grammar(grammar)["Num"],
+        tracked_fields("x", "y"),
+    ]
+
+
+class TestFieldDescriptors:
+    """Class creation turns each declared field into a data descriptor:
+    the §5 transformation's access/modify, inserted once per field."""
+
+    def test_fields_are_data_descriptors(self):
+        assert not hasattr(TrackedObject, "__getattr__")
+        assert TrackedObject.__setattr__ is object.__setattr__
+        classes = _classes_with_fields()
+        assert len(classes) == 11
+        for cls in classes:
+            assert cls.all_fields(), cls
+            for name in cls.all_fields():
+                kind = type(inspect.getattr_static(cls, name))
+                assert hasattr(kind, "__get__"), (cls, name)
+                assert hasattr(kind, "__set__"), (cls, name)
+
+    @pytest.mark.parametrize(
+        "namespace",
+        [
+            {"x": lambda self: 1},
+            {"x": property(lambda self: 1)},
+            {"x": maintained(lambda self: 1)},
+            {"x": 3},
+            {"__slots__": ("x",)},
+        ],
+        ids=["method", "property", "maintained", "constant", "slot"],
+    )
+    def test_shadowed_field_refused_at_class_creation(self, namespace):
+        with pytest.raises(TypeError, match=r"Shadow: tracked field 'x'"):
+            type("Shadow", (TrackedObject,), {"_fields_": ("x",), **namespace})
+
+    def test_subclass_may_not_shadow_an_inherited_field(self):
+        Point = tracked_fields("x")
+        with pytest.raises(TypeError, match=r"Shadow: tracked field 'x'"):
+            type("Shadow", (Point,), {"x": lambda self: 1})
+
+    def test_redeclared_field_keeps_its_descriptor(self, rt):
+        Point = tracked_fields("x")
+        Again = type("Again", (Point,), {"_fields_": ("x", "y")})
+        assert "x" not in vars(Again)
+        obj = Again(x=1, y=2)
+        obj.x = 5
+        assert (obj.x, obj.y) == (5, 2)
 
 
 class TestTrackedArray:

@@ -201,6 +201,37 @@ class TestPromotingShippedState:
 
         run(main())
 
+    def test_unopenable_session_answers_422_naming_it(self, tmp_path):
+        """After a promotion that listed ``bad`` in its errors, every
+        request to ``bad`` (each one opening it afresh) answers 422
+        naming the session; ``good`` still serves."""
+        text = sheet_checkpoint(tmp_path, "source")
+        header, body = text.split("\n", 1)
+        damaged = header + "\n" + body.replace("R0C0 + 2", "R0C0 + 3")
+
+        async def main():
+            server = Server(make_config(tmp_path, "standby", standby=True))
+            for sid, ckpt in (("bad", damaged), ("good", text)):
+                await server.handle(resync(sid, ckpt))
+            promoted = await server.handle({"op": "promote"})
+            assert list(promoted["result"]["errors"]) == ["bad"]
+            for request in (
+                {"op": "read", "session": "bad", "row": 1, "col": 0},
+                {"op": "read", "session": "bad", "row": 1, "col": 0},
+                {"op": "write", "session": "bad", "cells": [[0, 0, "1"]]},
+            ):
+                response = await server.handle(request)
+                assert response["ok"] is False
+                assert response["error"]["code"] == 422, response
+                assert "'bad'" in response["error"]["message"]
+            read = await server.handle(
+                {"op": "read", "session": "good", "row": 1, "col": 0}
+            )
+            assert read["result"]["value"] == 7
+            await server.shutdown()
+
+        run(main())
+
 
 class TestTcpReplication:
     def test_primary_ships_over_tcp_and_standby_promotes(self, tmp_path):
