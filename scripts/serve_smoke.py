@@ -18,7 +18,10 @@ scenario, and asserts:
   ``serve_resurrections_total`` and is not zero; and the bodies a
   resurrected session ran were timed: ``alphonse_executions_total`` is
   not zero and equals the sum of the ``alphonse_execution_seconds::*``
-  counts.
+  counts; once the queued eviction closes have run,
+  ``serve_sessions_live`` reads 1 on the one-session server, and the
+  collector-pause series ``serve_gc_pause_seconds::gen0|1|2`` are
+  exported, with a forced full collection counted in ``gen2``.
 
 Writes a machine-readable summary (for the CI artifact) to
 ``serve_smoke_report.json`` (or the path given as argv[1]), a
@@ -34,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import shutil
@@ -66,7 +70,9 @@ async def _metrics_scenario(root: str) -> list:
     only on a resurrected one, then scrape ``/metrics`` over HTTP: every
     resurrection is a recovery the engine counted, so the two series
     must agree, and a resurrected runtime times its bodies, so the
-    execution series are not zero."""
+    execution series are not zero.  Evictions run behind the replies, so
+    the scrape waits for their closes, after which one session is live;
+    a forced full collection must show in the gen-2 pause series."""
     config = ServeConfig(root=root, rows=4, cols=4, max_live_sessions=1)
     server = await Server(config).start()
     requests = [
@@ -81,6 +87,8 @@ async def _metrics_scenario(root: str) -> list:
         if not response.get("ok"):
             await server.shutdown()
             return [f"metrics scenario {request['op']} failed: {response}"]
+    await server.sessions.wait_closed()
+    gc.collect()
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
     writer.write(b"GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n")
     await writer.drain()
@@ -93,9 +101,24 @@ async def _metrics_scenario(root: str) -> list:
         for line in raw.decode().partition("\r\n\r\n")[2].splitlines()
         if line and not line.startswith("#")
     )
+    failures = []
+    live = series.get("serve_sessions_live")
+    if live is None or float(live) != 1:
+        failures.append(
+            f"/metrics: serve_sessions_live {live} after the evictions "
+            f"ran (want 1, the limit)"
+        )
+    for generation in range(3):
+        name = f"serve_gc_pause_seconds::gen{generation}_count"
+        if name not in series:
+            failures.append(f"/metrics: no {name} series")
+    if float(series.get("serve_gc_pause_seconds::gen2_count", 0)) < 1:
+        failures.append(
+            "/metrics: a forced full collection is missing from "
+            "serve_gc_pause_seconds::gen2"
+        )
     recoveries = float(series.get("alphonse_recoveries_total", 0))
     resurrections = float(series.get("serve_resurrections_total", 0))
-    failures = []
     if not recoveries or recoveries != resurrections:
         failures.append(
             f"/metrics: alphonse_recoveries_total {recoveries} != "

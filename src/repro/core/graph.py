@@ -220,6 +220,40 @@ class DependencyGraph:
                 return self._unlink_succ(node)
         return self._unlink_succ(node)
 
+    def dispose(self, node: DepNode) -> None:
+        """Take ``node`` out of the graph for good: the per-node step of
+        cache eviction and of :meth:`Runtime.teardown`.
+
+        Unlinks its edges (stash included) and drops it from its
+        partition's worklist, then cuts every reference through which
+        it can sit on a cycle: its union-find item, its thunk (whose
+        bound arguments hold the object it reads), ``marked_by``, and
+        a storage node's ``ref`` ↔ ``location._node`` pair.  Whatever
+        still holds the node afterwards frees it by reference counting.
+        Idempotent.
+        """
+        if node.disposed:
+            return
+        self.remove_pred_edges(node)
+        self.remove_succ_edges(node)
+        self.partitions.release(node)
+        node.thunk = None
+        node.marked_by = None
+        if node.kind is NodeKind.STORAGE:
+            location = node.ref
+            if location is not None and location._node is node:
+                location._node = None
+            node.ref = None
+        node.disposed = True
+
+    def release_all(self) -> List[DepNode]:
+        """Empty the node registry and return what it held (teardown)."""
+        registry = self._registry
+        if registry is None:
+            return []
+        self._registry = []
+        return registry
+
     def _unlink_pred(self, node: DepNode) -> int:
         """Empty ``node``'s pred map and stash, deleting the mirror entry
         at each source: one O(1) expected deletion per edge."""

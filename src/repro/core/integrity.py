@@ -26,7 +26,8 @@ violation of the invariants the rest of the engine assumes:
   and no node holds a stash of in-edges awaiting a re-read
   (:mod:`repro.core.graph`).
 * **Disposed nodes detached** — a cache-evicted node keeps no edges,
-  sits in no inconsistent set, and holds no thunk.
+  sits in no inconsistent set, and holds no thunk; it has left the
+  union-find too, so the partition checks skip it.
 * **Consistency/value sanity** — a consistent procedure node that is
   not mid-first-execution holds a value (possibly a Poisoned one).
 
@@ -178,6 +179,8 @@ def _audit_partition_ownership(rt: "Runtime", nodes, report) -> None:
         return
     roots = {}
     for node in nodes:
+        if node.disposed:
+            continue  # cut loose from the union-find (graph.dispose)
         item = node.partition_item
         if item is None:
             if not report(f"{node.label!r} has no partition item"):

@@ -410,10 +410,19 @@ class PartitionManager:
                 if succ.depends_on(node):
                     self._mark(succ, node)
 
-    def discard(self, node: DepNode) -> None:
-        """Drop ``node`` from its partition's worklist (disposal path)."""
-        with self.guard():
-            self.set_of(node).discard(node)
+    def release(self, node: DepNode) -> None:
+        """Drop ``node`` from its partition's worklist and cut it loose
+        from the union-find (disposal path).  Its item stays in the
+        forest, where other members' paths may run through it.  The
+        caller has unlinked ``node``'s in-edges, so nothing can mark it
+        after the pending check."""
+        if node.in_inconsistent_set:
+            with self.guard():
+                self.set_of(node).discard(node)
+        item = node.partition_item
+        if item is not None:
+            item.node = None
+            node.partition_item = None
 
     def pending_parts(self) -> List[PartitionScheduler]:
         """Every partition that may hold pending work, for a full flush."""
@@ -432,12 +441,15 @@ class PartitionManager:
     def all_parts(
         self, nodes: Iterable[DepNode]
     ) -> List[PartitionScheduler]:
-        """Distinct partitions among ``nodes`` (diagnostics)."""
+        """Distinct partitions among ``nodes`` (diagnostics); a
+        disposed node belongs to none."""
         if not self.enabled:
             return [self._global]
         seen: Dict[int, PartitionScheduler] = {}
         with self.guard():
             for node in nodes:
+                if node.partition_item is None:
+                    continue
                 root = self._find(node.partition_item)
                 assert root.payload is not None
                 seen[id(root)] = root.payload

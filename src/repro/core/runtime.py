@@ -810,7 +810,8 @@ class Runtime:
         policy and an open WAL file handle per persistence manager.
         The runtime's graph stays readable after close — only the
         background machinery is gone — but no further durability or
-        deadline enforcement happens.
+        deadline enforcement happens.  :meth:`teardown` closes and then
+        frees the graph too.
         """
         if self._closed:
             return
@@ -828,6 +829,44 @@ class Runtime:
         manager = self._persist
         if manager is not None:
             manager.close()
+
+    def teardown(self) -> None:
+        """Close the runtime and free its graph at once.
+
+        A graph is cyclic by construction (every edge is a mirror pair
+        of map entries, a storage node and its location point at each
+        other), so a dropped runtime otherwise waits as garbage for a
+        full cycle collection.  This disposes of every node
+        (:meth:`DependencyGraph.dispose`), unhooks the partition roots
+        and empties the node registry, the argument tables and the
+        restored state, after which reference counting frees the graph
+        as soon as its owner lets go.  Unlike :meth:`close`, the graph
+        is gone afterwards: call it when nothing will read it again
+        (a served tenant's eviction).  Afterwards only the counters
+        (:attr:`stats`), the event ring (``obs.flight``) and
+        :attr:`closed` remain to read: the scheduler, ``obs`` queries and
+        :attr:`last_recovery` are detached, and no runtime-held
+        reference cycle is left for the collector.  Idempotent.
+        """
+        self.close()
+        nodes = self.graph.release_all()
+        items = [node.partition_item for node in nodes]
+        for node in nodes:
+            self.graph.dispose(node)
+        for item in items:
+            if item is not None:  # a root points at itself
+                item.parent = item.payload = None
+        self.partitions.dirty.clear()
+        self._tables.clear()
+        self._restored = None
+        self.last_recovery = None
+        self._poison_live = 0
+        # The runtime's own back-references, so it is freed by reference
+        # counting too (with its event ring, once the ring is let go).
+        self.scheduler.runtime = None
+        self._parallel = None
+        if self._obs is not None:
+            self._obs._runtime = None
 
     @property
     def closed(self) -> bool:
@@ -1079,11 +1118,7 @@ class Runtime:
 
     def _dispose_node(self, node: DepNode) -> None:
         """Tear down an evicted cache entry."""
-        self.graph.remove_pred_edges(node)
-        self.graph.remove_succ_edges(node)
-        self.partitions.discard(node)
-        node.thunk = None
-        node.disposed = True
+        self.graph.dispose(node)
         if type(node.value) is Poisoned:
             self._poison_live -= 1
         self._context.stats.cache_evictions += 1

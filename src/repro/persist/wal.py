@@ -536,6 +536,9 @@ class PersistenceManager:
         """Detach from the runtime and close the log."""
         for kind, handler in self._subscriptions:
             self.runtime.events.unsubscribe(kind, handler)
+        # Bound methods of self: keeping them would hold the closed
+        # manager on a reference cycle.
+        self._subscriptions = ()
         self.wal.close()
         if self.runtime._persist is self:
             self.runtime._persist = None

@@ -24,10 +24,12 @@ class ServeConfig:
     cols: int = 8
 
     # -- residency -----------------------------------------------------
-    #: Sessions kept live in memory; the least-recently-used idle
-    #: session beyond this is checkpointed to disk and closed.  Busy
-    #: sessions (in-flight requests) are never evicted, so the live set
-    #: may transiently overflow rather than block admission.
+    #: Sessions kept live in memory.  A cold session opens at once; when
+    #: its request completes, the least-recently-used idle session
+    #: beyond this is checkpointed to disk and closed on its own worker,
+    #: behind the reply.  So at most one more than this is live, plus
+    #: busy sessions (in-flight requests), which are never evicted: the
+    #: live set may transiently overflow rather than block admission.
     max_live_sessions: int = 64
 
     # -- admission -----------------------------------------------------

@@ -12,9 +12,39 @@ one ``/metrics`` scrape exposes both.
 
 from __future__ import annotations
 
+import time
+from typing import Any, Dict
+
 from ..obs.metrics import TIME_BUCKETS, MetricsRegistry
 
-__all__ = ["ServeMetrics"]
+__all__ = ["GcPauses", "ServeMetrics"]
+
+
+class GcPauses:
+    """Cycle-collector pauses by generation, as
+    ``serve_gc_pause_seconds::gen0|1|2`` histograms: a ``gc.callbacks``
+    hook (the :class:`~repro.serve.server.Server` installs it), so a
+    latency spike caused by a full collection shows as one."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.histograms = tuple(
+            registry.histogram(
+                f"serve_gc_pause_seconds::gen{generation}",
+                f"cycle-collector pauses of generation {generation}",
+                TIME_BUCKETS,
+            )
+            for generation in range(3)
+        )
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, Any]) -> None:
+        # Collections never overlap (they hold the interpreter lock).
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.histograms[info["generation"]].observe(
+                time.perf_counter() - self._started
+            )
 
 
 class ServeMetrics:
@@ -35,7 +65,8 @@ class ServeMetrics:
         )
         self.evictions = reg.counter(
             "serve_evictions_total",
-            "live sessions checkpointed to disk to make room",
+            "idle sessions taken out of the live set to make room "
+            "(each then checkpoints and closes on its worker)",
         )
         self.resurrections = reg.counter(
             "serve_resurrections_total",
@@ -96,6 +127,7 @@ class ServeMetrics:
             "serve_promotions_total",
             "standby-to-primary promotions completed",
         )
+        self.gc_pauses = GcPauses(reg)
 
     def counters(self) -> dict:
         """The four headline serve counters (the E17 regression gate)."""

@@ -5,9 +5,12 @@ threads (:mod:`repro.serve.dispatch`) run every drain.  A request's
 life::
 
     socket line ──parse──▶ admission check ──▶ session acquire
-        (429 if the tenant's mailbox is full,   (open / resurrect /
-         503 if the server is draining)          LRU-evict as needed)
+        (429 if the tenant's mailbox is full,   (open / resurrect)
+         503 if the server is draining)
                 ──▶ pinned worker runs Session.apply ──▶ response line
+                    (then, behind it, LRU-evict idle sessions back
+                     down to the limit: their closes queue on their
+                     own workers)
 
 :meth:`Server.handle` is the transport-free core — tests, benchmarks,
 and the load harness call it directly with request dicts; the TCP layer
@@ -17,17 +20,19 @@ Prometheus text from the registry that every tenant runtime and the
 serve layer itself aggregate into.
 
 Graceful shutdown is drain-then-checkpoint: stop admitting, wait for
-in-flight work, checkpoint and close every session (stopping their
-deadline monitors and drain pools), then join the worker threads — a
-clean shutdown leaks zero threads.
+in-flight work and queued eviction closes, checkpoint and close every
+session (stopping their deadline monitors and drain pools), then join
+the worker threads — a clean shutdown leaks zero threads.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import time
+import weakref
 from typing import Any, Dict, Optional
 
 from ..obs.metrics import MetricsRegistry
@@ -68,7 +73,16 @@ class Server:
         self.metrics = ServeMetrics(self.registry)
         self.telemetry = ServeTelemetry(self.config, self.metrics)
         self.pool = WorkerPool(self.config.workers)
-        self.sessions = SessionManager(self.config, self.pool, self.metrics)
+        self.sessions = SessionManager(
+            self.config, self.pool, self.metrics, self.telemetry.flight
+        )
+        # Collector pauses into /metrics.  gc.callbacks is process-wide:
+        # shutdown() removes the hook, and so does collecting a server
+        # that was never shut down.
+        self._gc_hook = weakref.finalize(
+            self, gc.callbacks.remove, self.metrics.gc_pauses
+        )
+        gc.callbacks.append(self.metrics.gc_pauses)
         # Replication role: a standby owns an applier; a primary with
         # replicas configured owns a shipper that every session opened
         # by the manager attaches to.  A plain server owns neither.
@@ -120,8 +134,8 @@ class Server:
         self._idle = asyncio.Event()
         self._idle.set()
         self._total_inflight = 0
-        #: Background loop tasks (shrink sweeps, remote-initiated
-        #: shutdown) awaited before shutdown tears anything down.
+        #: Background loop tasks (a remote-initiated shutdown) awaited
+        #: before shutdown tears anything down.
         self._bg_tasks: set = set()
         #: Open TCP connections, each writer with its handler task:
         #: shutdown closes them and awaits the handlers.
@@ -249,9 +263,11 @@ class Server:
             self._total_inflight -= 1
             if self._total_inflight == 0:
                 self._idle.set()
-            if not self._draining and self.sessions.over_limit:
-                # Busy-session overflow: shrink back once tenants idle.
-                self._spawn(self.sessions.shrink())
+            if not self._draining:
+                # Behind the reply: the live set goes back to the limit
+                # (an open that overflowed it, or busy sessions that
+                # have gone idle) without this request waiting.
+                self.sessions.evict_over_limit(keep=sid)
         self.metrics.requests.inc()
         return result
 
@@ -302,9 +318,11 @@ class Server:
         ordinary resurrection, audit invariants, open for writes.
 
         Sessions are opened via the residency manager (on their pinned
-        workers, LRU bounds respected), so after promotion the server
-        is in exactly the state a normal primary restart would reach —
-        there is no special post-promotion regime.
+        workers, LRU bounds respected: each audited session makes room
+        as a request would, and promotion waits for those closes), so
+        after promotion the server is in exactly the state a normal
+        primary restart would reach — there is no special
+        post-promotion regime.
         """
         from ..replicate.promote import PromotionReport, session_ids
 
@@ -340,6 +358,8 @@ class Server:
                 report.violations[sid] = await asyncio.wrap_future(
                     self.pool.submit(sid, audit_job)
                 )
+                self.sessions.evict_over_limit(keep=sid)
+            await self.sessions.wait_closed()
             self._standby = False
             self.applier = None
         finally:
@@ -564,11 +584,12 @@ class Server:
                 )
             except asyncio.TimeoutError:
                 drained = False
-        # Let in-flight shrink sweeps finish before tearing down (minus
-        # this task itself when shutdown arrived over the wire).
+        # Let background tasks finish before tearing down (minus this
+        # task itself when shutdown arrived over the wire).
         pending = [t for t in self._bg_tasks if t is not asyncio.current_task()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
+        # Queued eviction closes first, then every live session.
         closed = await self.sessions.close_all()
         # Sessions shipped their closing checkpoints above; now drain
         # the replication queues and release links/replica handles.
@@ -582,6 +603,7 @@ class Server:
             await self._tcp.wait_closed()
             self._tcp = None
         self.pool.close()
+        self._gc_hook()
         self._closed = True
         # Last act: preserve the server's flight ring next to the
         # session state, so a postmortem of the *whole process* has the

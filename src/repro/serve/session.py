@@ -169,8 +169,8 @@ class Session:
     def close(
         self, *, checkpoint: bool = True, reason: str = "shutdown"
     ) -> None:
-        """Flush, checkpoint if anything changed, and release the
-        tenant's threads.
+        """Flush, checkpoint if anything changed, release the tenant's
+        threads and free its graph.
 
         Idempotent.  This is the eviction path (``reason="eviction"``),
         the graceful shutdown path and the end of a promotion: after it
@@ -187,28 +187,47 @@ class Session:
         buries live poisoned values dumps the flight ring first: the
         tenant is leaving memory with an unresolved failure, and this
         is the last chance to keep the evidence.
+
+        Everything after the checkpoint runs even when the flush or the
+        checkpoint raises, which then propagates: the WAL handle is
+        closed, the hooks are detached and the graph is freed, and the
+        next :meth:`open` recovers from the WAL.  The last step is
+        :meth:`Runtime.teardown` and :meth:`Spreadsheet.teardown`: the
+        session's graph and sheet are gone afterwards, only its flight
+        ring (:attr:`flight`) stays readable.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            with self.runtime.active():
-                self.runtime.flush()
-                if checkpoint and self.runtime._persist.changed:
-                    self.sheet.save(self.path)
-            if (
-                reason == "eviction"
-                and getattr(self.runtime, "_poison_live", 0) > 0
-            ):
+            try:
+                with self.runtime.active():
+                    self.runtime.flush()
+                    if checkpoint and self.runtime._persist.changed:
+                        self.sheet.save(self.path)
+            finally:
+                self._release(reason)
+
+    def _release(self, reason: str) -> None:
+        """The rest of :meth:`close`, run whatever the flush and the
+        checkpoint did (a failed checkpoint leaves the WAL to recover
+        from): ship, detach, stop the runtime's threads and WAL handle,
+        then tear the graph and the sheet down so that reference
+        counting frees the tenant at once.  The flight ring stays
+        readable."""
+        try:
+            if reason == "eviction" and self.runtime._poison_live > 0:
                 self.dump_flight(reason="eviction-with-poison")
             # The closing checkpoint (and any straggler records) must
             # reach the standbys before the hooks detach.
             self._flush_ship()
+        finally:
             self._detach_replication()
             for kind in self._incident_kinds:
                 self.runtime.events.unsubscribe(kind, self._on_incident)
             self.runtime.obs.disable()
-            self.runtime.close()
+            self.runtime.teardown()
+            self.sheet.teardown()
 
     @property
     def closed(self) -> bool:

@@ -45,6 +45,12 @@ class SpreadsheetLoadError(AlphonseError):
     corrupt and there is no readable WAL prefix to salvage them from).
     """
 
+    def __init__(self, path: str, detail: Optional[str] = None) -> None:
+        suffix = f" ({detail})" if detail else ""
+        super().__init__(f"no spreadsheet state recoverable from {path!r}{suffix}")
+        #: The message without the path.
+        self.reason = f"no spreadsheet state recoverable{suffix}"
+
 
 class SheetCell(TrackedObject):
     """One spreadsheet cell: a formula tree and a maintained value.
@@ -453,10 +459,7 @@ class Spreadsheet:
         rt, report = _recover(path, restore_values=True, **runtime_kwargs)
         state = report.app_state
         if not isinstance(state, dict) or "rows" not in state:
-            detail = f" ({report.reason})" if report.reason else ""
-            raise SpreadsheetLoadError(
-                f"no spreadsheet state recoverable from {path!r}{detail}"
-            )
+            raise SpreadsheetLoadError(path, report.reason)
         with rt.active():
             sheet = cls(int(state["rows"]), int(state["cols"]))
             # Deliberately NOT batched: plain writes take the write-path
@@ -478,6 +481,24 @@ class Spreadsheet:
                     sheet.edits.append([row, col, source])
         sheet.runtime = rt
         return sheet, report
+
+    def teardown(self) -> None:
+        """Break the sheet's reference cycles so that reference counting
+        frees it: empty every field of every formula tree (parent
+        pointers, and the cells a reference reaches back through the
+        sheet) and drop the grid.  For a sheet nothing will read again,
+        after its runtime's :meth:`~repro.core.runtime.Runtime.teardown`
+        (a served tenant's close); the formula sources and
+        :attr:`edits` stay."""
+        pending: List[Any] = [
+            cell.field_cell("func") for row in self._grid for cell in row
+        ]
+        while pending:
+            location = pending.pop()
+            value, location._value = location._value, None
+            if isinstance(value, TrackedObject):
+                pending.extend(value._cells.values())
+        self._grid = []
 
     def ref(self, row: int, col: int) -> CellExp:
         """Build a CellExp referencing (row, col), for programmatic

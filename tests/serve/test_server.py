@@ -167,7 +167,7 @@ class TestResidency:
             assert server.sessions.live == 2
             assert server.metrics.evictions.value == 0
             del server.sessions.inflight["busy"]
-            # The next completed request schedules the shrink sweep.
+            # The next completed request evicts the idle overflow.
             await server.handle(
                 {"op": "read", "session": "other", "row": 0, "col": 0}
             )

@@ -304,11 +304,13 @@ class TestFlightDumpsAndDebug:
             )
             assert degraded["ok"] and degraded["result"]["stale"]
             assert session.runtime._poison_live > 0
-            # Opening another tenant evicts "sick" while poisoned.
+            # Opening another tenant evicts "sick" while poisoned, behind
+            # the reply: wait for the queued close before reading files.
             await server.handle(
                 {"op": "write", "session": "other", "cells": [[0, 0, 1]]}
             )
             assert server.sessions.get("sick") is None
+            await server.sessions.wait_closed()
             path = os.path.join(config.root, "sick", "flight.jsonl")
             assert os.path.exists(path)
             with open(path, encoding="utf-8") as fh:
@@ -330,6 +332,7 @@ class TestFlightDumpsAndDebug:
                 {"op": "write", "session": "other", "cells": [[0, 0, 2]]}
             )
             assert server.sessions.get("healthy") is None
+            await server.sessions.wait_closed()
             assert not os.path.exists(
                 os.path.join(config.root, "healthy", "flight.jsonl")
             )
