@@ -35,7 +35,7 @@ def _bst_find(root, key):
 
 
 def _edges_per_lookup(n, use_unchecked):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         root = build_balanced(n, nil())
 
@@ -99,7 +99,7 @@ def test_e10_unchecked_cuts_dependencies(benchmark):
     assert rows[-1][2] == rows[0][2]
 
     # wall-clock: the unchecked lookup on the largest tree
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         root = build_balanced(SIZES[-1], nil())
 

@@ -27,7 +27,7 @@ CHANGES = 16
 
 
 def _alphonse(k):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         store = TrackedDict(label="store")
         for i in range(k):
@@ -112,7 +112,7 @@ def test_e11_noncombinator_caching(benchmark):
     assert rows[-1][3] / rows[-1][1] > rows[0][3] / rows[0][1]
 
     # wall-clock: the Alphonse change+probe cycle at the middle size
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         store = TrackedDict(label="store")
         for i in range(SIZES[1]):

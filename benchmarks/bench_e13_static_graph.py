@@ -69,7 +69,7 @@ def _exhaustive_height(node, TreeNil):
 
 def _churn(n, static):
     Tree, TreeNil = _make_types(static)
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         leaf = TreeNil()
         root = _build(Tree, TreeNil, n, leaf)
@@ -122,7 +122,7 @@ def test_e13_static_subgraphs_cut_edge_churn(benchmark):
 
     # wall-clock: the static variant's update cycle on the mid size
     Tree, TreeNil = _make_types(True)
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         leaf = TreeNil()
         root = _build(Tree, TreeNil, SIZES[1], leaf)

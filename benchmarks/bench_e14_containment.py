@@ -37,7 +37,7 @@ def _leftmost_interior(root):
 
 def _tree_cycle(n, containment):
     """E2's change-and-requery loop; returns (best seconds, op deltas)."""
-    runtime = Runtime(keep_registry=False, containment=containment)
+    runtime = Runtime(containment=containment)
     with runtime.active():
         leaf = nil()
         root = build_balanced(n, leaf)
@@ -65,7 +65,7 @@ def _tree_cycle(n, containment):
 
 def _eager_cycle(n_cells, containment):
     """One-cell change + flush through an eager fan-in, repeatedly."""
-    runtime = Runtime(keep_registry=False, containment=containment)
+    runtime = Runtime(containment=containment)
     with runtime.active():
         cells = [Cell(i, label=f"c{i}") for i in range(n_cells)]
         group = 4
@@ -132,7 +132,7 @@ def test_e14_no_fault_containment_overhead(benchmark):
     assert median < 1.25, ratios
 
     # wall-clock: the contained E2 cycle at the smaller size
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         leaf = nil()
         root = build_balanced(TREE_SIZES[0], leaf)

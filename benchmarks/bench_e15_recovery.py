@@ -47,7 +47,7 @@ def _build(n):
 def _write_workload(n, path=None):
     """Evaluate, then write+flush+demand; returns (seconds, runtime)."""
     fresh_id_space()
-    rt = Runtime(keep_registry=True)
+    rt = Runtime()
     with rt.active():
         cells, scaled, total = _build(n)
         total()

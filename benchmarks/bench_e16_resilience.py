@@ -86,7 +86,7 @@ def _leftmost_interior(root):
 
 def _tree_cycle(policy_factory):
     """E2's change-and-requery loop; returns (best seconds, op deltas)."""
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     policy = policy_factory() if policy_factory else None
     if policy is not None:
         runtime.use_resilience(policy)
@@ -119,7 +119,7 @@ def _tree_cycle(policy_factory):
 
 def _eager_cycle(policy_factory, n_cells=64):
     """One-cell change + flush through an eager fan-in, repeatedly."""
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     policy = policy_factory() if policy_factory else None
     if policy is not None:
         runtime.use_resilience(policy)
@@ -159,7 +159,7 @@ def _eager_cycle(policy_factory, n_cells=64):
 def _retry_heal_cycle():
     """Each write makes the first re-execution attempt fail transiently;
     retry absorbs it.  Returns (seconds per heal, retries, op delta)."""
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     policy = ResiliencePolicy(
         retry=RetryPolicy(max_attempts=3, sleep=lambda seconds: None)
     )
@@ -256,7 +256,7 @@ def test_e16_idle_resilience_overhead(benchmark):
     assert median < 1.25, ratios
 
     # wall-clock: the idle-policy eager cycle
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     policy = _idle_policy()
     runtime.use_resilience(policy)
     with runtime.active():

@@ -68,7 +68,7 @@ def _leftmost_interior(root):
 
 def _tree_cycle(with_recorder):
     """E2's change-and-requery loop; returns (best s, op deltas, ring)."""
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     recorder = None
     if with_recorder:
         recorder = FlightRecorder(RING_CAPACITY).attach(runtime.events)
@@ -101,7 +101,7 @@ def _tree_cycle(with_recorder):
 
 def _eager_cycle(with_recorder, n_cells=64):
     """One-cell change + flush through an eager fan-in, repeatedly."""
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     recorder = None
     if with_recorder:
         recorder = FlightRecorder(RING_CAPACITY).attach(runtime.events)
@@ -206,7 +206,7 @@ def test_e18_flight_recorder_overhead(benchmark):
     assert median < 1.25, ratios
 
     # wall-clock: the recorder-attached eager cycle
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     recorder = FlightRecorder(RING_CAPACITY).attach(runtime.events)
     with runtime.active():
         cells = [Cell(i, label=f"c{i}") for i in range(64)]

@@ -23,7 +23,7 @@ SIZES = [2**8 - 1, 2**10 - 1, 2**12 - 1, 2**14 - 1]
 
 
 def _measure(n, metrics=None):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     if metrics is not None:
         metrics.attach(runtime)
     try:
@@ -78,7 +78,7 @@ def test_e1_first_vs_repeat_shape(benchmark):
     )
 
     # wall-clock: the repeat query on the largest tree
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         root = build_balanced(SIZES[-1], nil())
         root.height()

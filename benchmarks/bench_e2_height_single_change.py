@@ -29,7 +29,7 @@ def _leftmost_interior(root):
 
 
 def _single_change_cost(n):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         leaf = nil()
         root = build_balanced(n, leaf)
@@ -66,7 +66,7 @@ def test_e2_single_change_is_path_proportional(benchmark):
         assert b - a <= 4
 
     # wall-clock: one change + requery cycle on the largest tree
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         leaf = nil()
         root = build_balanced(SIZES[-1], leaf)

@@ -32,7 +32,7 @@ def _bottom_nodes(root):
 
 
 def _batched_cost(k):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         leaf = nil()
         root = build_balanced(N, leaf)
@@ -72,7 +72,7 @@ def test_e3_batched_changes_cost_affected_once(benchmark):
     assert many < 256 * one * 0.5
 
     # wall-clock: a 16-change batch + query
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         leaf = nil()
         root = build_balanced(N, leaf)

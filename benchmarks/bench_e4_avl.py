@@ -26,7 +26,7 @@ PROBE_OPS = 32
 def _maintained_cost(n, seed=7):
     rng = random.Random(seed)
     keys = rng.sample(range(10 * n), n + PROBE_OPS)
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         tree = AvlTree()
         for key in keys[:n]:
@@ -79,7 +79,7 @@ def test_e4_avl_shapes(benchmark):
     assert rows[-1][1] < rows[0][1] * 8
 
     # wall-clock: one insert+rebalance on the second-largest size
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     rng = random.Random(3)
     with runtime.active():
         tree = AvlTree()

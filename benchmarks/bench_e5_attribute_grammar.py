@@ -50,7 +50,7 @@ def _wide_sum(width):
 def test_e5_let_chain_edits(benchmark):
     rows = []
     for depth in DEPTHS:
-        runtime = Runtime(keep_registry=False)
+        runtime = Runtime()
         with runtime.active():
             tree = _let_chain(depth)
             assert tree.value() == depth
@@ -83,7 +83,7 @@ def test_e5_let_chain_edits(benchmark):
 
     rows_wide = []
     for width in WIDTHS:
-        runtime = Runtime(keep_registry=False)
+        runtime = Runtime()
         with runtime.active():
             tree, _ = _wide_sum(width)
             base = tree.value()
@@ -111,7 +111,7 @@ def test_e5_let_chain_edits(benchmark):
     assert rows_wide[-1][1] <= rows_wide[0][1] + 12
 
     # wall-clock: leaf edit + requery on widest tree
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         tree, _ = _wide_sum(WIDTHS[-1])
         tree.value()

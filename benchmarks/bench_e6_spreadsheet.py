@@ -25,7 +25,7 @@ GRIDS = [4, 8, 16]
 
 
 def _chain_cost(length, metrics=None):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     if metrics is not None:
         metrics.attach(runtime)
     with runtime.active():
@@ -83,7 +83,7 @@ def test_e6_chain_and_locality(benchmark):
     rows_grid = []
     counters_grid = {}
     for g in GRIDS:
-        runtime = Runtime(keep_registry=False)
+        runtime = Runtime()
         with runtime.active():
             sheet = Spreadsheet(g, g)
             for r in range(g):
@@ -113,7 +113,7 @@ def test_e6_chain_and_locality(benchmark):
     )
 
     # wall-clock: tail-region edit + read on the longest chain
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         length = CHAINS[-1]
         sheet = Spreadsheet(1, length)

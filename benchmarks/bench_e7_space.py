@@ -26,7 +26,7 @@ DENSE_SIZES = [8, 16, 32, 64]
 
 
 def _sparse_space(n):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         root = build_balanced(n, nil())
         root.height()
@@ -36,7 +36,7 @@ def _sparse_space(n):
 
 
 def _dense_space(m):
-    runtime = Runtime(keep_registry=False)
+    runtime = Runtime()
     with runtime.active():
         cells = [Cell(i, label=f"c{i}") for i in range(m)]
         summaries = []
@@ -98,7 +98,7 @@ def test_e7_space_shapes(benchmark):
 
     # wall-clock: building the sparse graph for the mid size
     def build_sparse():
-        runtime = Runtime(keep_registry=False)
+        runtime = Runtime()
         with runtime.active():
             root = build_balanced(SPARSE_SIZES[0], nil())
             return root.height()

@@ -36,7 +36,7 @@ def _leaf_parents(root):
 
 
 def _interleaved(partitioning):
-    runtime = Runtime(partitioning=partitioning, keep_registry=False)
+    runtime = Runtime(partitioning=partitioning)
     with runtime.active():
         leaf_a, leaf_b = nil(), nil()
         edited = build_balanced(SIZES[0], leaf_a)
@@ -93,7 +93,7 @@ _ROUNDS = 3
 
 def _kernel_rig(parallel):
     kwargs = {"parallel_drains": PARALLEL_WORKERS} if parallel else {}
-    runtime = Runtime(keep_registry=False, **kwargs)
+    runtime = Runtime(**kwargs)
     cells, procs = [], []
     with runtime.active():
         for i in range(PARALLEL_PARTS):

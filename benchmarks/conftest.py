@@ -22,14 +22,6 @@ def _record_wall_time(request):
 
 @pytest.fixture
 def rt():
-    runtime = Runtime(keep_registry=False)
-    with runtime.active():
-        yield runtime
-
-
-@pytest.fixture
-def rt_registry():
-    """Runtime keeping the node registry (for space measurements)."""
-    runtime = Runtime(keep_registry=True)
+    runtime = Runtime()
     with runtime.active():
         yield runtime

@@ -56,7 +56,7 @@ def child(path: str) -> None:
 
     from repro.spreadsheet import Spreadsheet
 
-    rt = Runtime(keep_registry=True)
+    rt = Runtime()
     with rt.active():
         sheet = Spreadsheet(3, 3)
         build_sheet(sheet, FORMULAS)

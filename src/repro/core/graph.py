@@ -67,16 +67,17 @@ class DependencyGraph:
         events: EventBus,
         order: TopologicalOrder,
         partitions: PartitionManager,
-        keep_registry: bool = True,
         stats: Optional[RuntimeStats] = None,
     ) -> None:
         self.events = events
         self.order = order
         self.partitions = partitions
         self.stats = stats if stats is not None else RuntimeStats()
-        #: All nodes ever created, for diagnostics/debugging (the paper
-        #: §9.1 space analysis counts these).  Disable for unbounded runs.
-        self._registry: Optional[List[DepNode]] = [] if keep_registry else None
+        #: The live nodes in creation order, as dict keys: a node enters
+        #: when it is created and leaves when :meth:`dispose` takes it
+        #: out (the graph space the paper's §9.1 counts per live
+        #: instance).  Checkpoints, the audit and inspection read it.
+        self._live: Dict[DepNode, None] = {}
 
     # -- node creation ---------------------------------------------------
 
@@ -109,14 +110,13 @@ class DependencyGraph:
     def _register(self, node: DepNode) -> DepNode:
         self.order.register(node)
         self.partitions.register(node)
-        if self._registry is not None:
-            self._registry.append(node)
+        self._live[node] = None
         return node
 
     @property
     def nodes(self) -> List[DepNode]:
-        """All nodes created so far (empty if the registry is disabled)."""
-        return list(self._registry or [])
+        """The live nodes, in creation order."""
+        return list(self._live)
 
     # -- edges -------------------------------------------------------------
 
@@ -224,16 +224,18 @@ class DependencyGraph:
         """Take ``node`` out of the graph for good: the per-node step of
         cache eviction and of :meth:`Runtime.teardown`.
 
-        Unlinks its edges (stash included) and drops it from its
-        partition's worklist, then cuts every reference through which
-        it can sit on a cycle: its union-find item, its thunk (whose
-        bound arguments hold the object it reads), ``marked_by``, and
-        a storage node's ``ref`` ↔ ``location._node`` pair.  Whatever
-        still holds the node afterwards frees it by reference counting.
-        Idempotent.
+        Removes it from the live set, unlinks its edges (stash
+        included) and drops it from its partition's worklist, then cuts
+        every reference through which it can sit on a cycle: its
+        union-find item, its thunk (whose bound arguments hold the
+        object it reads), ``marked_by``, and a storage node's ``ref`` ↔
+        ``location._node`` pair.  Whatever still holds the node
+        afterwards frees it by reference counting.  Idempotent.
         """
-        if node.disposed:
-            return
+        try:
+            del self._live[node]
+        except KeyError:
+            return  # disposed already
         self.remove_pred_edges(node)
         self.remove_succ_edges(node)
         self.partitions.release(node)
@@ -244,15 +246,6 @@ class DependencyGraph:
             if location is not None and location._node is node:
                 location._node = None
             node.ref = None
-        node.disposed = True
-
-    def release_all(self) -> List[DepNode]:
-        """Empty the node registry and return what it held (teardown)."""
-        registry = self._registry
-        if registry is None:
-            return []
-        self._registry = []
-        return registry
 
     def _unlink_pred(self, node: DepNode) -> int:
         """Empty ``node``'s pred map and stash, deleting the mirror entry

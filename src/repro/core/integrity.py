@@ -25,15 +25,15 @@ violation of the invariants the rest of the engine assumes:
   every thread's call stack is empty, no node reports ``executing``,
   and no node holds a stash of in-edges awaiting a re-read
   (:mod:`repro.core.graph`).
-* **Disposed nodes detached** — a cache-evicted node keeps no edges,
-  sits in no inconsistent set, and holds no thunk; it has left the
-  union-find too, so the partition checks skip it.
+* **Live neighbours** — every pred, succ and stash neighbour of a live
+  node is itself live.  A node leaves the graph's live set only through
+  :meth:`~repro.core.graph.DependencyGraph.dispose`, which unlinks it,
+  so a link to a node outside the set means a torn-down node is still
+  wired in.
 * **Consistency/value sanity** — a consistent procedure node that is
   not mid-first-execution holds a value (possibly a Poisoned one).
 
-The audit is read-only and O(nodes + edges).  Most checks need the node
-registry (``Runtime(keep_registry=True)``, the default); with the
-registry disabled, a partial audit of the execution state still runs.
+The audit is read-only and O(nodes + edges) over the live nodes.
 
 The chaos harness (:mod:`repro.testing.chaos`) calls this after every
 injected fault; it is also cheap enough to call from tests at will.
@@ -73,14 +73,12 @@ def audit(rt: "Runtime", *, raise_on_violation: bool = True) -> List[str]:
 
     _audit_execution_state(rt, report)
     nodes = rt.graph.nodes
-    if nodes:
-        _audit_edges(nodes, report)
-        if not rt.order.cycles_detected:
-            _audit_labels(nodes, report)
-        _audit_incset_membership(rt, nodes, report)
-        _audit_partition_ownership(rt, nodes, report)
-        _audit_disposed(nodes, report)
-        _audit_values(nodes, report)
+    _audit_edges(nodes, report)
+    if not rt.order.cycles_detected:
+        _audit_labels(nodes, report)
+    _audit_incset_membership(rt, nodes, report)
+    _audit_partition_ownership(rt, nodes, report)
+    _audit_values(nodes, report)
 
     if violations and raise_on_violation:
         raise IntegrityError(violations)
@@ -99,6 +97,8 @@ def _audit_execution_state(rt: "Runtime", report) -> None:
 
 
 def _audit_edges(nodes, report) -> None:
+    """Edge symmetry, and live neighbours (one pass over the edges)."""
+    live = set(nodes)
     for node in nodes:
         for dst in node.succ:
             if node not in dst.pred:
@@ -107,6 +107,9 @@ def _audit_edges(nodes, report) -> None:
                     f"the destination's pred map"
                 ):
                     return
+            if dst not in live:
+                if not report(_not_live(node, "succ", dst)):
+                    return
         for src in node.pred:
             if node not in src.succ:
                 if not report(
@@ -114,6 +117,20 @@ def _audit_edges(nodes, report) -> None:
                     f"the source's succ map"
                 ):
                     return
+            if src not in live:
+                if not report(_not_live(node, "pred", src)):
+                    return
+        for src in node.stash or ():
+            if src not in live:
+                if not report(_not_live(node, "stash", src)):
+                    return
+
+
+def _not_live(node, side: str, other) -> str:
+    return (
+        f"{node.label!r} is linked ({side}) to {other.label!r}, which is "
+        f"not a live node"
+    )
 
 
 def _audit_labels(nodes, report) -> None:
@@ -179,8 +196,6 @@ def _audit_partition_ownership(rt: "Runtime", nodes, report) -> None:
         return
     roots = {}
     for node in nodes:
-        if node.disposed:
-            continue  # cut loose from the union-find (graph.dispose)
         item = node.partition_item
         if item is None:
             if not report(f"{node.label!r} has no partition item"):
@@ -239,27 +254,6 @@ def _audit_partition_ownership(rt: "Runtime", nodes, report) -> None:
                 return
 
 
-def _audit_disposed(nodes, report) -> None:
-    for node in nodes:
-        if not node.disposed:
-            continue
-        problems = []
-        if len(node.pred) or len(node.succ):
-            problems.append(
-                f"{len(node.pred)} pred / {len(node.succ)} succ edges"
-            )
-        if node.in_inconsistent_set:
-            problems.append("still in an inconsistent set")
-        if node.thunk is not None:
-            problems.append("still holds its thunk")
-        if problems:
-            if not report(
-                f"disposed node {node.label!r} not torn down: "
-                + "; ".join(problems)
-            ):
-                return
-
-
 def _audit_values(nodes, report) -> None:
     for node in nodes:
         if (
@@ -267,7 +261,6 @@ def _audit_values(nodes, report) -> None:
             and node.consistent
             and not node.has_value()
             and not node.executing
-            and not node.disposed
         ):
             if not report(
                 f"procedure node {node.label!r} is consistent but holds "

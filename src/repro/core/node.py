@@ -135,7 +135,6 @@ class DepNode:
         "in_inconsistent_set",
         "static_edges",
         "edges_frozen",
-        "disposed",
         "marked_by",
         "marked_at",
         "acted_at",
@@ -195,10 +194,6 @@ class DepNode:
         self.static_edges: bool = False
         #: True once a static-edge node's first execution built its edges.
         self.edges_frozen: bool = False
-        #: Set by cache eviction: the node must stay detached from the
-        #: graph and out of every inconsistent set (audited by
-        #: ``Runtime.check_invariants``).
-        self.disposed: bool = False
         #: Causal stamps, read by :mod:`repro.obs.explain`: sequence
         #: numbers from the runtime's one counter, 0 for never.  A
         #: procedure's ``marked_by`` is the node whose change or

@@ -441,15 +441,12 @@ class PartitionManager:
     def all_parts(
         self, nodes: Iterable[DepNode]
     ) -> List[PartitionScheduler]:
-        """Distinct partitions among ``nodes`` (diagnostics); a
-        disposed node belongs to none."""
+        """Distinct partitions among ``nodes`` (diagnostics)."""
         if not self.enabled:
             return [self._global]
         seen: Dict[int, PartitionScheduler] = {}
         with self.guard():
             for node in nodes:
-                if node.partition_item is None:
-                    continue
                 root = self._find(node.partition_item)
                 assert root.payload is not None
                 seen[id(root)] = root.payload

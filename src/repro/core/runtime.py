@@ -161,8 +161,6 @@ class Runtime:
         If True, a re-entrant call to an already-executing procedure
         instance raises :class:`CycleError` instead of silently returning
         the stale cached value (the paper's Algorithm 5 behaviour).
-    keep_registry:
-        Keep a list of every dependency-graph node for diagnostics.
     max_reentry:
         Ceiling on nested activations of one procedure instance; a DET
         violation that re-enters without end raises :class:`CycleError`.
@@ -205,7 +203,6 @@ class Runtime:
         *,
         partitioning: bool = True,
         strict_cycles: bool = False,
-        keep_registry: bool = True,
         max_reentry: int = 10_000,
         events: Optional[EventBus] = None,
         containment: bool = True,
@@ -225,7 +222,7 @@ class Runtime:
             self.events, partitioning, self.stats, self._tick
         )
         self.graph = DependencyGraph(
-            self.events, self.order, self.partitions, keep_registry, self.stats
+            self.events, self.order, self.partitions, self.stats
         )
         self.scheduler = Scheduler(self)
         #: Per-thread execution contexts (call stack, unchecked depth,
@@ -836,20 +833,20 @@ class Runtime:
         A graph is cyclic by construction (every edge is a mirror pair
         of map entries, a storage node and its location point at each
         other), so a dropped runtime otherwise waits as garbage for a
-        full cycle collection.  This disposes of every node
+        full cycle collection.  This disposes of every live node
         (:meth:`DependencyGraph.dispose`), unhooks the partition roots
-        and empties the node registry, the argument tables and the
-        restored state, after which reference counting frees the graph
-        as soon as its owner lets go.  Unlike :meth:`close`, the graph
-        is gone afterwards: call it when nothing will read it again
-        (a served tenant's eviction).  Afterwards only the counters
-        (:attr:`stats`), the event ring (``obs.flight``) and
-        :attr:`closed` remain to read: the scheduler, ``obs`` queries and
-        :attr:`last_recovery` are detached, and no runtime-held
-        reference cycle is left for the collector.  Idempotent.
+        and empties the argument tables and the restored state, after
+        which reference counting frees the graph as soon as its owner
+        lets go.  Unlike :meth:`close`, the graph is gone afterwards:
+        call it when nothing will read it again (a served tenant's
+        eviction).  Afterwards only the counters (:attr:`stats`), the
+        event ring (``obs.flight``) and :attr:`closed` remain to read:
+        the scheduler, ``obs`` queries and :attr:`last_recovery` are
+        detached, and no runtime-held reference cycle is left for the
+        collector.  Idempotent.
         """
         self.close()
-        nodes = self.graph.release_all()
+        nodes = self.graph.nodes
         items = [node.partition_item for node in nodes]
         for node in nodes:
             self.graph.dispose(node)
@@ -881,9 +878,9 @@ class Runtime:
 
     def check_invariants(self, *, raise_on_violation: bool = True) -> List[str]:
         """Audit the runtime's structural invariants (edge symmetry,
-        inconsistent-set/flag agreement, quiescent frame stack, disposed
-        nodes detached).  Returns the violations found; raises
-        :class:`~repro.core.errors.IntegrityError` on any when
+        inconsistent-set/flag agreement, quiescent frame stack, every
+        neighbour of a live node live).  Returns the violations found;
+        raises :class:`~repro.core.errors.IntegrityError` on any when
         ``raise_on_violation`` (the default).  See
         :mod:`repro.core.integrity`.
         """

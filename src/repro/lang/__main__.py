@@ -213,8 +213,6 @@ def main(argv=None) -> int:
                         file=sys.stderr,
                     )
                 else:
-                    # Default keep_registry=True: both --checkpoint and
-                    # --explain need the strong node registry.
                     runtime = Runtime()
                 if args.trace is not None:
                     # Every kind is this ring's own, so its flight view

@@ -61,10 +61,10 @@ class GraphSnapshot:
         storage), ``partition`` (the engine's stable partition id —
         the same id tagged on drain events and spans — shared by
         connected nodes; None when partitioning is off), ``poisoned``,
-        ``has_value``, and ``disposed``.  Requires
-        ``Runtime(keep_registry=True)`` (the default).
+        and ``has_value``.  A disposed node (cache eviction) is no
+        longer live and is not listed.
         """
-        live = [n for n in runtime.graph.nodes]
+        live = runtime.graph.nodes
         heights: Dict[int, int] = {}
         for node in live:
             exact_height(node, heights)
@@ -95,7 +95,6 @@ class GraphSnapshot:
                     "partition": part,
                     "poisoned": type(node.value) is Poisoned,
                     "has_value": node.has_value(),
-                    "disposed": node.disposed,
                 }
             )
             for succ in node.succ:
@@ -183,7 +182,6 @@ class GraphSnapshot:
                     "has_value",
                     "height",
                     "partition",
-                    "disposed",
                 )
                 if old[key] != n[key]
             }

@@ -155,10 +155,8 @@ def recover(
     ``runtime.last_recovery`` and, if a handler observes that kind,
     announced as a ``RECOVERY`` event.
     Extra keyword arguments are forwarded to the ``Runtime``
-    constructor (``keep_registry`` is forced on — adoption and
-    re-checkpointing both need the registry).
+    constructor.
     """
-    runtime_kwargs["keep_registry"] = True
     wal_path = path + ".wal"
 
     try:

@@ -68,8 +68,8 @@ def write_checkpoint(
     number of nodes persisted.
 
     Requires quiescence (no executing procedure, no active drain —
-    pending *marks* are fine, they are part of the state) and a runtime
-    built with ``keep_registry=True``.  ``app_state`` is an opaque
+    pending *marks* are fine, they are part of the state).  Persists
+    the graph's live nodes in creation order.  ``app_state`` is an opaque
     JSON-able blob stored alongside the graph for application layers
     (the spreadsheet stores its dimensions and formula sources).
 
@@ -83,11 +83,7 @@ def write_checkpoint(
         )
     if rt.scheduler.active or rt.partitions.any_active():
         raise RuntimeStateError("cannot checkpoint during a drain")
-    if rt.graph._registry is None:
-        raise RuntimeStateError(
-            "checkpointing requires Runtime(keep_registry=True)"
-        )
-    nodes = [n for n in rt.graph.nodes if not n.disposed]
+    nodes = rt.graph.nodes
 
     # Stable ids for procedure nodes come from the argument tables (the
     # node itself does not know its args).

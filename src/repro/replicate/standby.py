@@ -14,12 +14,17 @@ which replays the WAL tail via lazy-adoption recovery like any crash
 restart would.
 
 Warmth is a separate, optional layer: every ``warm_every`` applied
-records the applier reloads the session through
-:meth:`~repro.spreadsheet.Spreadsheet.load` and keeps the resulting
-sheet in memory.  ``load`` recovers without attaching a persistence
-manager, so a warm replica only ever *reads* the replica files — it can
-never corrupt the stream it mirrors — and its value is bounding the
-replay tail a promotion (or a peek at standby freshness) pays for.
+records of a session, the worker that applied the record runs a full
+:meth:`~repro.spreadsheet.Spreadsheet.load` of the tenant (checkpoint
+adoption plus the whole WAL tail) and keeps the sheet in memory.
+``load`` recovers without attaching a persistence manager, so a warm
+replica only ever *reads* the replica files — it can never corrupt the
+stream it mirrors, and it never folds the WAL tail into a checkpoint.
+A reload shows that the replica loads and records the LSN it loaded at
+(``warm_lsn`` in :meth:`StandbyApplier.status`); a failed one becomes a
+flight note.  It does not shorten a promotion: ``Server.promote``
+closes the applier, dropping every warm sheet, before it reopens each
+session from the files, and ``promote_root`` never uses the applier.
 
 Gap detection is strict: a record whose LSN is not exactly
 ``position + 1``, or whose payload fails its frame CRC, or whose WAL
@@ -243,8 +248,8 @@ class StandbyApplier:
     # -- warm replicas --------------------------------------------------
 
     def _warm_refresh(self, sid: str) -> None:
-        """Reload the session through the lazy-adoption recovery path,
-        bounding the replay tail a future promotion pays for."""
+        """Load the session afresh from the replica files and keep the
+        sheet, with the LSN it was loaded at."""
         self._drop_warm(sid)
         try:
             sheet, report = Spreadsheet.load(self._base(sid))

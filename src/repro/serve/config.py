@@ -99,9 +99,10 @@ class ServeConfig:
     #: Run this server as a warm standby: it accepts ``ship`` frames
     #: and refuses session ops with 503 until ``promote`` flips it.
     standby: bool = False
-    #: On a standby, reload a session through the recovery path every N
-    #: applied records (keeps it seconds-behind-warm and bounds the
-    #: replay tail promotion pays); 0 defers all replay to promotion.
+    #: On a standby, load a session afresh from its replica files every
+    #: N applied records and keep the sheet (its LSN is reported as
+    #: ``warm_lsn``); promotion reopens from the files either way.
+    #: 0 turns the reloads off.
     standby_warm_every: int = 64
 
     # -- transport -----------------------------------------------------

@@ -206,10 +206,12 @@ class SessionManager:
             return
         exc = done.exception()
         if exc is not None:
-            self.metrics.errors.inc()
-            self.flight.note(
-                "eviction-failed", sid, data={"error": _detail(exc)}
-            )
+            self._close_failed("eviction-failed", sid, exc)
+
+    def _close_failed(self, kind: str, sid: str, exc: BaseException) -> None:
+        """Report a failed close against its session, not a request."""
+        self.metrics.errors.inc()
+        self.flight.note(kind, sid, data={"error": _detail(exc)})
 
     async def wait_closed(self) -> None:
         """Wait until every queued eviction close has finished."""
@@ -225,7 +227,11 @@ class SessionManager:
 
         Closes are submitted to each session's own worker, so they run
         after any still-draining operations of that session and
-        concurrently across sessions.  Returns how many were closed.
+        concurrently across sessions.  Every close is waited for; a
+        failed one is reported against its session (a ``close-failed``
+        flight note and ``serve_errors_total``) like a failed eviction,
+        and the rest of the shutdown goes on.  Returns how many were
+        closed.
         """
         await self.wait_closed()
         victims = list(self._sessions.items())
@@ -236,7 +242,10 @@ class SessionManager:
             for sid, session in victims
         ]
         if futures:
-            await asyncio.gather(*futures)
+            results = await asyncio.gather(*futures, return_exceptions=True)
+            for (sid, _), result in zip(victims, results):
+                if isinstance(result, BaseException):
+                    self._close_failed("close-failed", sid, result)
         return len(victims)
 
 

@@ -91,7 +91,7 @@ class TestCheckpointRoundTrip:
 
         # Interrupted run: checkpoint mid-script, crash at the end.
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, scaled = _program()
             _read_all(total, scaled)
@@ -122,7 +122,7 @@ class TestCheckpointRoundTrip:
 
 def _crash_rig(path):
     """One eager observer over one cell, checkpointed at src == 1."""
-    rt = Runtime(keep_registry=True)
+    rt = Runtime()
     with rt.active():
         src = Cell(1, label="src")
 

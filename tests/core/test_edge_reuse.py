@@ -166,7 +166,7 @@ class TestEviction:
         assert outer() == 40
         assert rt.stats.cache_evictions == 2
         assert rt.stats.executions == 6  # f(1) ran again, as a new entry
-        assert first.disposed
+        assert first not in rt.graph.nodes
         assert _sources(rt, outer) == {"sel", "f(3)", "f(1)"}
         assert first not in rt.node_for(outer, ()).pred
         _settled(rt)

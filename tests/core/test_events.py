@@ -467,7 +467,7 @@ def _persisted_workload(path, events=None, recovered_events=None):
     write, a batch and an app record in the WAL; then recover it onto
     ``recovered_events``.  Returns both runtimes."""
     fresh_id_space()
-    rt = Runtime(keep_registry=True, events=events)
+    rt = Runtime(events=events)
     with rt.active():
         cells = [Cell(i, label="p") for i in range(3)]
 

@@ -9,7 +9,7 @@ from repro.core.partition import PartitionManager
 from repro.core.stats import RuntimeStats
 
 
-def _graph(keep_registry=True):
+def _graph():
     events = EventBus()
     stats = RuntimeStats()
     return (
@@ -17,7 +17,6 @@ def _graph(keep_registry=True):
             events,
             TopologicalOrder(),
             PartitionManager(events, enabled=True, stats=stats),
-            keep_registry=keep_registry,
             stats=stats,
         ),
         stats,
@@ -88,10 +87,18 @@ class TestDependencyGraph:
         graph.create_edge(a, b)
         assert graph.partitions.same_partition(a, b)
 
-    def test_registry_disabled_returns_empty(self):
-        graph, _ = _graph(keep_registry=False)
-        graph.new_storage_node("s")
-        assert graph.nodes == []
+    def test_dispose_takes_a_node_out_of_the_live_set(self):
+        graph, stats = _graph()
+        a = graph.new_storage_node("a")
+        b = graph.new_procedure_node(NodeKind.DEMAND, "b")
+        c = graph.new_procedure_node(NodeKind.DEMAND, "c")
+        graph.create_edge(a, b)
+        assert graph.nodes == [a, b, c]
+        graph.dispose(b)
+        assert graph.nodes == [a, c]
+        assert not a.succ and not b.pred
+        graph.dispose(b)  # idempotent
+        assert graph.nodes == [a, c] and stats.edges_removed == 1
 
 
 class TestEvictionTeardown:

@@ -59,18 +59,6 @@ class TestCleanAudits:
             f(i)
         assert rt.check_invariants() == []
 
-    def test_registryless_runtime_partial_audit(self):
-        runtime = Runtime(keep_registry=False)
-        with runtime.active():
-            cell = Cell(1, label="c")
-
-            @cached
-            def f():
-                return cell.get()
-
-            f()
-            assert runtime.check_invariants() == []
-
 
 class TestCorruptionDetection:
     def test_dangling_frame_reported(self, rt):
@@ -99,7 +87,7 @@ class TestCorruptionDetection:
         node.in_inconsistent_set = False
         assert rt.check_invariants() == []
 
-    def test_disposed_node_with_edges_reported(self, rt):
+    def test_link_to_a_node_outside_the_live_set_reported(self, rt):
         cell = Cell(1, label="c")
 
         @cached
@@ -108,9 +96,14 @@ class TestCorruptionDetection:
 
         f()
         node = rt.node_for(f, ())
-        node.disposed = True  # claimed disposed, but edges/thunk remain
+        # Out of the live set without graph.dispose: its edges remain.
+        del rt.graph._live[node]
         violations = rt.check_invariants(raise_on_violation=False)
-        assert any("disposed" in v for v in violations)
+        assert violations == [
+            "'c' is linked (succ) to 'f()', which is not a live node"
+        ]
+        rt.graph._live[node] = None
+        assert rt.check_invariants() == []
 
     def test_asymmetric_edge_reported(self, rt):
         cell = Cell(1, label="c")

@@ -1,6 +1,7 @@
 """Runtime plumbing: activation stack, default runtime, node kinds,
-registry modes, procedure objects."""
+the live-node set, procedure objects."""
 
+import inspect
 import threading
 
 import pytest
@@ -81,17 +82,13 @@ class TestGraphRegistry:
             f()
         assert len(rt.graph.nodes) >= 1
 
-    def test_registry_disabled(self):
-        rt = Runtime(keep_registry=False)
-        with rt.active():
-
-            @cached
-            def f():
-                return 1
-
-            f()
-        assert rt.graph.nodes == []
-        assert rt.stats.procedure_nodes_created == 1  # stats still count
+    def test_registry_cannot_be_disabled(self):
+        # The live-node set is always kept: checkpoints, the audit and
+        # inspection read it, and disposal is what takes a node out.
+        assert list(inspect.signature(Runtime).parameters) == [
+            "partitioning", "strict_cycles", "max_reentry", "events",
+            "containment", "watchdog", "resilience", "parallel_drains",
+        ]
 
 
 class TestIncrementalProcedure:

@@ -57,7 +57,7 @@ def _e2_eager_workload(n=2**8 - 1):
     Returns the initial and final root heights and the stats delta for
     the change + propagation.
     """
-    rt = Runtime(keep_registry=False)
+    rt = Runtime()
     with rt.active():
         leaf = EagerNil()
         root = _build_eager(n, leaf)
@@ -110,7 +110,7 @@ class TestSchedulerParity:
         quiescence: re-execution stops at the first unchanged height."""
         _, _, delta = _e2_eager_workload()
         n = 2**8 - 1
-        rt = Runtime(keep_registry=False)
+        rt = Runtime()
         with rt.active():
             leaf = EagerNil()
             root = _build_eager(n, leaf)

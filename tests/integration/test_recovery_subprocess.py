@@ -33,7 +33,7 @@ import os, signal, sys
 from repro import Cell, EAGER, Runtime, cached
 
 path = sys.argv[1]
-rt = Runtime(keep_registry=True)
+rt = Runtime()
 with rt.active():
     a = Cell(1, label="a")
     b = Cell(2, label="b")

@@ -39,8 +39,8 @@ class TestCapture:
         for n in snap.nodes:
             assert {
                 "id", "label", "kind", "consistent", "pending", "height",
-                "partition", "poisoned", "has_value", "disposed",
-            } <= set(n)
+                "partition", "poisoned", "has_value",
+            } == set(n)
 
     def test_heights_follow_dependencies(self, rt):
         _small_graph(rt)

@@ -41,7 +41,7 @@ class TestCrashDuringParallelDrain:
     def test_recovery_reexecutes_only_touched_partitions(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(parallel_drains=4, keep_registry=True)
+        rt = Runtime(parallel_drains=4)
         counts = [0] * N_PARTS
         with rt.active():
             cells, procs = _program(counts)
@@ -82,7 +82,7 @@ class TestCrashDuringParallelDrain:
         """Control: no crash-era writes at all -> pure adoption."""
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(parallel_drains=4, keep_registry=True)
+        rt = Runtime(parallel_drains=4)
         counts = [0] * N_PARTS
         with rt.active():
             _program(counts)

@@ -47,7 +47,7 @@ class TestCleanRecovery:
     def test_warm_start_adopts_without_reexecution(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, double = _program([1, 2, 3])
             assert total() == 6
@@ -72,7 +72,7 @@ class TestCleanRecovery:
     def test_write_of_unchanged_value_adopts_silently(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -90,7 +90,7 @@ class TestCleanRecovery:
     def test_divergent_write_is_caught_by_change_detection(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -109,7 +109,7 @@ class TestReplayedRecovery:
     def test_wal_tail_is_replayed_and_marked(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -133,7 +133,7 @@ class TestReplayedRecovery:
     def test_batched_tail_replays_atomically(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -157,7 +157,7 @@ class TestReplayedRecovery:
     ):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -179,7 +179,7 @@ class TestDegradedRecovery:
     def test_corrupt_checkpoint_degrades_to_empty_runtime(self, tmp_path):
         path = tmp_path / "state"
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -202,7 +202,7 @@ class TestDegradedRecovery:
     def test_mid_wal_damage_degrades_but_salvages_app_records(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -232,7 +232,7 @@ class TestDegradedRecovery:
         codec, or none, is restored from nothing but its app_state."""
         path = tmp_path / "state"
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -253,7 +253,7 @@ class TestDegradedRecovery:
     def test_torn_wal_tail_is_not_degraded(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -280,7 +280,7 @@ class TestPoisonRestore:
     def test_restored_poison_surfaces_and_heals(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             src = Cell(1, label="src")
 
@@ -320,7 +320,7 @@ class TestAdoptionEdgeCases:
     def test_strategy_change_refuses_adoption_and_rebuilds(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             src = Cell(2, label="src")
 
@@ -349,7 +349,7 @@ class TestAdoptionEdgeCases:
     def test_app_state_rides_along(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             _program([1])[1]()
             rt.checkpoint(path, app_state={"rows": 2})
@@ -361,7 +361,7 @@ class TestRecoveryReport:
     def test_report_serializes(self, tmp_path):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             cells, total, _double = _program([1, 2, 3])
             assert total() == 6
@@ -379,7 +379,7 @@ class TestRecoveryReport:
     def test_recovery_event_only_when_observed(self, tmp_path, monkeypatch, damaged):
         path = str(tmp_path / "state")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             _program([1])[1]()
             rt.checkpoint(path, app_state={"edits": [[0, 0, 1]]})

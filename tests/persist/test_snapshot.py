@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro import Cell, Runtime, cached
-from repro.core.errors import RuntimeStateError
 from repro.persist.ids import fresh_id_space
 from repro.persist.snapshot import (
     CheckpointCorrupt,
@@ -33,7 +32,7 @@ def _simple_graph(rt):
 class TestWriteCheckpoint:
     def test_payload_roundtrips(self, tmp_path):
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         _simple_graph(rt)
         path = str(tmp_path / "ckpt")
         count = write_checkpoint(rt, path)
@@ -46,7 +45,7 @@ class TestWriteCheckpoint:
 
     def test_atomic_write_leaves_no_temp_file(self, tmp_path):
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         _simple_graph(rt)
         path = str(tmp_path / "ckpt")
         write_checkpoint(rt, path)
@@ -55,7 +54,7 @@ class TestWriteCheckpoint:
 
     def test_app_state_is_stored_verbatim(self, tmp_path):
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         _simple_graph(rt)
         path = str(tmp_path / "ckpt")
         write_checkpoint(rt, path, app_state={"rows": 3, "cols": [1, 2]})
@@ -63,7 +62,7 @@ class TestWriteCheckpoint:
 
     def test_json_checkpoint_is_byte_identical_to_json_dumps(self, tmp_path):
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         values = [{"z": 1, "a": ["caf\u00e9", 2.5]}, "x", None, 3]
         with rt.active():
             cells = [Cell(v, label=f"c{i}") for i, v in enumerate(values)]
@@ -84,17 +83,11 @@ class TestWriteCheckpoint:
             fh.readline()  # header: magic, version, CRC, length
             assert fh.read() == body.encode("utf-8")
 
-    def test_requires_a_node_registry(self, tmp_path):
-        rt = Runtime(keep_registry=False)
-        _simple_graph(rt)
-        with pytest.raises(RuntimeStateError):
-            write_checkpoint(rt, str(tmp_path / "ckpt"))
-
 
 class TestDropPolicy:
     def test_unidentifiable_instances_drop_with_their_dependents(self, tmp_path):
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             a = Cell(1, label="a")
 
@@ -120,7 +113,7 @@ class TestDropPolicy:
 
     def test_duplicate_sid_drops_every_holder(self, tmp_path):
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             a = Cell(1, label="one")
             b = Cell(2, label="two")
@@ -148,7 +141,7 @@ class TestDropPolicy:
 class TestReadCheckpointCorruption:
     def _valid(self, tmp_path):
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         _simple_graph(rt)
         path = tmp_path / "ckpt"
         write_checkpoint(rt, str(path))

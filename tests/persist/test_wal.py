@@ -113,7 +113,7 @@ class TestWriteAheadLog:
 
 @pytest.fixture
 def persisted(tmp_path):
-    rt = Runtime(keep_registry=True)
+    rt = Runtime()
     manager = rt.persist_to(str(tmp_path / "state"))
     with rt.active():
         yield rt, manager

@@ -10,6 +10,7 @@ finds nothing of it.
 
 import asyncio
 import gc
+import os
 import threading
 
 from repro.obs import MetricsRegistry
@@ -273,6 +274,83 @@ class TestEvictionBehindTheReply:
             await server.shutdown()
 
         run(main())
+
+
+# ----------------------------------------------------------------------
+# a failed close at shutdown
+# ----------------------------------------------------------------------
+
+
+def _close_failures(server):
+    return [
+        r for r in server.telemetry.flight.records()
+        if r["kind"] == "close-failed"
+    ]
+
+
+class TestShutdownAfterFailedClose:
+    """Shutdown waits for every session's close; one that raises is
+    reported against its session, and the shutdown still finishes."""
+
+    def test_a_failed_checkpoint_is_reported_and_shutdown_finishes(
+        self, tmp_path
+    ):
+        threads = set(threading.enumerate())
+        callbacks = list(gc.callbacks)
+        config = make_config(tmp_path)
+
+        async def main():
+            server = Server(config)
+            assert (await server.handle(write("good")))["ok"]
+            assert (await server.handle(write("bad", 2)))["ok"]
+            bad = server.sessions.get("bad")
+
+            def no_space(path):
+                raise OSError(28, "No space left on device")
+
+            bad.sheet.save = no_space
+            report = await server.shutdown()
+            assert report["sessions_closed"] == 2 and server.closed
+            assert server.metrics.errors.value == 1
+            notes = _close_failures(server)
+            assert [n["label"] for n in notes] == ["bad"]
+            assert "No space left on device" in notes[0]["data"]["error"]
+            assert bad.runtime.closed and bad.runtime._persist is None
+
+        run(main())
+        assert set(threading.enumerate()) == threads
+        assert gc.callbacks == callbacks
+        assert os.path.exists(os.path.join(config.root, "flight-server.jsonl"))
+        # The healthy tenant's close was not cut short by the failure.
+        assert os.path.exists(os.path.join(config.root, "good", "sheet"))
+
+    def test_a_tripped_watchdog_is_reported_and_shutdown_finishes(
+        self, tmp_path
+    ):
+        threads = set(threading.enumerate())
+
+        async def main():
+            server = Server(make_config(tmp_path, watchdog_max_steps=3))
+            chain = [[0, 0, 1]] + [
+                [0, c, f"R0C{c - 1} + 1"] for c in range(1, 4)
+            ]
+            await server.handle({"op": "write", "session": "a", "cells": chain})
+            assert (await server.handle(
+                {"op": "read", "session": "a", "row": 0, "col": 3}
+            ))["result"]["value"] == 4
+            await server.handle(write("a", 5))
+            tripped = await server.handle(
+                {"op": "read", "session": "a", "row": 0, "col": 3}
+            )
+            assert tripped["ok"] is False
+            await server.shutdown()
+            assert server.closed
+            notes = _close_failures(server)
+            assert [n["label"] for n in notes] == ["a"]
+            assert "PropagationBudgetError" in notes[0]["data"]["error"]
+
+        run(main())
+        assert set(threading.enumerate()) == threads
 
 
 # ----------------------------------------------------------------------

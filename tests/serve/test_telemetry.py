@@ -372,12 +372,10 @@ class TestFlightDumpsAndDebug:
                 r["kind"] == "watchdog-tripped" for r in lines[1:]
             ), "the trigger event itself must be in the dump"
             # The tripped session still holds pending work its budget
-            # cannot drain; closing it re-trips (pre-existing runtime
-            # behavior) — the dump, not the shutdown, is under test.
-            try:
-                await server.shutdown()
-            except Exception:
-                pass
+            # cannot drain: its close re-trips, which shutdown reports
+            # as a ``close-failed`` note and finishes anyway.
+            await server.shutdown()
+            assert server.closed
 
         run(main())
 

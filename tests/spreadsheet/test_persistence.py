@@ -33,7 +33,7 @@ class TestSaveLoad:
     def test_clean_reload_restores_values_without_reexecution(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             before = sheet.values()
@@ -53,7 +53,7 @@ class TestSaveLoad:
     def test_wal_tail_edits_survive_without_a_second_save(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             sheet.values()
@@ -77,7 +77,7 @@ class TestSaveLoad:
     def test_reload_after_edit_recomputes_only_the_dirty_region(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             sheet.values()
@@ -102,7 +102,7 @@ class TestSaveLoad:
     def test_loaded_sheet_stays_incremental(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             sheet.values()
@@ -120,7 +120,7 @@ class TestSaveLoad:
     def test_env_valued_chains_recompute_but_stay_correct(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             sheet.set_formula(2, 2, "let x = R1C1 in x + x ni")
@@ -143,7 +143,7 @@ class TestSaveLoad:
     def test_load_matches_a_fresh_build(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             sheet.values()
@@ -160,7 +160,7 @@ class TestRedoState:
     def test_edit_history_rides_the_checkpoint_and_the_wal_tail(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = Spreadsheet(2, 2)
             sheet.set_formula(1, 1, "3")  # no persistence yet: not history
@@ -182,7 +182,7 @@ class TestRedoState:
     def test_rolled_back_batch_stays_out_of_the_checkpoint(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = Spreadsheet(2, 2)
             sheet.save(path)
@@ -209,7 +209,7 @@ class TestDegradedLoad:
     def test_corrupt_checkpoint_raises_a_typed_error(self, tmp_path):
         path = tmp_path / "sheet.ckpt"
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             sheet.save(str(path))
@@ -224,7 +224,7 @@ class TestDegradedLoad:
     def test_corrupt_wal_degrades_to_a_correct_rebuild(self, tmp_path):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             sheet.values()
@@ -256,7 +256,7 @@ class TestDegradedLoad:
         codec used to drop them, and the load raised)."""
         path = tmp_path / "sheet.ckpt"
         fresh_id_space()
-        rt = Runtime(keep_registry=True)
+        rt = Runtime()
         with rt.active():
             sheet = _build_sheet()
             expected = sheet.values()
