@@ -363,8 +363,14 @@ def _repr_prefix(obj: TrackedObject, length: float = math.inf) -> str:
 
     Deliberately shallow: tracked structures are routinely cyclic (tree
     rotations create transient parent/child cycles), so field values
-    are rendered as type names, never recursively.
+    are rendered as type names, never recursively.  An object an
+    application named with a ``_persist_key`` (a spreadsheet formula
+    node, say) renders as that name alone, without its address: the
+    name says where it lives, e.g. ``IntExp(sheet:R0C0.func@0.exp)``.
     """
+    key = getattr(obj, "_persist_key", None)
+    if isinstance(key, str):
+        return f"{type(obj).__name__}({key})"
     text = f"{type(obj).__name__}@{id(obj):x}("
     for i, (name, cell) in enumerate(obj._cells.items()):
         text += f"{', ' if i else ''}{name}="

@@ -468,12 +468,12 @@ class PersistenceManager:
     def _on_batch_commit(
         self, kind: EventKind, node: Any, amount: int, data: Any
     ) -> None:
-        writes, self._buffer = self._buffer, None
-        if writes:
-            self._append({"t": "b", "w": writes}, "batch")
         app_records, self._app_buffer = self._app_buffer, None
         for data_record in app_records or ():
             self._append({"t": "a", "d": data_record}, "app")
+        writes, self._buffer = self._buffer, None
+        if writes:
+            self._append({"t": "b", "w": writes}, "batch")
 
     def _on_rollback(
         self, kind: EventKind, node: Any, amount: int, data: Any
@@ -506,9 +506,16 @@ class PersistenceManager:
     def log_app(self, data: Any) -> None:
         """Append an application-level redo record (JSON-able).
 
-        Inside a ``rt.batch()`` the record is buffered with the batch —
-        flushed (after the batch's write record) on commit, dropped on
-        rollback — so the log never replays a rolled-back operation.
+        An app record precedes the writes it explains: log it before
+        making them.  Inside a ``rt.batch()`` the record is buffered
+        with the batch — flushed on commit before the batch's write
+        record, dropped on rollback — so the log never replays a
+        rolled-back operation.  The order matters when a write record
+        carries a value the application derives from its own record (a
+        spreadsheet leaf from its formula): a log cut between the two
+        then holds the operation without its writes, which replaying
+        the operation redoes, never writes without the operation that
+        explains them.
         """
         if self._app_buffer is not None:
             self._app_buffer.append(data)

@@ -479,7 +479,7 @@ def _cells_arg(request: Dict[str, Any]) -> List[Any]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise ProtocolError(f"cell entry must be [row, col, formula]: {entry!r}")
         row, col, formula = entry
-        if not isinstance(row, int) or not isinstance(col, int):
+        if not (_is_int(row) and _is_int(col)):
             raise ProtocolError(f"cell coordinates must be ints: {entry!r}")
         out.append((row, col, formula))
     return out
@@ -487,6 +487,11 @@ def _cells_arg(request: Dict[str, Any]) -> List[Any]:
 
 def _coords_arg(request: Dict[str, Any]) -> tuple:
     row, col = request.get("row"), request.get("col")
-    if not isinstance(row, int) or not isinstance(col, int):
+    if not (_is_int(row) and _is_int(col)):
         raise ProtocolError("'row' and 'col' must be ints")
     return row, col
+
+
+def _is_int(value: Any) -> bool:
+    """An int and not a bool: JSON ``true`` decodes to one."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -12,8 +12,11 @@ Grammar (exactly the paper's expression AG plus cell references)::
               | "(" expr ")"
 
 Cell references use the paper's (x, y) array indexing, written ``R2C7``.
-The parser returns an unrooted ``Exp`` tree; ``Spreadsheet.set_formula``
-wraps it in a RootExp so inherited environments bottom out.
+The parser returns a plain :data:`Shape`, and :func:`parse_formula`
+builds an unrooted ``Exp`` tree from it (``Spreadsheet.set_formula``
+wraps it in a RootExp so inherited environments bottom out).  A shape is also
+what ``set_formula`` compares with a cell's live tree, to write only
+the leaves that changed.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ _TOKEN_RE = re.compile(
 
 Token = Tuple[str, Any]
 
+#: A parsed formula as nested tuples, one per production: the tag, then
+#: its terminals, then its subexpressions —
+#: ``("int", n)``, ``("id", name)``, ``("cell", row, col)``,
+#: ``("sum", r1, c1, r2, c2)``, ``("plus", left, right)`` and
+#: ``("let", name, bound, body)``.
+Shape = Tuple[Any, ...]
+
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
@@ -77,10 +87,9 @@ def _tokenize(text: str) -> List[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], sheet: Optional["Spreadsheet"]) -> None:
+    def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.sheet = sheet
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -96,35 +105,28 @@ class _Parser:
             raise FormulaError(f"expected {kind!r}, got {token[0]!r}")
         return token
 
-    def parse_expr(self) -> Exp:
+    def parse_expr(self) -> Shape:
         node = self.parse_term()
         while self.peek()[0] == "+":
             self.next()
-            node = plus(node, self.parse_term())
+            node = ("plus", node, self.parse_term())
         return node
 
-    def parse_term(self) -> Exp:
+    def parse_term(self) -> Shape:
         kind, value = self.next()
         if kind == "int":
-            return num(value)
+            return ("int", value)
         if kind == "ident":
-            return ident(value)
+            return ("id", value)
         if kind == "cellref":
-            if self.sheet is None:
-                raise FormulaError("cell reference used without a sheet")
-            row, col = value
-            return self.sheet.ref(row, col)
+            return ("cell", *value)
         if kind == "SUM":
-            if self.sheet is None:
-                raise FormulaError("SUM range used without a sheet")
             self.expect("(")
             first = self.expect("cellref")[1]
             self.expect(":")
             second = self.expect("cellref")[1]
             self.expect(")")
-            return self.sheet.range_sum(
-                first[0], first[1], second[0], second[1]
-            )
+            return ("sum", *first, *second)
         if kind == "let":
             name = self.expect("ident")[1]
             self.expect("=")
@@ -132,12 +134,46 @@ class _Parser:
             self.expect("in")
             body = self.parse_expr()
             self.expect("ni")
-            return let(name, bound, body)
+            return ("let", name, bound, body)
         if kind == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
         raise FormulaError(f"unexpected token {kind!r}")
+
+
+def parse_shape(text: str) -> Shape:
+    """Parse formula text into its plain shape (see :data:`Shape`)."""
+    stripped = text.strip()
+    if stripped.startswith("="):
+        stripped = stripped[1:]
+    parser = _Parser(_tokenize(stripped))
+    shape = parser.parse_expr()
+    parser.expect("eof")
+    return shape
+
+
+def _build_tree(shape: Shape, sheet: Optional["Spreadsheet"] = None) -> Exp:
+    """Build the (unrooted) tracked expression tree of a shape.
+
+    ``sheet`` provides CellExp and RangeSumExp construction for cell
+    references and ranges; a SUM's corners are bounds-checked here.
+    """
+    tag = shape[0]
+    if tag == "int":
+        return num(shape[1])
+    if tag == "id":
+        return ident(shape[1])
+    if tag == "plus":
+        return plus(_build_tree(shape[1], sheet), _build_tree(shape[2], sheet))
+    if tag == "let":
+        return let(shape[1], _build_tree(shape[2], sheet), _build_tree(shape[3], sheet))
+    if sheet is None:
+        what = "cell reference" if tag == "cell" else "SUM range"
+        raise FormulaError(f"{what} used without a sheet")
+    if tag == "cell":
+        return sheet.ref(shape[1], shape[2])
+    return sheet.range_sum(*shape[1:])
 
 
 def parse_formula(text: str, sheet: Optional["Spreadsheet"] = None) -> Exp:
@@ -146,10 +182,4 @@ def parse_formula(text: str, sheet: Optional["Spreadsheet"] = None) -> Exp:
     ``sheet`` provides CellExp construction for ``RnCm`` references; pass
     None for pure expressions (used by the AG tests).
     """
-    stripped = text.strip()
-    if stripped.startswith("="):
-        stripped = stripped[1:]
-    parser = _Parser(_tokenize(stripped), sheet)
-    tree = parser.parse_expr()
-    parser.expect("eof")
-    return tree
+    return _build_tree(parse_shape(text), sheet)

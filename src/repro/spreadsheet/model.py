@@ -17,7 +17,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 from ..core import TrackedObject, get_runtime, maintained
 from ..core.errors import AlphonseError, CycleError, NodeExecutionError
 from ..core.node import NO_VALUE
-from ..ag.expr import Exp, IdExp, IntExp, LetExp, PlusExp, RootExp, root
+from ..ag.expr import Exp, IdExp, IntExp, LetExp, PlusExp, RootExp, num, root
+from . import formula as _formula
 
 #: What :meth:`Spreadsheet.display` shows for a cell whose formula (or
 #: any cell it reads) raised — the classic spreadsheet error marker.
@@ -144,14 +145,15 @@ class Spreadsheet:
         ]
         #: Latest replayable formula per (row, col), as ``(source, gen)``
         #: — source is text, int, or None for an explicit clear; gen is
-        #: the per-cell set_formula generation that minted it.  This is
-        #: the app-level redo state :meth:`save` checkpoints and
+        #: the generation of the tree it was built as or written into.
+        #: This is the app-level redo state :meth:`save` checkpoints and
         #: :meth:`load` replays.
         self._sources: Dict[Tuple[int, int], Tuple[Union[str, int, None], int]] = {}
-        #: Next set_formula generation per cell.  Each generation mints
-        #: a distinct stable-id namespace for its formula tree, so a
-        #: re-set formula never claims the ids of the tree it replaced
-        #: (adoption must not conflate tree generations).
+        #: Next set_formula generation per cell.  Each new tree takes
+        #: one and mints a distinct stable-id namespace, so a formula of
+        #: a new shape never claims the ids of the tree it replaced
+        #: (adoption must not conflate tree generations); a same-shape
+        #: edit is written into the live tree and takes none.
         self._next_gen: Dict[Tuple[int, int], int] = {}
         #: Every durable formula edit in commit order, as ``[row, col,
         #: source]`` — the history a convergence check replays on a
@@ -189,14 +191,29 @@ class Spreadsheet:
         _gen: Optional[int] = None,
     ) -> None:
         """Install a formula: text (parsed), a prebuilt Exp, an int
-        constant, or None to clear the cell.
+        constant, or None to clear the cell.  A ``bool`` is refused
+        with ``TypeError``: it is not a number a formula can hold.
+
+        Text or an int with the same shape as the cell's live tree (the
+        tree an earlier ``set_formula`` built there, production for
+        production) is written into that tree: only the leaves that
+        differ — an ``IntExp.int``, a ``CellExp``'s coordinates, a
+        SUM's corners, a ``let`` or identifier name — get ordinary
+        tracked writes (Algorithm 10's tracked write to a leaf), and
+        the tree keeps its generation and every stable id.  Any other
+        formula builds a new tree under a new generation, whose stable
+        ids (``sheet:R{row}C{col}.func@{gen}...``) no replaced tree
+        holds.
 
         The assignment is also recorded as durable redo state: the
         replayable source is remembered for :meth:`save` and, when the
         runtime has a persistence manager attached, appended to the WAL
         as an application record so :meth:`load` can replay formula
         edits made after the last checkpoint — and to :attr:`edits`,
-        the sheet's edit history.  A prebuilt Exp using
+        the sheet's edit history.  The record is logged before the
+        writes it explains, because a leaf's WAL record carries its new
+        value: recovery must never push that value into a tree rebuilt
+        from the source it replaced.  A prebuilt Exp using
         productions outside the formula grammar has no textual source
         and is skipped by that redo machinery (a reload rebuilds the
         cell empty); everything :mod:`repro.spreadsheet.formula` can
@@ -204,10 +221,16 @@ class Spreadsheet:
         :meth:`range_sum` and the ``repro.ag.expr`` helpers — replays.
 
         ``_gen`` is the replay hook: :meth:`load` re-runs logged
-        assignments under their original generation numbers so the
-        rebuilt trees mint exactly the stable ids the checkpoint holds.
+        assignments under their original generation numbers, so an
+        edit logged against the live tree's generation is written into
+        it and the rebuilt trees mint exactly the stable ids the
+        checkpoint holds.
         """
+        if isinstance(formula, bool):
+            raise TypeError(f"unsupported formula {formula!r}: a bool is not a number")
         cell = self.cell_at(row, col)
+        if isinstance(formula, (str, int)) and self._write_leaves(cell, formula, _gen):
+            return
         key = (row, col)
         gen = self._next_gen.get(key, 0) if _gen is None else _gen
         self._next_gen[key] = max(self._next_gen.get(key, 0), gen + 1)
@@ -218,13 +241,11 @@ class Spreadsheet:
             tree = None
             source = None
         elif isinstance(formula, str):
-            from .formula import parse_formula  # local: avoid import cycle
-
-            tree = parse_formula(formula, self)
+            # Looked up at call time, so a wrapper installed on the
+            # module (the benchmark's tracer) times every tree build.
+            tree = _formula.parse_formula(formula, self)
             source = formula
         elif isinstance(formula, int):
-            from ..ag.expr import num
-
             tree = num(formula)
             source = formula
         elif isinstance(formula, Exp):
@@ -243,23 +264,50 @@ class Spreadsheet:
             # formula at the same generation adopts the checkpointed
             # nodes for the whole tree.
             _assign_tree_ids(tree, f"sheet:R{row}C{col}.func@{gen}")
-        cell.func = tree
         if replayable:
-            self._sources[key] = (source, gen)
-            manager = get_runtime()._persist
-            if manager is not None:
-                manager.log_app(
-                    {
-                        "op": "set_formula",
-                        "row": row,
-                        "col": col,
-                        "source": source,
-                        "gen": gen,
-                    }
-                )
-                self.edits.append([row, col, source])
+            self._record(row, col, source, gen)
         else:
             self._sources.pop(key, None)
+        cell.func = tree
+
+    def _write_leaves(
+        self, cell: SheetCell, formula: Union[str, int], gen: Optional[int]
+    ) -> bool:
+        """Write ``formula`` into the cell's live tree if that tree is
+        one :meth:`set_formula` built at generation ``gen`` (by default
+        the generation of the cell's source) and has the formula's
+        shape; return whether it did.
+
+        Every check comes first — a SUM corner outside the sheet raises
+        ``IndexError`` before anything is recorded or written — then
+        the app record, then the tracked writes of the changed leaves.
+        """
+        row, col = cell.row, cell.col
+        if gen is None:
+            gen = self._sources.get((row, col), (None, None))[1]
+        live = cell.field_cell("func").peek()
+        if gen is None or getattr(live, "_persist_key", None) != f"sheet:R{row}C{col}.func@{gen}":
+            return False
+        shape = _formula.parse_shape(formula) if isinstance(formula, str) else ("int", formula)
+        writes: List[Tuple[Any, Any]] = []
+        if not _changed_leaves(live.field_cell("exp").peek(), shape, self, writes):
+            return False
+        self._record(row, col, formula, gen)
+        for location, value in writes:
+            location.set(value)
+        return True
+
+    def _record(self, row: int, col: int, source: Union[str, int, None], gen: int) -> None:
+        """Remember ``source`` as the cell's redo state and, while a
+        persistence manager is attached, log it and add it to
+        :attr:`edits`."""
+        self._sources[(row, col)] = (source, gen)
+        manager = get_runtime()._persist
+        if manager is not None:
+            manager.log_app(
+                {"op": "set_formula", "row": row, "col": col, "source": source, "gen": gen}
+            )
+            self.edits.append([row, col, source])
 
     def clear(self, row: int, col: int) -> None:
         self.set_formula(row, col, None)
@@ -283,8 +331,14 @@ class Spreadsheet:
         every cell already pasted — the sheet never keeps half a paste.
         When this call opened the outermost batch, the redo state rolls
         back with the cells: the formula sources :meth:`save`
-        checkpoints and :attr:`edits`.  Generations stay minted, because
-        the rolled-back trees may already have claimed their stable ids.
+        checkpoints and :attr:`edits`.  A rolled-back same-shape edit
+        spent no generation (its leaf writes roll back like any tracked
+        write); a rolled-back new tree's generation stays minted,
+        because that tree may already have claimed its stable ids.
+
+        With a persistence manager attached, the batch commits to the
+        WAL as its app records followed by one batch record of its
+        writes (see :meth:`set_formula` for why in that order).
         """
         rt = get_runtime()
         rewind = rollback_on_error and not rt.in_batch
@@ -554,6 +608,44 @@ def _render_formula(node: Exp) -> str:
     if isinstance(node, IntExp):
         return str(peek(node, "int"))
     raise _Unrenderable(type(node).__name__)
+
+
+#: Each formula shape tag's production, then that production's terminal
+#: fields and its child fields, in the order the shape lists them.
+_PRODUCTIONS: Dict[str, Tuple[type, Tuple[str, ...], Tuple[str, ...]]] = {
+    "int": (IntExp, ("int",), ()),
+    "id": (IdExp, ("id",), ()),
+    "cell": (CellExp, ("x", "y"), ()),
+    "sum": (RangeSumExp, ("r1", "c1", "r2", "c2"), ()),
+    "plus": (PlusExp, (), ("exp1", "exp2")),
+    "let": (LetExp, ("id",), ("exp1", "exp2")),
+}
+
+
+def _changed_leaves(
+    node: Any, shape: Tuple[Any, ...], sheet: "Spreadsheet", writes: List[Tuple[Any, Any]]
+) -> bool:
+    """Whether ``node`` has the productions of ``shape`` (cell
+    references into ``sheet``); if so, ``writes`` gains a ``(location,
+    value)`` pair for each terminal whose value differs.  Raises
+    ``IndexError`` for a SUM corner outside the sheet, as building the
+    tree would.  Reads nothing through the runtime.
+    """
+    production, terminals, children = _PRODUCTIONS[shape[0]]
+    if type(node) is not production or getattr(node, "sheet", sheet) is not sheet:
+        return False
+    if production is RangeSumExp:
+        sheet.cell_at(shape[1], shape[2])
+        sheet.cell_at(shape[3], shape[4])
+    for name, value in zip(terminals, shape[1:]):
+        location = node.field_cell(name)
+        old = location.peek()
+        if type(old) is not type(value) or old != value:
+            writes.append((location, value))
+    for name, child in zip(children, shape[1 + len(terminals):]):
+        if not _changed_leaves(node.field_cell(name).peek(), child, sheet, writes):
+            return False
+    return True
 
 
 def _assign_tree_ids(node: Exp, path: str, _seen: Optional[set] = None) -> None:

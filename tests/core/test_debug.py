@@ -183,15 +183,20 @@ class TestExecutionLog:
 
 def _repr_cut(value, limit=24):
     """A label argument as its whole ``repr`` renders it (the default
-    ``TrackedObject`` one written out in full), cut to ``limit``."""
+    ``TrackedObject`` one written out in full: its durable name if it
+    has one, else its address and fields), cut to ``limit``."""
     from repro.core.cells import TrackedObject, _shallow
 
     if type(value).__repr__ is TrackedObject.__repr__:
-        parts = ", ".join(
-            f"{name}={_shallow(cell.peek())}"
-            for name, cell in value._cells.items()
-        )
-        text = f"{type(value).__name__}@{id(value):x}({parts})"
+        key = getattr(value, "_persist_key", None)
+        if key is not None:
+            text = f"{type(value).__name__}({key})"
+        else:
+            parts = ", ".join(
+                f"{name}={_shallow(cell.peek())}"
+                for name, cell in value._cells.items()
+            )
+            text = f"{type(value).__name__}@{id(value):x}({parts})"
         assert repr(value) == text
     else:
         text = repr(value)

@@ -297,16 +297,26 @@ class TestExplainBasics:
 
 
 class TestSpreadsheetAcceptance:
-    def test_causal_chain_from_write_to_recomputed_cell(self, rt):
-        """The ISSUE acceptance check: rt.explain() on the spreadsheet
-        example returns the chain from the triggering write to the
-        recomputed cell."""
+    @pytest.mark.parametrize(
+        "edit, first_label",
+        [
+            # Same shape: the new constant is written into the live
+            # tree's leaf.
+            (9, "IntExp.int"),
+            # A new shape: a new tree is written into the cell.
+            ("4 + 5", "SheetCell.func"),
+        ],
+        ids=["same-shape", "shape-changing"],
+    )
+    def test_causal_chain_from_write_to_recomputed_cell(self, rt, edit, first_label):
+        """rt.explain() on the spreadsheet example returns the chain
+        from the triggering write to the recomputed cell."""
         rt.obs.enable()
         sheet = Spreadsheet(3, 3)
         sheet.set_formula(0, 0, 5)
         sheet.set_formula(1, 1, "R0C0 + 2")
         assert sheet.value(1, 1) == 7
-        sheet.set_formula(0, 0, 9)  # the triggering write
+        sheet.set_formula(0, 0, edit)  # the triggering write
         assert sheet.value(1, 1) == 11  # the recomputation
 
         exp = rt.explain("R1C1")
@@ -319,8 +329,10 @@ class TestSpreadsheetAcceptance:
         assert "marked" in kinds
         assert kinds[-1] == "re-executed"
         assert exp.links[-1].label == "SheetCell.value(R1C1)"
-        # the chain starts at the written cell's formula field
-        assert exp.links[0].label == "SheetCell.func"
+        # the chain starts at the location the edit wrote
+        assert exp.links[0].label == first_label
+        # the change it detected names the edited cell
+        assert "R0C0" in exp.links[1].render()
         # and its text rendering is presentable
         text = exp.render()
         assert "recomputed" in text and "write" in text

@@ -174,14 +174,17 @@ class TestPersistenceManager:
         manager.log_app({"op": "second"})
         assert [r["d"]["op"] for r in _records(manager)] == ["first", "second"]
 
-    def test_app_record_in_batch_flushes_after_the_batch_record(self, persisted):
+    def test_app_record_in_batch_flushes_before_the_batch_record(self, persisted):
+        """An app record precedes the writes it explains, also when a
+        batch commits: a log cut between them then holds the operation
+        (which replay redoes) and never its writes alone."""
         rt, manager = persisted
         a = Cell(0, label="a")
         _track(a)
         with rt.batch():
             a.set(1)
             manager.log_app({"op": "edit"})
-        assert [r["t"] for r in _records(manager)] == ["b", "a"]
+        assert [r["t"] for r in _records(manager)] == ["a", "b"]
 
     def test_app_record_in_rolled_back_batch_is_dropped(self, persisted):
         rt, manager = persisted

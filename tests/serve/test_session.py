@@ -124,7 +124,9 @@ class TestFreshSession:
             head, *links = text.splitlines()
             assert head == "SheetCell.value(R1C1): recomputed"
             (change,) = [line for line in links if "change-detected" in line]
-            assert "read by SheetCell.value(R0C0)" in change
+            # The same-shape write changed a leaf of R0C0's formula
+            # tree; the node that read it is named by its place there.
+            assert "read by IntExp.value(IntExp(sheet:R0C0." in change
             assert "re-executed      SheetCell.value(R1C1)" in links[-2]
         finally:
             session.close()
@@ -181,6 +183,40 @@ class TestFreshSession:
             ):
                 with pytest.raises(ProtocolError):
                     session.apply(request)
+        finally:
+            session.close()
+
+    def test_bool_coordinates_are_400s(self, tmp_path):
+        session = Session.open("t1", make_config(tmp_path))
+        try:
+            for request in (
+                {"op": "write", "session": "t1", "cells": [[True, 0, 1]]},
+                {"op": "batch", "session": "t1", "cells": [[0, False, 1]]},
+                {"op": "read", "session": "t1", "row": True, "col": 0},
+                {"op": "explain", "session": "t1", "row": 0, "col": False},
+            ):
+                with pytest.raises(ProtocolError):
+                    session.apply(request)
+            assert session.apply({"op": "log", "session": "t1"})["edits"] == []
+        finally:
+            session.close()
+
+    def test_bool_formula_is_422(self, tmp_path):
+        session = Session.open("t1", make_config(tmp_path))
+        try:
+            session.apply({"op": "write", "session": "t1", "cells": [[0, 0, 1]]})
+            with pytest.raises(SessionOpError, match="bool"):
+                session.apply(
+                    {"op": "write", "session": "t1", "cells": [[0, 0, True]]}
+                )
+            with pytest.raises(SessionOpError, match="rolled back"):
+                session.apply(
+                    {"op": "batch", "session": "t1",
+                     "cells": [[0, 1, 2], [0, 0, True]]}
+                )
+            assert session.apply({"op": "log", "session": "t1"})["edits"] == [[0, 0, 1]]
+            dump = session.apply({"op": "dump", "session": "t1"})
+            assert dump["values"][0][:2] == [1, 0]
         finally:
             session.close()
 

@@ -57,6 +57,16 @@ class TestBasics:
         with pytest.raises(TypeError):
             sheet.set_formula(0, 0, 3.14)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_formula_refused(self, rt, flag):
+        sheet = Spreadsheet(1, 2)
+        sheet.set_formula(0, 0, 1)
+        sheet.set_formula(0, 1, "R0C0 + 1")
+        with pytest.raises(TypeError, match="bool"):
+            sheet.set_formula(0, 0, flag)
+        assert sheet.values() == [[1, 2]]
+        assert sheet._sources[(0, 0)] == (1, 0)
+
     def test_prebuilt_expression(self, rt):
         from repro.ag.expr import num, plus
 

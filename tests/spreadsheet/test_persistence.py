@@ -179,7 +179,22 @@ class TestRedoState:
         with loaded.runtime.active():
             assert loaded.value(1, 0) == 10
 
-    def test_rolled_back_batch_stays_out_of_the_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize(
+        "refused, next_gen",
+        [
+            # A new shape builds a new tree: its generation stays spent,
+            # so the next edit mints fresh stable ids instead of
+            # reusing its ones.
+            ("99 + 1", 2),
+            # The same shape writes the live tree's leaf, which rolls
+            # back like any tracked write: no generation is spent.
+            ("99", 1),
+        ],
+        ids=["shape-changing", "same-shape"],
+    )
+    def test_rolled_back_batch_stays_out_of_the_checkpoint(
+        self, tmp_path, refused, next_gen
+    ):
         path = str(tmp_path / "sheet.ckpt")
         fresh_id_space()
         rt = Runtime()
@@ -189,12 +204,10 @@ class TestRedoState:
             sheet.set_formula(0, 0, "5")
             with pytest.raises(FormulaError):
                 sheet.bulk_update(
-                    [(0, 0, "99"), (0, 1, "R0C0 +")], rollback_on_error=True
+                    [(0, 0, refused), (0, 1, "R0C0 +")], rollback_on_error=True
                 )
             assert sheet.value(0, 0) == 5
-            # The refused tree's generation stays spent: the next edit
-            # mints fresh stable ids instead of reusing its ones.
-            assert sheet._next_gen[(0, 0)] == 2
+            assert sheet._next_gen[(0, 0)] == next_gen
             sheet.save(path)
         rt._discarded = True
 
