@@ -12,20 +12,22 @@ Grammar (exactly the paper's expression AG plus cell references)::
               | "(" expr ")"
 
 Cell references use the paper's (x, y) array indexing, written ``R2C7``.
-The parser returns a plain :data:`Shape`, and :func:`parse_formula`
-builds an unrooted ``Exp`` tree from it (``Spreadsheet.set_formula``
-wraps it in a RootExp so inherited environments bottom out).  A shape is also
-what ``set_formula`` compares with a cell's live tree, to write only
-the leaves that changed.
+This module is the concrete syntax: the parser turns text into a plain
+:data:`Shape`.  The productions a shape names, and the unrooted ``Exp``
+trees built from it, live with the sheet in :mod:`.model`
+(``Spreadsheet.set_formula`` wraps a tree in a RootExp so inherited
+environments bottom out).  A shape is also what ``set_formula``
+compares with a cell's live tree, to write only the leaves that
+changed.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..core.errors import AlphonseError
-from ..ag.expr import Exp, ident, let, num, plus
+from ..ag.expr import Exp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Spreadsheet
@@ -142,44 +144,26 @@ class _Parser:
         raise FormulaError(f"unexpected token {kind!r}")
 
 
-def parse_shape(text: str) -> Shape:
-    """Parse formula text into its plain shape (see :data:`Shape`)."""
+def parse_formula(
+    text: str, sheet: Optional["Spreadsheet"] = None, *, build: bool = True
+) -> Union[Exp, Shape]:
+    """Parse formula text into an (unrooted) expression tree.
+
+    ``sheet`` provides CellExp construction for ``RnCm`` references; pass
+    None for pure expressions (used by the AG tests).  With
+    ``build=False`` the plain :data:`Shape` is returned and no tree is
+    built: ``Spreadsheet.set_formula`` parses every text edit this way,
+    then either writes the shape into the cell's live tree or builds a
+    new one from it.
+    """
     stripped = text.strip()
     if stripped.startswith("="):
         stripped = stripped[1:]
     parser = _Parser(_tokenize(stripped))
     shape = parser.parse_expr()
     parser.expect("eof")
-    return shape
+    if not build:
+        return shape
+    from .model import build_tree  # the productions live with the sheet
 
-
-def _build_tree(shape: Shape, sheet: Optional["Spreadsheet"] = None) -> Exp:
-    """Build the (unrooted) tracked expression tree of a shape.
-
-    ``sheet`` provides CellExp and RangeSumExp construction for cell
-    references and ranges; a SUM's corners are bounds-checked here.
-    """
-    tag = shape[0]
-    if tag == "int":
-        return num(shape[1])
-    if tag == "id":
-        return ident(shape[1])
-    if tag == "plus":
-        return plus(_build_tree(shape[1], sheet), _build_tree(shape[2], sheet))
-    if tag == "let":
-        return let(shape[1], _build_tree(shape[2], sheet), _build_tree(shape[3], sheet))
-    if sheet is None:
-        what = "cell reference" if tag == "cell" else "SUM range"
-        raise FormulaError(f"{what} used without a sheet")
-    if tag == "cell":
-        return sheet.ref(shape[1], shape[2])
-    return sheet.range_sum(*shape[1:])
-
-
-def parse_formula(text: str, sheet: Optional["Spreadsheet"] = None) -> Exp:
-    """Parse formula text into an (unrooted) expression tree.
-
-    ``sheet`` provides CellExp construction for ``RnCm`` references; pass
-    None for pure expressions (used by the AG tests).
-    """
-    return _build_tree(parse_shape(text), sheet)
+    return build_tree(shape, sheet)

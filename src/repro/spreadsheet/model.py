@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 from ..core import TrackedObject, get_runtime, maintained
 from ..core.errors import AlphonseError, CycleError, NodeExecutionError
 from ..core.node import NO_VALUE
-from ..ag.expr import Exp, IdExp, IntExp, LetExp, PlusExp, RootExp, num, root
+from ..ag.expr import Exp, IdExp, IntExp, LetExp, PlusExp, RootExp, root
 from . import formula as _formula
 
 #: What :meth:`Spreadsheet.display` shows for a cell whose formula (or
@@ -194,16 +194,17 @@ class Spreadsheet:
         constant, or None to clear the cell.  A ``bool`` is refused
         with ``TypeError``: it is not a number a formula can hold.
 
-        Text or an int with the same shape as the cell's live tree (the
-        tree an earlier ``set_formula`` built there, production for
-        production) is written into that tree: only the leaves that
-        differ — an ``IntExp.int``, a ``CellExp``'s coordinates, a
-        SUM's corners, a ``let`` or identifier name — get ordinary
-        tracked writes (Algorithm 10's tracked write to a leaf), and
-        the tree keeps its generation and every stable id.  Any other
-        formula builds a new tree under a new generation, whose stable
-        ids (``sheet:R{row}C{col}.func@{gen}...``) no replaced tree
-        holds.
+        Text or an int with the same shape as the cell's live tree,
+        production for production, is written into that tree when an
+        earlier ``set_formula`` built it from text or an int (never a
+        prebuilt Exp, which its caller may still hold or have installed
+        elsewhere): only the leaves that differ — an ``IntExp.int``, a
+        ``CellExp``'s coordinates, a SUM's corners, a ``let`` or
+        identifier name — get ordinary tracked writes (Algorithm 10's
+        tracked write to a leaf), and the tree keeps its generation and
+        every stable id.  Any other formula builds a new tree under a
+        new generation, whose stable ids
+        (``sheet:R{row}C{col}.func@{gen}...``) no replaced tree holds.
 
         The assignment is also recorded as durable redo state: the
         replayable source is remembered for :meth:`save` and, when the
@@ -229,25 +230,25 @@ class Spreadsheet:
         if isinstance(formula, bool):
             raise TypeError(f"unsupported formula {formula!r}: a bool is not a number")
         cell = self.cell_at(row, col)
-        if isinstance(formula, (str, int)) and self._write_leaves(cell, formula, _gen):
+        shape: Optional[_formula.Shape] = None
+        if isinstance(formula, str):
+            # Looked up at call time, so a wrapper installed on the
+            # module (the benchmark's tracer) times every parse.
+            shape = _formula.parse_formula(formula, build=False)
+        elif isinstance(formula, int):
+            shape = ("int", formula)
+        if shape is not None and self._write_leaves(cell, formula, shape, _gen):
             return
         key = (row, col)
         gen = self._next_gen.get(key, 0) if _gen is None else _gen
         self._next_gen[key] = max(self._next_gen.get(key, 0), gen + 1)
         tree: Optional[Exp]
-        source: Union[str, int, None]
+        source: Union[str, int, None] = formula
         replayable = True
-        if formula is None:
+        if shape is not None:
+            tree = build_tree(shape, self)
+        elif formula is None:
             tree = None
-            source = None
-        elif isinstance(formula, str):
-            # Looked up at call time, so a wrapper installed on the
-            # module (the benchmark's tracer) times every tree build.
-            tree = _formula.parse_formula(formula, self)
-            source = formula
-        elif isinstance(formula, int):
-            tree = num(formula)
-            source = formula
         elif isinstance(formula, Exp):
             tree = formula
             try:
@@ -264,6 +265,8 @@ class Spreadsheet:
             # formula at the same generation adopts the checkpointed
             # nodes for the whole tree.
             _assign_tree_ids(tree, f"sheet:R{row}C{col}.func@{gen}")
+            # Only a tree built here from a source may take leaf writes.
+            tree._from_source = shape is not None
         if replayable:
             self._record(row, col, source, gen)
         else:
@@ -271,12 +274,17 @@ class Spreadsheet:
         cell.func = tree
 
     def _write_leaves(
-        self, cell: SheetCell, formula: Union[str, int], gen: Optional[int]
+        self,
+        cell: SheetCell,
+        formula: Union[str, int],
+        shape: "_formula.Shape",
+        gen: Optional[int],
     ) -> bool:
-        """Write ``formula`` into the cell's live tree if that tree is
-        one :meth:`set_formula` built at generation ``gen`` (by default
-        the generation of the cell's source) and has the formula's
-        shape; return whether it did.
+        """Write ``shape`` (parsed from ``formula``) into the cell's
+        live tree if :meth:`set_formula` built that tree from a source
+        at generation ``gen`` (by default the generation of the cell's
+        source) and it has the shape's productions, each node still
+        under its own path; return whether it did.
 
         Every check comes first — a SUM corner outside the sheet raises
         ``IndexError`` before anything is recorded or written — then
@@ -286,11 +294,15 @@ class Spreadsheet:
         if gen is None:
             gen = self._sources.get((row, col), (None, None))[1]
         live = cell.field_cell("func").peek()
-        if gen is None or getattr(live, "_persist_key", None) != f"sheet:R{row}C{col}.func@{gen}":
+        path = f"sheet:R{row}C{col}.func@{gen}"
+        if (
+            gen is None
+            or not getattr(live, "_from_source", False)
+            or live._persist_key != path
+        ):
             return False
-        shape = _formula.parse_shape(formula) if isinstance(formula, str) else ("int", formula)
         writes: List[Tuple[Any, Any]] = []
-        if not _changed_leaves(live.field_cell("exp").peek(), shape, self, writes):
+        if not _changed_leaves(live.field_cell("exp").peek(), shape, f"{path}.exp", self, writes):
             return False
         self._record(row, col, formula, gen)
         for location, value in writes:
@@ -570,8 +582,89 @@ class Spreadsheet:
 
 
 # ----------------------------------------------------------------------
-# Durability helpers: formula provenance and stable tree identities.
+# Formula productions: tree builds, leaf diffs, rendering, and stable
+# tree identities.
 # ----------------------------------------------------------------------
+
+
+#: Each formula production by its shape tag (see
+#: :data:`repro.spreadsheet.formula.Shape`): its class, its terminal
+#: fields and its child fields in the order the shape lists them, and
+#: its formula text.  Tree builds, leaf diffs and rendering all read
+#: this one table.
+_PRODUCTIONS: Dict[str, Tuple[type, Tuple[str, ...], Tuple[str, ...], str]] = {
+    "int": (IntExp, ("int",), (), "{int}"),
+    "id": (IdExp, ("id",), (), "{id}"),
+    "cell": (CellExp, ("x", "y"), (), "R{x}C{y}"),
+    "sum": (RangeSumExp, ("r1", "c1", "r2", "c2"), (), "SUM(R{r1}C{c1}:R{r2}C{c2})"),
+    "plus": (PlusExp, (), ("exp1", "exp2"), "({exp1} + {exp2})"),
+    "let": (LetExp, ("id",), ("exp1", "exp2"), "let {id} = {exp1} in {exp2} ni"),
+}
+
+
+def build_tree(shape: "_formula.Shape", sheet: Optional[Spreadsheet] = None) -> Exp:
+    """Build the (unrooted) tracked expression tree of a formula shape.
+
+    ``sheet`` is what cell references and SUM ranges read; a SUM's
+    corners are bounds-checked here (``IndexError``).
+    """
+    production, terminals, children, _ = _PRODUCTIONS[shape[0]]
+    values = shape[1:]
+    if children:
+        kids = [build_tree(child, sheet) for child in values[len(terminals):]]
+        node = production(
+            **dict(zip(terminals + children, values[: len(terminals)] + tuple(kids)))
+        )
+        for kid in kids:
+            kid.parent = node
+        return node
+    if production is CellExp or production is RangeSumExp:
+        if sheet is None:
+            what = "cell reference" if production is CellExp else "SUM range"
+            raise _formula.FormulaError(f"{what} used without a sheet")
+        if production is RangeSumExp:
+            _check_corners(sheet, shape)
+        return production(sheet, **dict(zip(terminals, values)))
+    return production(**dict(zip(terminals, values)))
+
+
+def _check_corners(sheet: Spreadsheet, shape: "_formula.Shape") -> None:
+    """Raise ``IndexError`` unless both corners of a SUM shape are on
+    the sheet."""
+    sheet.cell_at(shape[1], shape[2])
+    sheet.cell_at(shape[3], shape[4])
+
+
+def _changed_leaves(
+    node: Any,
+    shape: "_formula.Shape",
+    path: str,
+    sheet: Spreadsheet,
+    writes: List[Tuple[Any, Any]],
+) -> bool:
+    """Whether ``node`` has the productions of ``shape`` and every node
+    still carries its own path as ``_persist_key`` (a node reached twice,
+    or installed in another cell since, does not); if so, ``writes``
+    gains a ``(location, value)`` pair for each terminal whose value
+    differs.  Raises ``IndexError`` for a SUM corner outside the sheet,
+    as building the tree would.  Reads nothing through the runtime.
+    """
+    production, terminals, children, _ = _PRODUCTIONS[shape[0]]
+    if type(node) is not production or getattr(node, "_persist_key", None) != path:
+        return False
+    if production is RangeSumExp:
+        _check_corners(sheet, shape)
+    for name, value in zip(terminals, shape[1:]):
+        location = node.field_cell(name)
+        old = location.peek()
+        if type(old) is not type(value) or old != value:
+            writes.append((location, value))
+    for name, child in zip(children, shape[1 + len(terminals):]):
+        if not _changed_leaves(
+            node.field_cell(name).peek(), child, f"{path}.{name}", sheet, writes
+        ):
+            return False
+    return True
 
 
 class _Unrenderable(Exception):
@@ -585,67 +678,15 @@ def _render_formula(node: Exp) -> str:
     parenthesisation; raises :class:`_Unrenderable` for productions the
     grammar cannot express (user-defined Exp subclasses).
     """
-    peek = lambda o, f: o.field_cell(f).peek()  # noqa: E731 - local alias
     if isinstance(node, RootExp):
-        return _render_formula(peek(node, "exp"))
-    if isinstance(node, PlusExp):
-        left = _render_formula(peek(node, "exp1"))
-        right = _render_formula(peek(node, "exp2"))
-        return f"({left} + {right})"
-    if isinstance(node, LetExp):
-        bound = _render_formula(peek(node, "exp1"))
-        body = _render_formula(peek(node, "exp2"))
-        return f"let {peek(node, 'id')} = {bound} in {body} ni"
-    if isinstance(node, CellExp):
-        return f"R{peek(node, 'x')}C{peek(node, 'y')}"
-    if isinstance(node, RangeSumExp):
-        return (
-            f"SUM(R{peek(node, 'r1')}C{peek(node, 'c1')}"
-            f":R{peek(node, 'r2')}C{peek(node, 'c2')})"
-        )
-    if isinstance(node, IdExp):
-        return str(peek(node, "id"))
-    if isinstance(node, IntExp):
-        return str(peek(node, "int"))
+        return _render_formula(node.field_cell("exp").peek())
+    for production, terminals, children, text in _PRODUCTIONS.values():
+        if isinstance(node, production):
+            fields = {name: node.field_cell(name).peek() for name in terminals}
+            for name in children:
+                fields[name] = _render_formula(node.field_cell(name).peek())
+            return text.format(**fields)
     raise _Unrenderable(type(node).__name__)
-
-
-#: Each formula shape tag's production, then that production's terminal
-#: fields and its child fields, in the order the shape lists them.
-_PRODUCTIONS: Dict[str, Tuple[type, Tuple[str, ...], Tuple[str, ...]]] = {
-    "int": (IntExp, ("int",), ()),
-    "id": (IdExp, ("id",), ()),
-    "cell": (CellExp, ("x", "y"), ()),
-    "sum": (RangeSumExp, ("r1", "c1", "r2", "c2"), ()),
-    "plus": (PlusExp, (), ("exp1", "exp2")),
-    "let": (LetExp, ("id",), ("exp1", "exp2")),
-}
-
-
-def _changed_leaves(
-    node: Any, shape: Tuple[Any, ...], sheet: "Spreadsheet", writes: List[Tuple[Any, Any]]
-) -> bool:
-    """Whether ``node`` has the productions of ``shape`` (cell
-    references into ``sheet``); if so, ``writes`` gains a ``(location,
-    value)`` pair for each terminal whose value differs.  Raises
-    ``IndexError`` for a SUM corner outside the sheet, as building the
-    tree would.  Reads nothing through the runtime.
-    """
-    production, terminals, children = _PRODUCTIONS[shape[0]]
-    if type(node) is not production or getattr(node, "sheet", sheet) is not sheet:
-        return False
-    if production is RangeSumExp:
-        sheet.cell_at(shape[1], shape[2])
-        sheet.cell_at(shape[3], shape[4])
-    for name, value in zip(terminals, shape[1:]):
-        location = node.field_cell(name)
-        old = location.peek()
-        if type(old) is not type(value) or old != value:
-            writes.append((location, value))
-    for name, child in zip(children, shape[1 + len(terminals):]):
-        if not _changed_leaves(node.field_cell(name).peek(), child, sheet, writes):
-            return False
-    return True
 
 
 def _assign_tree_ids(node: Exp, path: str, _seen: Optional[set] = None) -> None:

@@ -28,8 +28,7 @@ from repro.obs.flight import FlightRecorder
 from repro.persist.ids import fresh_id_space
 from repro.persist.recover import recover
 from repro.serve.loadgen import _replay_serially
-from repro.spreadsheet import FormulaError, Spreadsheet
-from repro.spreadsheet.formula import parse_shape
+from repro.spreadsheet import FormulaError, Spreadsheet, parse_formula
 from repro.testing import CrashPoint, SimulatedCrash
 
 pytestmark = pytest.mark.chaos
@@ -356,7 +355,7 @@ def _let_cone(sources):
     """The names of the cells that bind a ``let`` or read, through any
     chain of references, a cell that does."""
     reads = {
-        cell: set(_cells_read(parse_shape(source)))
+        cell: set(_cells_read(parse_formula(source, build=False)))
         for cell, (source, _gen) in sources.items()
         if isinstance(source, str)
     }

@@ -62,6 +62,15 @@ class TestParsing:
         b = parse_formula("  1   +   2 ")
         assert type(a) is type(b) is PlusExp
 
+    def test_shape_without_a_tree(self):
+        text = "let x = SUM(R0C0:R1C2) in x + R3C4 + 5 ni"
+        assert parse_formula(text, build=False) == (
+            "let",
+            "x",
+            ("sum", 0, 0, 1, 2),
+            ("plus", ("plus", ("id", "x"), ("cell", 3, 4)), ("int", 5)),
+        )
+
 
 class TestErrors:
     @pytest.mark.parametrize(

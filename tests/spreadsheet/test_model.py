@@ -74,6 +74,20 @@ class TestBasics:
         sheet.set_formula(0, 0, plus(num(2), num(3)))
         assert sheet.value(0, 0) == 5
 
+    def test_prebuilt_expression_of_every_production_replays(self, rt):
+        from repro.ag.expr import ident, let, num, plus
+        from repro.serve.loadgen import _replay_serially
+
+        sheet = Spreadsheet(2, 2)
+        sheet.set_formula(0, 0, 3)
+        sheet.set_formula(0, 1, 4)
+        sheet.set_formula(1, 0, let("x", sheet.range_sum(0, 0, 0, 1),
+                                    plus(ident("x"), plus(sheet.ref(0, 1), num(5)))))
+        source = sheet._sources[(1, 0)][0]
+        assert source == "let x = SUM(R0C0:R0C1) in (x + (R0C1 + 5)) ni"
+        edits = [[0, 0, 3], [0, 1, 4], [1, 0, source]]
+        assert sheet.values() == _replay_serially(edits, 2, 2) == [[3, 4], [16, 0]]
+
 
 class TestPropagation:
     def test_edit_ripples_through_chain(self, rt):

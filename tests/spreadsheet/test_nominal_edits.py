@@ -15,8 +15,8 @@ from repro.ag.expr import num, plus, root
 from repro.baselines.exhaustive import ExhaustiveSpreadsheet
 from repro.persist.snapshot import read_checkpoint
 from repro.persist.wal import WriteAheadLog
-from repro.spreadsheet import Spreadsheet
-from repro.spreadsheet.formula import parse_shape
+from repro.serve.loadgen import _replay_serially
+from repro.spreadsheet import Spreadsheet, parse_formula
 
 
 def _layered_formula(row, col, cols, k):
@@ -64,7 +64,7 @@ def _exhaustive_values(sheet):
     """The sheet's formula sources evaluated from scratch."""
     oracle = ExhaustiveSpreadsheet(sheet.rows, sheet.cols)
     for (row, col), (source, _gen) in sheet._sources.items():
-        shape = parse_shape(source) if isinstance(source, str) else ("int", source)
+        shape = parse_formula(source, build=False) if isinstance(source, str) else ("int", source)
         oracle.set_formula(row, col, lambda s, shape=shape: _eval_shape(shape, s, {}))
     return oracle.values()
 
@@ -169,6 +169,27 @@ class TestSameShapeEdits:
         assert sheet.value(2, 2) == 4
         assert sheet.value(2, 0) == 5
 
+    def test_every_text_edit_is_parsed_once_through_parse_formula(self, rt, monkeypatch):
+        # Looked up on the module at each call, so a wrapper installed
+        # there (as the benchmark's tracer does) sees every parse.
+        from repro.spreadsheet import formula
+
+        parsed = []
+        real = formula.parse_formula
+
+        def spy(text, *args, **kwargs):
+            parsed.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(formula, "parse_formula", spy)
+        sheet = Spreadsheet(2, 2)
+        sheet.set_formula(0, 0, "1 + 2")  # first formula
+        sheet.set_formula(0, 0, "3 + 4")  # same shape
+        sheet.set_formula(0, 0, "R1C1")  # new shape
+        sheet.set_formula(1, 1, 7)  # an int is not parsed
+        assert parsed == ["1 + 2", "3 + 4", "R1C1"]
+        assert sheet.values() == [[7, 0], [0, 7]]
+
     def test_a_tree_installed_by_assignment_is_replaced_not_diffed(self, rt):
         sheet = Spreadsheet(1, 2)
         cell = sheet.cell_at(0, 0)
@@ -190,6 +211,54 @@ class TestSameShapeEdits:
         ).peek() == 3
         assert sheet.value(0, 0) == 11
         assert sheet._next_gen[(0, 0)] == 3
+
+
+def _int_leaf(tree, *path):
+    node = tree
+    for name in path:
+        node = node.field_cell(name).peek()
+    return node.field_cell("int").peek()
+
+
+class TestTreesNotBuiltFromASource:
+    """Only a tree ``set_formula`` built from text or an int takes leaf
+    writes: a prebuilt tree may share a node with itself, with another
+    cell or with its caller, and a write into it would reach them too."""
+
+    def test_a_node_shared_within_a_prebuilt_tree(self, rt):
+        sheet = Spreadsheet(1, 1)
+        n = num(1)
+        sheet.set_formula(0, 0, plus(n, n))
+        assert sheet.value(0, 0) == 2
+        sheet.set_formula(0, 0, "1 + 2")
+        assert sheet.value(0, 0) == 3
+        assert n.field_cell("int").peek() == 1
+        assert _replay_serially([[0, 0, sheet._sources[(0, 0)][0]]], 1, 1) == [[3]]
+
+    def test_a_prebuilt_tree_in_two_cells(self, rt):
+        sheet = Spreadsheet(1, 2)
+        shared = plus(num(1), num(2))
+        sheet.set_formula(0, 0, shared)
+        sheet.set_formula(0, 1, shared)
+        sheet.set_formula(0, 0, "1 + 5")
+        assert sheet.values() == [[6, 3]]
+
+    def test_a_prebuilt_tree_its_caller_still_holds(self, rt):
+        sheet = Spreadsheet(1, 1)
+        held = plus(num(1), num(2))
+        sheet.set_formula(0, 0, held)
+        sheet.set_formula(0, 0, "1 + 5")
+        assert sheet.value(0, 0) == 6
+        assert _int_leaf(held, "exp2") == 2
+
+    def test_part_of_a_live_tree_installed_in_another_cell(self, rt):
+        sheet = Spreadsheet(2, 1)
+        sheet.set_formula(0, 0, "1 + 2")
+        copied = sheet.cell_at(0, 0).func.field_cell("exp").peek()
+        sheet.set_formula(1, 0, copied)
+        sheet.set_formula(0, 0, "1 + 5")
+        assert sheet.values() == [[6], [3]]
+        assert _int_leaf(copied, "exp2") == 2
 
 
 class TestLoadReplay:
